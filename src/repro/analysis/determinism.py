@@ -9,7 +9,8 @@ classes of construct silently break that:
   transport's :class:`~repro.api.transport.VirtualClock`);
 * drawing entropy from outside the seed tree (module-level ``random``
   functions, ``default_rng()`` with no seed, ``os.urandom``,
-  ``uuid.uuid4``);
+  ``uuid.uuid4``, or a seed built from the builtin ``hash()``, which
+  is salted per process for strings);
 * iterating a hash-ordered collection (``set``/``frozenset``) or an
   OS-ordered listing (``os.listdir``) so the order can leak into
   serialized output.
@@ -91,6 +92,11 @@ _SEED_REQUIRED = frozenset({"numpy.random.default_rng", "numpy.random.RandomStat
 #: Pure entropy sources with no seeded equivalent.
 _ENTROPY_SOURCES = frozenset({"os.urandom", "uuid.uuid4"})
 
+#: RNG constructors whose arguments are seed material.
+_SEED_CONSUMERS = frozenset(
+    {"numpy.random.SeedSequence", "numpy.random.default_rng", "random.Random"}
+)
+
 
 def _calls(tree: ast.Module) -> Iterator[ast.Call]:
     for node in ast.walk(tree):
@@ -130,15 +136,53 @@ def _is_unseeded(call: ast.Call) -> bool:
     return True
 
 
+def _is_builtin_hash(ctx: ModuleContext, func: ast.AST) -> bool:
+    if isinstance(func, ast.Name) and func.id == "hash":
+        return "hash" not in ctx.bindings
+    return ctx.resolve(func) == "builtins.hash"
+
+
+def _salted_hashes(
+    ctx: ModuleContext, name: str, call: ast.Call, seen: set[int]
+) -> Iterator[ast.Call]:
+    """Builtin ``hash(...)`` calls inside the seed of an RNG constructor.
+
+    ``hash`` of a ``str`` or ``bytes`` is salted per process
+    (``PYTHONHASHSEED``), so such a seed changes from run to run; use a
+    stable digest such as ``zlib.crc32`` instead.  ``name`` is the
+    resolved callee of ``call``; ``seen`` holds the ids of ``hash``
+    calls already reported, so nested constructors report each once.
+    """
+    if name not in _SEED_CONSUMERS:
+        return
+    for arg in [*call.args, *(keyword.value for keyword in call.keywords)]:
+        for node in ast.walk(arg):
+            if (
+                isinstance(node, ast.Call)
+                and id(node) not in seen
+                and _is_builtin_hash(ctx, node.func)
+            ):
+                seen.add(id(node))
+                yield node
+
+
 @rule(
     "determinism/unseeded-rng",
     "every RNG must descend from an explicit seed; no ambient entropy",
 )
 def check_unseeded_rng(ctx: ModuleContext) -> Iterator[Finding]:
+    seen: set[int] = set()
     for call in _calls(ctx.tree):
         name = ctx.resolve(call.func)
         if name is None:
             continue
+        for node in _salted_hashes(ctx, name, call, seen):
+            yield ctx.finding(
+                "determinism/unseeded-rng",
+                node,
+                "builtin hash() in an RNG seed is salted per process "
+                "(PYTHONHASHSEED); derive the seed with zlib.crc32 instead",
+            )
         if name in _ENTROPY_SOURCES or name == "random.SystemRandom":
             yield ctx.finding(
                 "determinism/unseeded-rng",

@@ -308,15 +308,21 @@ def _ambient_sources(ctx: ModuleContext) -> "dict[int, list[tuple[str, int, int]
         _ENTROPY_SOURCES,
         _SEED_REQUIRED,
         _is_unseeded,
+        _salted_hashes,
     )
 
     sites: dict[int, list[tuple[str, int, int]]] = {}
+    seen: set[int] = set()
     for node in ast.walk(ctx.tree):
         if not isinstance(node, ast.Call):
             continue
         name = ctx.resolve(node.func)
         if name is None:
             continue
+        for salted in _salted_hashes(ctx, name, node, seen):
+            sites.setdefault(salted.lineno, []).append(
+                ("builtins.hash", salted.lineno, salted.col_offset)
+            )
         hit = False
         if name in WALL_CLOCK_CALLS or name in _ENTROPY_SOURCES:
             hit = True

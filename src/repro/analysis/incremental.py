@@ -61,7 +61,7 @@ __all__ = [
 CACHE_FILENAME = ".repro-lint-cache.json"
 
 #: Bump when record layout or extraction semantics change.
-_SCHEMA = 1
+_SCHEMA = 2
 
 
 def fingerprint(source: str) -> str:

@@ -23,6 +23,7 @@ with attribute targeting via the normal boolean grammar.
 from __future__ import annotations
 
 import itertools
+import zlib
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -182,7 +183,7 @@ class AudienceService:
         """Simulate site visitors and build a retargeting audience."""
         probs = pixel.visit_probabilities(self.population)
         rng = np.random.default_rng(
-            np.random.SeedSequence([seed, hash(pixel.pixel_id) & 0x7FFFFFFF])
+            np.random.SeedSequence([seed, zlib.crc32(pixel.pixel_id.encode())])
         )
         visitors = rng.random(self.population.n_records) < probs
         audience = CustomAudience(

@@ -10,13 +10,19 @@ paper works with while simulation stays laptop-sized.
 Attribute realisation is chunk-free and per-attribute: for each
 :class:`~repro.population.model.AttributeSpec` we evaluate the logistic
 model over all users, draw Bernoulli memberships, and pack them into a
-bit vector.  Memory stays at one float array per attribute.
+bit vector.  Each population owns one
+:class:`~repro.population.model.MembershipKernel`: per-record
+demographic cell codes plus two float and one bool scratch array of
+``n_records`` entries, reused by every attribute.  Apart from packing
+its bit vector, realising an attribute allocates nothing of record
+length.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -29,7 +35,11 @@ from repro.population.demographics import (
     DemographicMarginals,
     Gender,
 )
-from repro.population.model import AttributeSpec, LatentFactorModel
+from repro.population.model import (
+    AttributeSpec,
+    LatentFactorModel,
+    MembershipKernel,
+)
 
 __all__ = ["Population", "PopulationGenerator"]
 
@@ -84,6 +94,13 @@ class Population:
         """Real-user size of one sensitive population (``|RA_s|``)."""
         return self.users(self.index.demographic(value))
 
+    @cached_property
+    def _kernel(self) -> MembershipKernel:
+        """Membership evaluator holding this population's scratch buffers."""
+        return MembershipKernel(
+            self.model, self.gender_codes, self.age_codes, self.latents
+        )
+
     def realise_attribute(self, spec: AttributeSpec) -> BitVector:
         """Sample membership for one attribute and register it.
 
@@ -93,14 +110,10 @@ class Population:
         """
         if spec.attr_id in self.index:
             return self.index.attribute(spec.attr_id)
-        probs = self.model.membership_probabilities(
-            spec, self.gender_codes, self.age_codes, self.latents
-        )
         rng = np.random.default_rng(
             np.random.SeedSequence([self.seed, zlib.crc32(spec.attr_id.encode())])
         )
-        members = rng.random(self.n_records) < probs
-        vector = BitVector.from_bool(members)
+        vector = BitVector.from_bool(self._kernel.members(spec, rng))
         self.index.add_attribute(spec.attr_id, vector)
         return vector
 

@@ -39,7 +39,12 @@ import numpy as np
 
 from repro.population.demographics import AGE_RANGES, AgeRange, Gender
 
-__all__ = ["AttributeSpec", "LatentFactorModel", "GENDER_CONTRAST"]
+__all__ = [
+    "AttributeSpec",
+    "LatentFactorModel",
+    "MembershipKernel",
+    "GENDER_CONTRAST",
+]
 
 #: Symmetric gender contrast codes: male -> +1/2, female -> -1/2, so the
 #: male:female log-odds gap of an attribute equals ``beta_gender``.
@@ -99,13 +104,103 @@ class AttributeSpec:
         return vec
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+#: Number of (gender, age) demographic cells.  A record's cell code is
+#: ``gender * len(AGE_RANGES) + age``, with any non-male gender code
+#: treated as female exactly as the gender contrast does.
+N_CELLS = 2 * len(AGE_RANGES)
+
+#: Gender contrast and age code of each cell, in cell-code order.
+_CELL_GENDER = np.repeat(
+    [GENDER_CONTRAST[Gender.MALE], GENDER_CONTRAST[Gender.FEMALE]], len(AGE_RANGES)
+)
+_CELL_AGE = np.tile(np.arange(len(AGE_RANGES), dtype=np.intp), 2)
+
+
+def demographic_cells(gender_codes: np.ndarray, age_codes: np.ndarray) -> np.ndarray:
+    """Per-record demographic cell codes (``intp``), see :data:`N_CELLS`."""
+    female = np.asarray(gender_codes) != int(Gender.MALE)
+    return female * np.intp(len(AGE_RANGES)) + np.asarray(age_codes, dtype=np.intp)
+
+
+def cell_logits(spec: AttributeSpec) -> np.ndarray:
+    """Demographic log-odds of each cell: base, gender and age terms only.
+
+    Uses the same float64 operations in the same order as evaluating
+    the terms per record, so gathering this table by cell code is
+    bitwise-equal to the per-record sum.
+    """
+    table = np.full(N_CELLS, spec.base_logit, dtype=np.float64)
+    table += spec.beta_gender * _CELL_GENDER
+    table += np.asarray(spec.beta_age)[_CELL_AGE]
+    return table
+
+
+def _sigmoid_inplace(
+    x: np.ndarray, work: np.ndarray | None = None, nonneg: np.ndarray | None = None
+) -> np.ndarray:
+    """Overwrite ``x`` with its logistic function and return it.
+
+    With ``e = exp(-|x|)`` this is ``1 / (1 + e)`` where ``x >= 0`` and
+    ``e / (1 + e)`` elsewhere, so ``exp`` never overflows.  ``work``
+    (float) and ``nonneg`` (bool) are optional scratch arrays shaped
+    like ``x``.
+    """
+    nonneg = np.greater_equal(x, 0.0, out=nonneg)
+    e = np.abs(x, out=x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    denominator = np.add(e, 1.0, out=work)
+    np.copyto(e, 1.0, where=nonneg)
+    return np.divide(e, denominator, out=e)
+
+
+class MembershipKernel:
+    """Evaluates the membership model over one fixed set of records.
+
+    Holds the records' demographic cell codes and latents plus three
+    scratch arrays of the record count, so evaluating an attribute
+    allocates nothing proportional to the records.  The demographic
+    part of the logit comes from an 8-entry :func:`cell_logits` table;
+    attributes without factor loadings take the sigmoid of that table
+    too and only gather probabilities.  Returned arrays are the
+    kernel's scratch and are overwritten by the next call.
+    """
+
+    def __init__(
+        self,
+        model: "LatentFactorModel",
+        gender_codes: np.ndarray,
+        age_codes: np.ndarray,
+        latents: np.ndarray,
+    ):
+        self.n_factors = model.n_factors
+        self.cells = demographic_cells(gender_codes, age_codes)
+        self.latents = latents
+        n = self.cells.shape[0]
+        self._values = np.empty(n)  # logits, then probabilities
+        self._work = np.empty(n)  # loadings term, denominator, then draws
+        self._flags = np.empty(n, dtype=bool)  # logit signs, then members
+
+    def logits(self, spec: AttributeSpec) -> np.ndarray:
+        """Per-record membership log-odds for ``spec``."""
+        logits = np.take(cell_logits(spec), self.cells, out=self._values)
+        if spec.loadings:
+            lam = spec.loading_vector(self.n_factors)
+            logits += np.matmul(self.latents, lam, out=self._work)
+        return logits
+
+    def probabilities(self, spec: AttributeSpec) -> np.ndarray:
+        """Per-record Bernoulli membership probabilities for ``spec``."""
+        if not spec.loadings:
+            table = _sigmoid_inplace(cell_logits(spec))
+            return np.take(table, self.cells, out=self._values)
+        return _sigmoid_inplace(self.logits(spec), self._work, self._flags)
+
+    def members(self, spec: AttributeSpec, rng: np.random.Generator) -> np.ndarray:
+        """Bernoulli memberships for ``spec``: one uniform draw per record."""
+        probs = self.probabilities(spec)
+        draws = rng.random(out=self._work)
+        return np.less(draws, probs, out=self._flags)
 
 
 @dataclass(frozen=True)
@@ -175,19 +270,7 @@ class LatentFactorModel:
         latents: np.ndarray,
     ) -> np.ndarray:
         """Per-user membership log-odds for one attribute."""
-        g = np.where(
-            np.asarray(gender_codes) == int(Gender.MALE),
-            GENDER_CONTRAST[Gender.MALE],
-            GENDER_CONTRAST[Gender.FEMALE],
-        )
-        logits = np.full(g.shape, spec.base_logit, dtype=np.float64)
-        logits += spec.beta_gender * g
-        beta_age = np.asarray(spec.beta_age)
-        logits += beta_age[np.asarray(age_codes, dtype=np.intp)]
-        if spec.loadings:
-            lam = spec.loading_vector(self.n_factors)
-            logits += latents @ lam
-        return logits
+        return MembershipKernel(self, gender_codes, age_codes, latents).logits(spec)
 
     def membership_probabilities(
         self,
@@ -197,9 +280,8 @@ class LatentFactorModel:
         latents: np.ndarray,
     ) -> np.ndarray:
         """Per-user Bernoulli membership probabilities for one attribute."""
-        return _sigmoid(
-            self.membership_logits(spec, gender_codes, age_codes, latents)
-        )
+        kernel = MembershipKernel(self, gender_codes, age_codes, latents)
+        return kernel.probabilities(spec)
 
     def approximate_gender_ratio(self, spec: AttributeSpec) -> float:
         """Rare-attribute approximation of the male representation ratio.

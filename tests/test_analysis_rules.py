@@ -190,6 +190,46 @@ def test_unseeded_rng_from_import_form():
     assert rule_ids(findings) == ["determinism/unseeded-rng"] * 2
 
 
+def test_salted_hash_in_seed_positive():
+    findings, _ = lint(
+        """
+        import random
+        import builtins
+        import numpy as np
+
+        def streams(seed, name):
+            return (
+                np.random.SeedSequence([seed, hash(name) & 0x7FFFFFFF]),
+                np.random.default_rng(hash((seed, name))),
+                np.random.default_rng(seed=builtins.hash(name)),
+                random.Random(hash(name)),
+                np.random.default_rng(np.random.SeedSequence(hash(name))),
+            )
+        """
+    )
+    # The nested constructors share one hash() call: one finding.
+    assert rule_ids(findings) == ["determinism/unseeded-rng"] * 5
+    assert [f.line for f in findings] == [8, 9, 10, 11, 12]
+
+
+def test_salted_hash_in_seed_negative():
+    findings, _ = lint(
+        """
+        import zlib
+        import numpy as np
+
+        def streams(seed, name, table):
+            key = hash(name)
+            return (
+                np.random.SeedSequence([seed, zlib.crc32(name.encode())]),
+                np.random.default_rng(seed),
+                table[key],
+            )
+        """
+    )
+    assert findings == []
+
+
 # -- determinism/unordered-iteration -------------------------------------
 
 

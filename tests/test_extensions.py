@@ -2,11 +2,45 @@
 
 from __future__ import annotations
 
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.experiments import ExperimentConfig, ExperimentContext
 from repro.experiments import ext_lookalike, ext_mitigation
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: Per-experiment header durations and the total wall-time footer: the
+#: only parts of a rendered run that legitimately differ between runs.
+WALL_TIME = re.compile(r" \(\d+\.\ds\) ==$|^Total wall time: .*$", re.MULTILINE)
+
+
+def render_lookalike_run(hash_seed: int) -> str:
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    result = subprocess.run(
+        [sys.executable, "-m", "repro.experiments.runner"]
+        + ["--scale", "tiny", "--only", "ext_lookalike"],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return WALL_TIME.sub("", result.stdout)
+
+
+def test_lookalike_run_independent_of_hash_seed():
+    first = render_lookalike_run(0)
+    assert "seed (pixel visitors)" in first
+    assert first == render_lookalike_run(1)
 
 
 @pytest.fixture(scope="module")

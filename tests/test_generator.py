@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import hashlib
+import zlib
+
 import numpy as np
 import pytest
 
+from repro.platforms import build_platform_suite
+from repro.platforms.facebook import FacebookMarketingPlatform
+from repro.population.bitsets import BitVector
 from repro.population.calibration import get_calibration
 from repro.population.demographics import AGE_RANGES, Gender, US_MARGINALS
 from repro.population.generator import PopulationGenerator
-from repro.population.model import AttributeSpec, default_model
+from repro.population.model import GENDER_CONTRAST, AttributeSpec, default_model
 
 
 def make_generator(n=4000, seed=0):
@@ -106,3 +112,199 @@ class TestCalibrationScale:
     def test_unknown_platform(self):
         with pytest.raises(KeyError):
             get_calibration("myspace")
+
+
+#: sha256 over ``attr_id`` + packed words of every attribute realised by
+#: ``build_platform_suite(n_records=3001, seed=42)``, platforms in suite
+#: order and attributes in sorted id order.  Recorded from the original
+#: masked-index sigmoid implementation; any change to realisation that
+#: flips a single membership bit changes it.  3001 is not a multiple of
+#: 64, so the partially used tail word is covered too.
+GOLDEN_SUITE_DIGEST = "149461c73f64486e0f886d2886e8fd6696ce7af5082925e83868959c23d6762e"
+
+
+def suite_digest(suite) -> tuple[int, str]:
+    digest = hashlib.sha256()
+    n_attributes = 0
+    for platform in (suite.facebook, suite.google, suite.linkedin):
+        index = platform.population.index
+        for attr_id in sorted(index):
+            digest.update(attr_id.encode())
+            digest.update(index.attribute(attr_id).words.tobytes())
+            n_attributes += 1
+    return n_attributes, digest.hexdigest()
+
+
+def test_golden_population_digest():
+    suite = build_platform_suite(n_records=3001, seed=42)
+    assert suite_digest(suite) == (4516, GOLDEN_SUITE_DIGEST)
+
+
+# -- bit-identity oracle ---------------------------------------------------
+#
+# The original realisation evaluated every term per record and applied a
+# masked-index sigmoid.  It is kept here verbatim as the reference the
+# table-driven, buffer-reusing implementation must match bit for bit.
+
+
+def oracle_sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def oracle_logits(model, spec, gender_codes, age_codes, latents):
+    g = np.where(
+        np.asarray(gender_codes) == int(Gender.MALE),
+        GENDER_CONTRAST[Gender.MALE],
+        GENDER_CONTRAST[Gender.FEMALE],
+    )
+    logits = np.full(g.shape, spec.base_logit, dtype=np.float64)
+    logits += spec.beta_gender * g
+    beta_age = np.asarray(spec.beta_age)
+    logits += beta_age[np.asarray(age_codes, dtype=np.intp)]
+    if spec.loadings:
+        lam = spec.loading_vector(model.n_factors)
+        logits += latents @ lam
+    return logits
+
+
+def oracle_members(population, spec):
+    probs = oracle_sigmoid(
+        oracle_logits(
+            population.model,
+            spec,
+            population.gender_codes,
+            population.age_codes,
+            population.latents,
+        )
+    )
+    rng = np.random.default_rng(
+        np.random.SeedSequence([population.seed, zlib.crc32(spec.attr_id.encode())])
+    )
+    return rng.random(population.n_records) < probs
+
+
+def oracle_specs(n_factors):
+    """About 200 specs: random ones with and without loadings, plus
+    saturating intercepts and logits that are exactly zero."""
+    rng = np.random.default_rng(20201027)
+    specs = []
+
+    def add(base, beta_gender, beta_age, loadings):
+        specs.append(
+            AttributeSpec(
+                attr_id=f"t:oracle:{len(specs)}",
+                feature="oracle",
+                category="C",
+                name=f"A{len(specs)}",
+                base_logit=base,
+                beta_gender=beta_gender,
+                beta_age=beta_age,
+                loadings=loadings,
+            )
+        )
+
+    for i in range(186):
+        loadings = {}
+        if i % 2:
+            factors = rng.choice(n_factors, size=rng.integers(1, 4), replace=False)
+            loadings = {int(k): float(rng.normal(0.0, 1.2)) for k in factors}
+        add(
+            float(rng.uniform(-6.0, 2.0)),
+            float(rng.normal(0.0, 1.5)),
+            tuple(float(b) for b in rng.normal(0.0, 0.7, 4)),
+            loadings,
+        )
+    for base in (40.0, -40.0, 800.0, -800.0):
+        add(base, 0.3, (0.1, 0.0, -0.1, 0.2), {})
+        add(base, -0.3, (0.0, 0.2, 0.0, -0.2), {0: 1.5, 3: -0.5})
+    # Exactly-zero logits: everywhere, in the male cells only, with ints.
+    add(0.0, 0.0, (0.0, 0.0, 0.0, 0.0), {})
+    add(-0.0, 0.0, (0.0, 0.0, 0.0, 0.0), {})
+    add(0.5, 1.0, (-1.0, -1.0, -1.0, -1.0), {})
+    add(0, 0, (0, 0, 0, 0), {})
+    add(0.0, 0.0, (0.0, 0.0, 0.0, 0.0), {1: 0.0})
+    add(-0.25, 0.5, (0.0, 0.0, 0.0, 0.0), {2: 0.0})
+    return specs
+
+
+@pytest.fixture(scope="module")
+def oracle_population():
+    generator = PopulationGenerator(
+        marginals=US_MARGINALS,
+        model=default_model(),
+        n_records=3001,
+        scale=1.0,
+        seed=11,
+    )
+    specs = oracle_specs(generator.model.n_factors)
+    return generator.generate(specs), specs
+
+
+def bits(array):
+    return np.ascontiguousarray(array).view(np.uint64)
+
+
+class TestBitIdentityOracle:
+    def test_specs_cover_edge_cases(self, oracle_population):
+        population, specs = oracle_population
+        assert len(specs) >= 200
+        assert any(s.loadings for s in specs)
+        assert any(not s.loadings for s in specs)
+        zero_logits = [
+            s
+            for s in specs
+            if np.any(
+                oracle_logits(
+                    population.model,
+                    s,
+                    population.gender_codes,
+                    population.age_codes,
+                    population.latents,
+                )
+                == 0.0
+            )
+        ]
+        assert len(zero_logits) >= 4
+
+    def test_logits_and_probabilities_bitwise_equal(self, oracle_population):
+        population, specs = oracle_population
+        args = (population.gender_codes, population.age_codes, population.latents)
+        model = population.model
+        for spec in specs:
+            expected = oracle_logits(model, spec, *args)
+            logits = model.membership_logits(spec, *args)
+            assert np.array_equal(bits(logits), bits(expected)), spec.attr_id
+            probs = model.membership_probabilities(spec, *args)
+            assert np.array_equal(
+                bits(probs), bits(oracle_sigmoid(expected))
+            ), spec.attr_id
+
+    def test_memberships_bitwise_equal(self, oracle_population):
+        population, specs = oracle_population
+        for spec in specs:
+            expected = BitVector.from_bool(oracle_members(population, spec))
+            assert population.index.attribute(spec.attr_id) == expected, spec.attr_id
+
+    def test_lazy_searchable_matches_generate(self):
+        platform = FacebookMarketingPlatform(n_records=3001, seed=42)
+        searchable = platform.build.searchable_specs
+        assert searchable
+        for entry in platform.build.searchable_entries.values():
+            platform.normal.search(entry.name)
+        generator = PopulationGenerator(
+            marginals=get_calibration("facebook").marginals,
+            model=platform.model,
+            n_records=3001,
+            seed=42,
+        )
+        eager = generator.generate(
+            list(platform.build.specs) + list(searchable.values())
+        )
+        for attr_id in searchable:
+            lazy = platform.population.index.attribute(attr_id)
+            assert lazy == eager.index.attribute(attr_id), attr_id

@@ -93,6 +93,26 @@ def test_cli_fails_on_seeded_violation(tmp_path, capsys):
     assert "audit.py:5" in out
 
 
+def test_cli_fails_on_salted_hash_seed(tmp_path, capsys):
+    """An RNG seeded from the per-process salted ``hash()`` fails the CLI."""
+    victim = tmp_path / "audiences.py"
+    victim.write_text(
+        "import numpy as np\n"
+        "\n"
+        "\n"
+        "def visitors(seed, pixel_id):\n"
+        "    return np.random.default_rng(\n"
+        "        np.random.SeedSequence([seed, hash(pixel_id) & 0x7FFFFFFF])\n"
+        "    )\n",
+        encoding="utf-8",
+    )
+    code = main([str(victim), "--no-baseline", "--no-cache"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "audiences.py:6" in out
+    assert out.count("determinism/unseeded-rng") == 1
+
+
 def _write_module(root: Path, rel: str, source: str) -> Path:
     """Write a module inside a real package tree under ``root``."""
     path = root / rel
