@@ -359,7 +359,9 @@ def incremental_analyze(
     report.findings.sort()
     report.suppressed.sort()
 
-    if cache_path is not None:
+    # A run that found every file, and only those, in the cache would
+    # write back the records it just read; skip the encode and write.
+    if cache_path is not None and (work or records.keys() != cached.keys()):
         save_cache(cache_path, version, records)
     stats = {
         "cache_hits": len(ordered) - len(work),

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Any, Mapping
 
 from repro.platforms.errors import BadRequestError
-from repro.platforms.targeting import Clause, TargetingSpec
+from repro.platforms.targeting import CLAUSE_CACHE_LIMIT, Clause, TargetingSpec
 from repro.population.demographics import AGE_RANGES, Gender
 
 __all__ = [
@@ -39,15 +39,15 @@ _LI_FACET_PREFIX = "urn:li:adTargetingFacet:"
 # group tuple is parsed and validated once.  Facebook interests and
 # LinkedIn facet URNs are cached separately -- the URN prefix must be
 # stripped on the LinkedIn path, so the same raw strings decode
-# differently per platform.
-_CLAUSE_CACHE_LIMIT = 65536
+# differently per platform.  One-option groups resolve to the shared
+# :meth:`Clause.single` objects the audit side builds.
 _FB_CLAUSES: dict[tuple, Clause] = {}
 _LI_CLAUSES: dict[tuple, Clause] = {}
 
 
-def _cached_clause(cache: dict, key: tuple, options: list[str]) -> Clause:
-    clause = Clause(options)
-    if len(cache) >= _CLAUSE_CACHE_LIMIT:
+def _cached_clause(cache: dict, key: tuple, options: tuple) -> Clause:
+    clause = Clause.single(options[0]) if len(options) == 1 else Clause(options)
+    if len(cache) >= CLAUSE_CACHE_LIMIT:
         cache.clear()
     cache[key] = clause
     return clause
@@ -189,7 +189,7 @@ class FacebookWireCodec:
                 key = tuple(interests)
                 clause = _FB_CLAUSES.get(key)
                 if clause is None:
-                    clause = _cached_clause(_FB_CLAUSES, key, interests)
+                    clause = _cached_clause(_FB_CLAUSES, key, key)
                 clauses.append(clause)
             except (KeyError, TypeError, ValueError):
                 raise BadRequestError("malformed flexible_spec entry") from None
@@ -274,7 +274,7 @@ class LinkedInWireCodec:
                 clause = _LI_CLAUSES.get(key)
                 if clause is None:
                     clause = _cached_clause(
-                        _LI_CLAUSES, key, [cls._unfacet(u) for u in urns]
+                        _LI_CLAUSES, key, tuple([cls._unfacet(u) for u in urns])
                     )
                 clauses.append(clause)
             except (KeyError, TypeError, ValueError):

@@ -62,7 +62,10 @@ def spec_from_wire(data: Mapping[str, Any]) -> TargetingSpec:
             if data["ages"] is not None
             else None
         ),
-        clauses=tuple(Clause(options) for options in data["clauses"]),
+        clauses=tuple(
+            Clause.single(options[0]) if len(options) == 1 else Clause(options)
+            for options in data["clauses"]
+        ),
         exclusions=frozenset(data["exclusions"]),
     )
 

@@ -83,12 +83,13 @@ def _surviving_individuals(
     direction: str,
     percentile: float,
     min_reach: int,
-) -> CompositionSet:
+) -> tuple[CompositionSet, int]:
     """Drop the ``percentile`` percent most skewed eligible options.
 
     "Most skewed" is direction-specific: for a ``top`` sweep the
     options most skewed *toward* the value are removed; for ``bottom``
-    those most skewed *away*.
+    those most skewed *away*.  Returns the survivors and how many
+    eligible options were removed.
     """
     eligible = [
         a
@@ -99,7 +100,7 @@ def _surviving_individuals(
     ranked = sorted(eligible, key=lambda a: a.ratio(value), reverse=reverse)
     n_remove = int(round(len(ranked) * percentile / 100.0))
     survivors = ranked[n_remove:]
-    return CompositionSet(individual.label, survivors)
+    return CompositionSet(individual.label, survivors), len(ranked) - len(survivors)
 
 
 def removal_sweep(
@@ -124,17 +125,9 @@ def removal_sweep(
         raise ValueError("direction must be 'top' or 'bottom'")
     curve = RemovalCurve(target_key=target.key, value=value, direction=direction)
     for percentile in percentiles:
-        survivors = _surviving_individuals(
+        survivors, n_removed = _surviving_individuals(
             individual, value, direction, percentile, min_reach
         )
-        n_removed = len(
-            [
-                a
-                for a in individual.audits
-                if a.total_reach >= min_reach
-                and not math.isnan(a.ratio(value))
-            ]
-        ) - len(survivors.audits)
         composed = skewed_compositions(
             target,
             attribute,

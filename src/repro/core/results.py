@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 from repro.core.metrics import (
@@ -54,12 +55,13 @@ class TargetingAudit:
         if missing:
             raise ValueError(f"sizes missing values: {missing}")
 
-    @property
+    @cached_property
     def total_reach(self) -> int:
         """Estimated total audience size across all sensitive values.
 
         The paper filters targetings below a total recall of 10,000 to
-        avoid very niche targetings.
+        avoid very niche targetings.  Every ranking and reach filter
+        reads it, so it is summed once (the sizes are frozen).
         """
         return int(sum(self.sizes.values()))
 

@@ -33,11 +33,15 @@ from repro.population.generator import Population
 
 __all__ = ["InterfaceCapabilities", "ReachEstimate", "AdPlatformInterface"]
 
-#: Bound on the per-interface rule-resolution memo.  Audits revisit the
-#: same composition under every demographic slice, so a few thousand
-#: entries cover an experiment while capping memory at production
-#: population scales.
-_RULE_MEMO_SIZE = 32768
+#: Bound on the bit-vector words each interface's rule-resolution memo
+#: retains: 8 MiB of ``uint64`` words, which is 670 entries at 100k
+#: records and 27,594 at 2,400 (never fewer than one).  Every entry
+#: holds a population-sized vector, so a bound in entries would let the
+#: memo grow with the population: 32,768 entries of 100k-record vectors
+#: take 400 MB.  Reuse is short-range -- an audit revisits a rule under
+#: each demographic slice of one batch, then moves on -- so a few
+#: hundred entries hit about as often as tens of thousands.
+_RULE_MEMO_WORDS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -127,6 +131,9 @@ class AdPlatformInterface(ABC):
         self._rule_memo: OrderedDict[
             tuple[object, ...], BitVector
         ] = OrderedDict()
+        self._rule_memo_entries = max(
+            1, _RULE_MEMO_WORDS // population.index.everyone.words.size
+        )
         self._demographic_memo: dict[tuple[object, ...], BitVector] = {}
         # Popcounts primed by the batch endpoints (consumed on use).
         self._count_memo: dict[TargetingSpec, int] = {}
@@ -250,7 +257,7 @@ class AdPlatformInterface(ABC):
             for option_id in sorted(spec.exclusions):
                 audience = audience.difference(self._option_vector(option_id))
         self._rule_memo[key] = audience
-        if len(self._rule_memo) > _RULE_MEMO_SIZE:
+        if len(self._rule_memo) > self._rule_memo_entries:
             self._rule_memo.popitem(last=False)
         return audience
 

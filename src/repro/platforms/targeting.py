@@ -20,13 +20,22 @@ from typing import Iterable, Mapping, Sequence
 
 from repro.population.demographics import AgeRange, Gender
 
-__all__ = ["Clause", "TargetingSpec", "spec_intersection"]
+__all__ = ["CLAUSE_CACHE_LIMIT", "Clause", "TargetingSpec", "spec_intersection"]
 
 # Single-value demographic frozensets, interned: audits build one
 # demographic slice per (composition, value) pair, so these tiny sets
 # are requested hundreds of thousands of times.
 _SINGLE_GENDER = {g: frozenset({g}) for g in Gender}
 _SINGLE_AGE = {a: frozenset({a}) for a in AgeRange}
+
+#: Size at which a clause intern table is emptied and refilled.  Audits
+#: and the server-side decoders meet a catalog's worth of distinct
+#: option groups, far below this; the bound only stops an adversarial
+#: stream of fresh ids from growing a table without limit.
+CLAUSE_CACHE_LIMIT = 65536
+
+# One-option clauses, interned by option id (see :meth:`Clause.single`).
+_SINGLE_CLAUSES: dict[str, "Clause"] = {}
 
 
 def _frozen_options(options: Iterable[str]) -> frozenset[str]:
@@ -57,13 +66,34 @@ class Clause:
         return hash(self.options)
 
     @classmethod
+    def single(cls, option_id: str) -> "Clause":
+        """The shared one-option clause for ``option_id``.
+
+        Every composition an audit sizes is a conjunction of one-option
+        clauses, rebuilt per composition, demographic slice and decoded
+        batch item; interning them keeps one object per option alive
+        instead of one per spec.  An invalid id raises exactly as
+        ``Clause([option_id])`` does and is never interned.
+        """
+        clause = _SINGLE_CLAUSES.get(option_id)
+        if clause is None:
+            clause = cls((option_id,))
+            if len(_SINGLE_CLAUSES) >= CLAUSE_CACHE_LIMIT:
+                _SINGLE_CLAUSES.clear()
+            _SINGLE_CLAUSES[option_id] = clause
+        return clause
+
+    @classmethod
     def _of(cls, options: frozenset[str]) -> "Clause":
         """Wrap an already-validated, non-empty option frozenset.
 
         Server-side codecs resolve options through catalog tables, so
         every member is known to be a valid identifier; re-checking each
-        one per decoded batch item would dominate decode time.
+        one per decoded batch item would dominate decode time.  A
+        one-option set resolves to the shared :meth:`single` clause.
         """
+        if len(options) == 1:
+            return cls.single(next(iter(options)))
         clause = object.__new__(cls)
         object.__setattr__(clause, "options", options)
         return clause
@@ -144,6 +174,14 @@ class TargetingSpec:
             object.__setattr__(self, "_hash", value)
             return value
 
+    def __getstate__(self) -> dict:
+        # The cached hash is salted per process (PYTHONHASHSEED); a spec
+        # unpickled elsewhere must rehash, or dict lookups by an equal
+        # locally built spec would probe the wrong bucket.
+        state = self.__dict__.copy()
+        state.pop("_hash", None)
+        return state
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -155,7 +193,7 @@ class TargetingSpec:
     def of(cls, *option_ids: str, country: str = "US") -> "TargetingSpec":
         """Logical-and of single options (each its own clause)."""
         return cls(
-            country=country, clauses=tuple([Clause([o]) for o in option_ids])
+            country=country, clauses=tuple([Clause.single(o) for o in option_ids])
         )
 
     @classmethod
@@ -213,7 +251,7 @@ class TargetingSpec:
         return self._derive(
             self.genders,
             self.age_ranges,
-            self.clauses + (Clause([option_id]),),
+            self.clauses + (Clause.single(option_id),),
             self.exclusions,
         )
 
@@ -222,7 +260,7 @@ class TargetingSpec:
         return self._derive(
             self.genders,
             self.age_ranges,
-            self.clauses + (Clause(options),),
+            self.clauses + (Clause._of(_frozen_options(options)),),
             self.exclusions,
         )
 

@@ -230,6 +230,21 @@ def test_warm_cache_and_changed_mode_are_fast(tmp_path, capsys):
     assert elapsed < 0.5, f"warm --changed run took {elapsed:.2f}s"
 
 
+def test_cache_is_rewritten_only_when_a_file_changes(tmp_path, capsys):
+    victim = tmp_path / "audit.py"
+    victim.write_text("def stamp():\n    return 1\n", encoding="utf-8")
+    cache = tmp_path / "cache.json"
+    args = [str(victim), "--no-baseline", "--cache", str(cache)]
+    assert main(args) == 0
+    written = cache.stat().st_ino
+    assert main(args) == 0
+    assert cache.stat().st_ino == written  # all hits: no rewrite
+    victim.write_text("def stamp():\n    return 2\n", encoding="utf-8")
+    assert main(args) == 0
+    assert cache.stat().st_ino != written
+    capsys.readouterr()
+
+
 @pytest.mark.skipif(shutil.which("ruff") is None, reason="ruff not installed")
 def test_ruff_clean():
     result = subprocess.run(

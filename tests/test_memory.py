@@ -1,0 +1,194 @@
+"""Memory bounds of the server-side caches.
+
+The rule-resolution memo of every interface is bounded in bit-vector
+words, so its footprint does not grow with the population; one-option
+clauses are interned, so the specs of an audit share them instead of
+each holding its own.  Neither may change a single estimate.
+"""
+
+from __future__ import annotations
+
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.api.obfuscation import GoogleWireCodec
+from repro.api.wire import FacebookWireCodec, LinkedInWireCodec
+from repro.core.checkpoint import EstimateCheckpoint
+from repro.experiments import ExperimentConfig, ExperimentContext
+from repro.experiments.runner import run_all
+from repro.platforms import base
+from repro.platforms.facebook import FacebookRestrictedInterface
+from repro.platforms.targeting import Clause, TargetingSpec
+from repro.population.demographics import AgeRange, Gender
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _retained_words(interface) -> int:
+    words = interface.population.index.everyone.words.size
+    return len(interface._rule_memo) * words
+
+
+class TestRuleMemoBound:
+    def test_retained_words_never_exceed_bound(self, monkeypatch, fb_platform):
+        population, build = fb_platform.population, fb_platform.build
+        reference = FacebookRestrictedInterface(population, build)
+        words = population.index.everyone.words.size
+        bound = 5 * words + words // 2
+        monkeypatch.setattr(base, "_RULE_MEMO_WORDS", bound)
+        interface = FacebookRestrictedInterface(population, build)
+        assert interface._rule_memo_entries == 5
+        ids = interface.study_option_ids()[:12]
+        pairs = [TargetingSpec.of(a, b) for a in ids for b in ids if a < b]
+        for start in range(0, len(pairs), 16):
+            batch = pairs[start:start + 16]
+            interface.prime_counts(batch)
+            assert _retained_words(interface) <= bound
+            for spec in batch:
+                assert interface.estimate_value(spec) == reference.estimate_value(
+                    spec
+                )
+                assert _retained_words(interface) <= bound
+        for option_id in ids:
+            spec = TargetingSpec.of(option_id)
+            assert interface.estimate_value(spec) == reference.estimate_value(spec)
+            assert _retained_words(interface) <= bound
+        stats = interface.resolution_stats()
+        assert stats["entries"] == 5
+        assert stats["misses"] == len(pairs) + len(ids)
+
+    def test_one_entry_memo_renders_identically(self, monkeypatch):
+        config = ExperimentConfig.tiny()
+        default = run_all(config=config, only=["fig1", "fig3"])
+        monkeypatch.setattr(base, "_RULE_MEMO_WORDS", 1)
+        context = ExperimentContext(config)
+        bounded = run_all(config=config, only=["fig1", "fig3"], context=context)
+        for interface in context.session.suite.interfaces.values():
+            assert interface._rule_memo_entries == 1
+            assert interface.resolution_stats()["entries"] <= 1
+        for name in ("fig1", "fig3"):
+            assert bounded.results[name].render() == default.results[name].render()
+
+
+OPTIONS = ["fb:a", "fb:b", "fb:c"]
+
+
+class TestClauseInterning:
+    def test_spec_builders_share_single_clauses(self):
+        clause = Clause.single("fb:a")
+        assert TargetingSpec.of("fb:a", "fb:b").clauses[0] is clause
+        assert TargetingSpec.everyone().and_option("fb:a").clauses[0] is clause
+        assert TargetingSpec.everyone().and_clause(["fb:a"]).clauses[0] is clause
+        assert TargetingSpec.of("fb:b").and_clause({"fb:a"}).clauses[1] is clause
+
+    def test_multi_option_clauses_are_not_single(self):
+        spec = TargetingSpec.everyone().and_clause(["fb:a", "fb:b"])
+        assert spec.clauses[0] == Clause(["fb:b", "fb:a"])
+        assert len(spec.clauses[0]) == 2
+
+    def test_equality_hash_and_pickle_unchanged(self):
+        clause = Clause.single("fb:a")
+        assert clause == Clause(["fb:a"])
+        assert hash(clause) == hash(Clause(["fb:a"]))
+        back = pickle.loads(pickle.dumps(clause))
+        assert back == clause and hash(back) == hash(clause)
+        spec = TargetingSpec.of("fb:a", "fb:b").with_gender(Gender.MALE)
+        assert spec == TargetingSpec(
+            genders={Gender.MALE}, clauses=(Clause(["fb:a"]), Clause(["fb:b"]))
+        )
+        assert pickle.loads(pickle.dumps(spec)) == spec
+
+    @pytest.mark.parametrize("bad", [1, "", None])
+    def test_invalid_ids_raise_and_are_not_interned(self, bad):
+        from repro.platforms.targeting import _SINGLE_CLAUSES
+
+        with pytest.raises(TypeError):
+            Clause([bad])
+        with pytest.raises(TypeError):
+            Clause.single(bad)
+        with pytest.raises(TypeError):
+            TargetingSpec.of(bad)
+        assert bad not in _SINGLE_CLAUSES
+
+    def test_facebook_decoder_interns(self):
+        spec = TargetingSpec.of(*OPTIONS).with_age(AgeRange.AGE_18_24)
+        decoded, _ = FacebookWireCodec.decode_request(
+            FacebookWireCodec.encode_request(spec, "Reach")
+        )
+        assert decoded == spec
+        for ours, theirs in zip(spec.clauses, decoded.clauses):
+            assert theirs is ours
+
+    def test_linkedin_decoder_interns(self):
+        spec = TargetingSpec.of(*OPTIONS)
+        decoded = LinkedInWireCodec.decode_request(
+            LinkedInWireCodec.encode_request(spec)
+        )
+        assert decoded == spec
+        for ours, theirs in zip(spec.clauses, decoded.clauses):
+            assert theirs is ours
+
+    def test_google_decoder_interns(self):
+        codec = GoogleWireCodec(OPTIONS)
+        spec = TargetingSpec.of(*OPTIONS).with_gender(Gender.FEMALE)
+        decoded, _, _ = codec.decode_request(
+            codec.encode_request(spec, {o: "audiences" for o in OPTIONS})
+        )
+        assert decoded == spec
+        for clause in decoded.clauses:
+            assert clause is Clause.single(next(iter(clause.options)))
+
+    def test_checkpoint_load_interns(self, tmp_path):
+        path = tmp_path / "run.ckpt.json"
+        store = EstimateCheckpoint(path)
+        spec = TargetingSpec.of(*OPTIONS).with_age(AgeRange.AGE_55_PLUS)
+        store.record("facebook", spec, 1234)
+        store.save()
+        loaded = EstimateCheckpoint(path)
+        [(back, estimate)] = loaded.shard("facebook").items()
+        assert back == spec and estimate == 1234
+        for ours, theirs in zip(spec.clauses, back.clauses):
+            assert theirs is ours
+
+
+#: ``ru_maxrss`` of ``--only fig6`` at 100k records and 100 compositions
+#: on a 2-CPU Linux container: about 596 MB with an entry-capped memo,
+#: about 220 MB with the word-bounded one.
+_FIG6_RSS_LIMIT_MB = 400
+
+
+#: Runs the audit CLI as its only child and prints that child's peak
+#: RSS.  ``RUSAGE_CHILDREN`` covers every child ever waited for, so the
+#: measuring process must be a fresh one rather than the test runner.
+_MEASURE_FIG6 = """
+import resource, subprocess, sys
+subprocess.run(
+    [sys.executable, "-m", "repro.experiments.runner", "--scale", "full",
+     "--records", "100000", "--compositions", "100", "--only", "fig6"],
+    stdout=subprocess.DEVNULL,
+    check=True,
+)
+# Linux reports ru_maxrss in KiB.
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024)
+"""
+
+
+@pytest.mark.slow
+def test_fig6_full_scale_peak_rss():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", _MEASURE_FIG6],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert float(result.stdout) < _FIG6_RSS_LIMIT_MB

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
-from repro.core.discovery import audit_individuals
+from repro.core.discovery import DEFAULT_MIN_REACH, audit_individuals
 from repro.core.removal import removal_sweep
 from repro.population.demographics import SENSITIVE_ATTRIBUTES, Gender
 
@@ -79,7 +81,14 @@ class TestRemovalSweep:
             n_compositions=40,
             seed=0,
         )
+        eligible = [
+            a
+            for a in individual.audits
+            if a.total_reach >= DEFAULT_MIN_REACH
+            and not math.isnan(a.ratio(Gender.MALE))
+        ]
         assert curve.points[0].n_options_removed == 0
+        assert curve.points[1].n_options_removed == round(len(eligible) * 0.04)
         assert curve.points[1].n_options_removed > 0
 
     def test_still_violates_helper(self, sweep_inputs):

@@ -29,6 +29,12 @@ class TestTargetingAudit:
     def test_total_reach(self):
         assert audit(30, 20).total_reach == 50
 
+    def test_cached_total_reach_stays_out_of_repr_and_equality(self):
+        read = audit(30, 20)
+        assert read.total_reach == 50
+        assert read == audit(30, 20)
+        assert repr(read) == repr(audit(30, 20))
+
     def test_ratio(self):
         assert audit(30, 10).ratio(Gender.MALE) == pytest.approx(3.0)
         assert audit(30, 10).ratio(Gender.FEMALE) == pytest.approx(1 / 3)

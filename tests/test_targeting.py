@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.platforms.targeting import Clause, TargetingSpec, spec_intersection
 from repro.population.demographics import AgeRange, Gender
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestClause:
@@ -150,3 +157,48 @@ class TestSpecIntersectionProperties:
         a = TargetingSpec.and_of_ors(groups)
         aa = spec_intersection(a, a)
         assert {c.options for c in aa.clauses} == {c.options for c in a.clauses}
+
+
+_SPEC_SOURCE = """
+import pickle, sys
+from repro.platforms.targeting import TargetingSpec
+from repro.population.demographics import Gender
+spec = TargetingSpec.of("fb:a", "fb:b").with_gender(Gender.MALE)
+"""
+
+#: Hashes a spec and pickles it to stdout.
+_SEND_SPEC = _SPEC_SOURCE + """
+hash(spec)
+sys.stdout.buffer.write(pickle.dumps(spec))
+"""
+
+#: Unpickles a spec from stdin and looks it up by an equal local spec.
+_RECEIVE_SPEC = _SPEC_SOURCE + """
+remote = pickle.loads(sys.stdin.buffer.read())
+assert remote == spec
+print(hash(remote) == hash(spec), {remote: 1}.get(spec))
+"""
+
+
+def _run_under_hash_seed(source: str, hash_seed: int, stdin: bytes = b"") -> bytes:
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, "-c", source],
+        env=env,
+        input=stdin,
+        capture_output=True,
+        check=True,
+    ).stdout
+
+
+def test_unpickled_spec_rehashes_under_another_hash_seed():
+    """A spec pickled in a process with another hash seed (a ``spawn``
+    worker) must land in the same dict bucket as an equal local one."""
+    payload = _run_under_hash_seed(_SEND_SPEC, 123)
+    assert _run_under_hash_seed(_RECEIVE_SPEC, 7, payload).split() == [
+        b"True",
+        b"1",
+    ]
