@@ -1,14 +1,12 @@
 """Audit report for the batched reach-estimation pipeline.
 
 Runs the macro experiments that dominate audit cost (Figures 1 and 2)
-four times each -- with batched query planning (the default), with
-the per-query sequential path, batched through a calm
+in three modes each -- plain (``batched``), through a calm
 :class:`~repro.api.chaos.ChaosTransport` with circuit breakers (the
 "resilient" mode, measuring what the resilience layer costs when no
-faults fire), and through the multi-process parallel engine
-(``--jobs``-style sharding over shared-memory populations) -- and
-writes ``BENCH_audit.json`` at the repository root recording, per
-experiment and mode:
+faults fire), and with a live tracer and metrics registry (the
+"observed" mode) -- and writes ``BENCH_audit.json`` at the repository
+root recording, per experiment and mode:
 
 * end-to-end wall time (best of ``--rounds`` cold runs, each on a
   fresh session so no caches leak between modes);
@@ -17,11 +15,9 @@ experiment and mode:
 * HTTP request counts, total and per route;
 * per-interface query counts and rule-resolution memo hit rates;
 * per-target estimate-cache hit rates;
-* the batched-vs-sequential wall-time and virtual-time ratios.
+* the resilience and observability overheads over the plain mode.
 
-Both modes produce bit-identical audit records (enforced by
-``tests/test_batch_api.py``); this report quantifies what the batching
-buys.  Usage::
+All modes produce bit-identical audit records.  Usage::
 
     PYTHONPATH=src python benchmarks/report.py [--records N] [--rounds K]
 """
@@ -35,13 +31,7 @@ import time
 from pathlib import Path
 
 from repro import build_audit_session
-from repro.analysis import (
-    all_project_rules,
-    all_rules,
-    incremental_analyze,
-    json_payload,
-    run_lint,
-)
+from repro.analysis import all_project_rules, all_rules, json_payload, run_lint
 from repro.experiments import (
     ExperimentConfig,
     ExperimentContext,
@@ -49,22 +39,11 @@ from repro.experiments import (
     fig2_platforms,
 )
 from repro.obs import MetricsRegistry, Tracer
-from repro.parallel import run_parallel
 
 EXPERIMENTS = {
     "fig1_restricted": fig1_restricted.run,
     "fig2_platforms": fig2_platforms.run,
 }
-
-#: Report experiment names -> parallel-engine registry names.
-_REGISTRY_NAMES = {
-    "fig1_restricted": "fig1",
-    "fig2_platforms": "fig2",
-}
-
-#: Worker processes the parallel mode requests (the engine caps the
-#: pool at the number of populated shard groups, at most 3).
-PARALLEL_JOBS = 4
 
 #: Interface keys -> attribute paths on the platform suite.
 _INTERFACES = {
@@ -118,7 +97,6 @@ def _session_stats(ctx: ExperimentContext) -> dict:
 def _run_mode(
     run,
     records: int,
-    batched: bool,
     rounds: int,
     chaos: str | None = None,
     observed: bool = False,
@@ -147,9 +125,6 @@ def _run_mode(
             ctx = ExperimentContext(config, session=session)
         else:
             ctx = ExperimentContext(config)
-        if not batched:
-            for target in ctx.session.targets.values():
-                target.batch_queries = False
         start = time.perf_counter()
         run(ctx)
         wall = time.perf_counter() - start
@@ -198,42 +173,6 @@ def _paired_obs_overhead(run, records: int, rounds: int) -> float:
     return round(best[True] / best[False] - 1.0, 4)
 
 
-def _run_parallel_mode(name: str, records: int, rounds: int) -> dict:
-    """Best-of-``rounds`` wall time through the multi-process engine.
-
-    Timed end-to-end (parent session build, shared-memory export,
-    worker pool, canonical merge) -- unlike the in-process modes,
-    whose timers start after session construction -- because that
-    overhead is exactly what the parallel engine trades against shard
-    concurrency.  Also asserts the run left no shared-memory blocks
-    behind.
-    """
-    best_wall = None
-    stats = None
-    shm_dir = Path("/dev/shm")
-    for _ in range(rounds):
-        config = ExperimentConfig.small().with_records(records)
-        before = (
-            {p.name for p in shm_dir.glob("psm_*")} if shm_dir.is_dir() else set()
-        )
-        start = time.perf_counter()
-        run = run_parallel(config, [_REGISTRY_NAMES[name]], jobs=PARALLEL_JOBS)
-        wall = time.perf_counter() - start
-        if shm_dir.is_dir():
-            leaked = {p.name for p in shm_dir.glob("psm_*")} - before
-            if leaked:
-                raise RuntimeError(f"parallel run leaked shm blocks: {leaked}")
-        if best_wall is None or wall < best_wall:
-            best_wall = wall
-        stats = _session_stats(run.context)
-    return {
-        "wall_seconds": round(best_wall, 3),
-        "jobs": PARALLEL_JOBS,
-        "shard_groups": len(run.shards),
-        **stats,
-    }
-
-
 def _lint_audit() -> dict:
     """``repro-lint --format json`` over ``src/``, for drift tracking.
 
@@ -245,21 +184,7 @@ def _lint_audit() -> dict:
     repo_root = Path(__file__).resolve().parent.parent
     rules = all_rules() + all_project_rules()
     lint_report, wall = run_lint([repo_root / "src"], rules=rules, root=repo_root)
-    payload = json_payload(lint_report, rules, wall)
-    # The cold parallel-driver path (``repro-lint --jobs N``), uncached:
-    # the <5s full-tree budget is asserted against this number.
-    started = time.perf_counter()
-    incremental_analyze(
-        [repo_root / "src"],
-        list(all_rules()),
-        root=repo_root,
-        cache_path=None,
-        jobs=PARALLEL_JOBS,
-        project_rules=all_project_rules(),
-    )
-    payload["jobs"] = PARALLEL_JOBS
-    payload["jobs_wall_seconds"] = round(time.perf_counter() - started, 4)
-    return payload
+    return json_payload(lint_report, rules, wall)
 
 
 def build_report(
@@ -274,59 +199,32 @@ def build_report(
         "cpu_count": os.cpu_count(),
         "note": (
             "wall_seconds is the best of the cold rounds; batched, "
-            "sequential, resilient (calm chaos transport + circuit "
-            "breakers), observed (live tracer + metrics registry), and "
-            "parallel (multi-process shared-memory engine) modes yield "
+            "resilient (calm chaos transport + circuit breakers) and "
+            "observed (live tracer + metrics registry) modes yield "
             "bit-identical audit records"
-        ),
-        "parallel_note": (
-            "parallel wall times are end-to-end (session build, "
-            "shared-memory export, worker pool, merge); speedup over "
-            "batched requires free CPU cores -- on a 1-CPU host the "
-            "pool overhead makes it a slowdown, recorded honestly"
         ),
         "experiments": {},
         "lint": _lint_audit(),
     }
     baselines = baselines or {}
     for name, run in EXPERIMENTS.items():
-        batched = _run_mode(run, records, batched=True, rounds=rounds)
-        sequential = _run_mode(run, records, batched=False, rounds=rounds)
+        batched = _run_mode(run, records, rounds=rounds)
         # Batched plus the full resilience layer on a calm chaos
         # transport: what retries/breakers/fault bookkeeping cost when
         # nothing actually goes wrong (target: under 5%).
-        resilient = _run_mode(
-            run, records, batched=True, rounds=rounds, chaos="calm"
-        )
+        resilient = _run_mode(run, records, rounds=rounds, chaos="calm")
         # Batched with a live tracer + metrics registry: the cost of
         # *enabled* observability, an upper bound on what the default
         # no-op path adds (target: under 3%).
-        observed = _run_mode(
-            run, records, batched=True, rounds=rounds, observed=True
-        )
-        parallel = _run_parallel_mode(name, records, rounds)
+        observed = _run_mode(run, records, rounds=rounds, observed=True)
         entry = {
             "batched": batched,
-            "sequential": sequential,
             "resilient": resilient,
             "observed": observed,
-            "parallel": parallel,
             "resilience_overhead": round(
                 resilient["wall_seconds"] / batched["wall_seconds"] - 1.0, 4
             ),
             "obs_overhead": _paired_obs_overhead(run, records, rounds),
-            "parallel_speedup": round(
-                batched["wall_seconds"] / parallel["wall_seconds"], 2
-            ),
-            "wall_speedup": round(
-                sequential["wall_seconds"] / batched["wall_seconds"], 2
-            ),
-            "virtual_speedup": round(
-                sequential["virtual_seconds"] / batched["virtual_seconds"], 2
-            ),
-            "request_reduction": round(
-                sequential["http_requests"] / batched["http_requests"], 1
-            ),
         }
         if name in baselines:
             entry["baseline"] = {
@@ -402,16 +300,10 @@ def main() -> None:
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     for name, entry in report["experiments"].items():
         print(
-            f"{name}: batched {entry['batched']['wall_seconds']}s vs "
-            f"sequential {entry['sequential']['wall_seconds']}s "
-            f"({entry['wall_speedup']}x wall, {entry['virtual_speedup']}x "
-            f"virtual, {entry['request_reduction']}x fewer requests); "
+            f"{name}: batched {entry['batched']['wall_seconds']}s, "
+            f"{entry['batched']['http_requests']} requests; "
             f"resilience overhead {entry['resilience_overhead']:+.1%}; "
-            f"obs overhead {entry['obs_overhead']:+.1%}; "
-            f"parallel {entry['parallel']['wall_seconds']}s "
-            f"({entry['parallel_speedup']}x vs batched, "
-            f"jobs={entry['parallel']['jobs']}, "
-            f"cpus={report['cpu_count']})"
+            f"obs overhead {entry['obs_overhead']:+.1%}"
         )
     lint = report["lint"]
     print(

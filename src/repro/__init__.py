@@ -124,7 +124,6 @@ def build_audit_session(
     rate_limit: float | None = None,
     chaos: FaultProfile | str | None = None,
     chaos_seed: int = 1031,
-    populations: dict | None = None,
     tracer=None,
     metrics=None,
 ) -> AuditSession:
@@ -156,11 +155,6 @@ def build_audit_session(
     chaos_seed:
         Seed of the fault sequence; the same seed replays the same
         faults.
-    populations:
-        Optional pre-realised populations by platform name, forwarded
-        to :func:`repro.platforms.build_platform_suite` -- the parallel
-        engine's workers rehydrate populations from shared memory and
-        build their sessions through this without regenerating them.
     tracer / metrics:
         Observability sinks (see :mod:`repro.obs`), injected into the
         transport -- the single point from which clients, breakers, and
@@ -172,7 +166,6 @@ def build_audit_session(
         seed=seed,
         model=model,
         rounding=rounding,
-        populations=populations,
     )
     transport: FakeTransport | ChaosTransport = FakeTransport(
         clock=VirtualClock(), rate=rate_limit, tracer=tracer, metrics=metrics

@@ -8,8 +8,7 @@ reproduction's guarantees rest on.  Per-module rule families:
 * ``layering/*`` -- the package import DAG ``population -> platforms
   -> api -> core -> reporting/experiments`` stays one-directional;
 * ``errors/*`` -- no broad excepts, no ``print`` in library code;
-* ``parallel/*`` / ``obs/*`` -- fan-out and instrumentation stay
-  routed through their subsystems.
+* ``obs/*`` -- instrumentation stays routed through its subsystem.
 
 Whole-program rule families run over a linked symbol table and call
 graph (:mod:`repro.analysis.graph`) with fixpoint dataflow summaries
@@ -27,7 +26,7 @@ Run it as ``repro-lint src`` (or ``python -m repro.analysis src``),
 or import :func:`analyze_paths` / :func:`analyze_source` directly;
 ``tests/test_lint_clean.py`` gates tier-1 on a clean tree.  Warm
 re-runs are incremental (``.repro-lint-cache.json``); see
-``--changed``, ``--jobs``, and ``--format sarif`` for the pre-commit
+``--changed`` and ``--format sarif`` for the pre-commit
 and CI surfaces.
 """
 

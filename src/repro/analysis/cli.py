@@ -11,15 +11,14 @@ stale baseline entries -- and 1 otherwise.
 Per-file work is cached in ``.repro-lint-cache.json`` keyed by source
 fingerprint, so warm re-runs only re-analyze edited files (the
 whole-program link always runs; it is cheap).  ``--changed`` narrows
-reporting to edited files for the pre-commit loop, and ``--jobs N``
-fans cold extraction out over processes.
+reporting to edited files for the pre-commit loop.
 
 Usage::
 
     repro-lint src
     repro-lint --format sarif src tests
     repro-lint --changed
-    repro-lint --jobs 4 --no-cache src
+    repro-lint --no-cache src
     repro-lint --rules determinism taint src
     repro-lint --write-baseline lint_baseline.json src
 """
@@ -28,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import time
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -184,13 +182,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         ),
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="extraction worker processes (0 = one per CPU; default 1)",
-    )
-    parser.add_argument(
         "--cache",
         default=None,
         metavar="PATH",
@@ -220,7 +211,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         cache_path = Path(args.cache)
     else:
         cache_path = Path(CACHE_FILENAME)
-    jobs = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
 
     started = time.perf_counter()
     report, cache_stats = incremental_analyze(
@@ -228,7 +218,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         module_rules,
         root=Path.cwd(),
         cache_path=cache_path,
-        jobs=jobs,
         changed_only=args.changed,
         project_rules=project_rules,
     )

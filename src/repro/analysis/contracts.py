@@ -37,9 +37,6 @@ TRANSPORT_MODULES = frozenset(
 PRINT_ALLOWED_MODULES = frozenset(
     {
         "repro.experiments.runner",
-        # The parallel engine narrates shard progress for the runner's
-        # --jobs path, mirroring the sequential runner's verbose mode.
-        "repro.parallel.engine",
         "repro.analysis.cli",
         # repro-trace: the trace summarizer's console entry point.
         "repro.obs.report",

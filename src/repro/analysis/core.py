@@ -123,7 +123,6 @@ def _load_builtin_rules() -> None:
         determinism,
         layering,
         obs_rules,
-        parallel_rules,
     )
 
 

@@ -1,4 +1,4 @@
-"""Incremental fingerprint cache and parallel extraction driver.
+"""Incremental fingerprint cache for ``repro-lint``.
 
 The per-file pass (parsing, module rules, summary extraction) is a
 pure function of one file's bytes and the rule set, so its result is
@@ -7,13 +7,6 @@ edited files, relinks the whole program from cached summaries (the
 interprocedural pass is global but costs tens of milliseconds), and
 ``--changed`` further narrows *reporting* to edited files -- the
 pre-commit loop a one-file edit should pay for.
-
-Cold or large runs can fan extraction out over processes with
-``--jobs N``: workers receive (path, display, module) triples and
-return JSON records, so nothing but stdlib types crosses the pipe.
-The pool is short-lived and shares no state, which is why this module
-is the one sanctioned exception to routing process fan-out through
-:mod:`repro.parallel` -- the analysis island may not import it.
 
 Cache layout (``.repro-lint-cache.json``, gitignored)::
 
@@ -38,7 +31,6 @@ from repro.analysis.core import (
     Finding,
     Rule,
     all_project_rules,
-    all_rules,
     build_context,
     _run_module_rules,
     iter_python_files,
@@ -178,22 +170,6 @@ def extract_record(
     )
 
 
-def _extract_worker(task: tuple[str, str, str, bool, tuple[str, ...]]) -> dict:
-    """Pool worker: (path, display, module, is_package, rule ids) -> JSON."""
-    path, display, module, is_package, rule_ids = task
-    wanted = set(rule_ids)
-    rules = [item for item in all_rules() if item.id in wanted]
-    try:
-        source = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        record = FileRecord(
-            display, module, is_package, "", [], [], None, {}, frozenset(),
-            parse_error=f"{display}: {exc}",
-        )
-        return record.to_json()
-    return extract_record(source, display, module, is_package, rules).to_json()
-
-
 def load_cache(path: Path, version: str) -> dict[str, FileRecord]:
     """Cached records when the file exists and the version matches."""
     try:
@@ -259,11 +235,10 @@ def incremental_analyze(
     rules: Sequence[Rule],
     root: Path,
     cache_path: Path | None,
-    jobs: int = 1,
     changed_only: bool = False,
     project_rules: Sequence | None = None,
 ) -> tuple[AnalysisReport, dict[str, int]]:
-    """Cached, optionally parallel equivalent of ``analyze_paths``.
+    """Cached equivalent of ``analyze_paths``.
 
     Returns the report plus cache statistics (hits/misses/changed).
     With ``changed_only`` the report contains only findings in files
@@ -277,7 +252,7 @@ def incremental_analyze(
     )
     had_cache = bool(cached)
 
-    work: list[tuple[str, str, str, bool]] = []
+    work: list[tuple[str, str, bool]] = []
     sources: dict[str, str] = {}
     ordered: list[str] = []
     records: dict[str, FileRecord] = {}
@@ -300,27 +275,18 @@ def incremental_analyze(
             continue
         module, is_package = module_name_for(file_path)
         sources[display] = source
-        work.append((str(file_path), display, module, is_package))
+        work.append((display, module, is_package))
 
-    changed = {display for _, display, _, _ in work}
+    changed = {display for display, _, _ in work}
     if changed_only and not had_cache:
         dirty = git_dirty_files(root)
         if dirty is not None:
             changed &= dirty
 
-    rule_ids = tuple(item.id for item in rules)
-    if jobs > 1 and len(work) > 1:
-        import multiprocessing  # repro-lint: disable=parallel/direct-multiprocessing
-
-        tasks = [task + (rule_ids,) for task in work]
-        with multiprocessing.Pool(processes=min(jobs, len(tasks))) as pool:
-            for task, payload in zip(tasks, pool.map(_extract_worker, tasks)):
-                records[task[1]] = FileRecord.from_json(payload)
-    else:
-        for path, display, module, is_package in work:
-            records[display] = extract_record(
-                sources[display], display, module, is_package, rules
-            )
+    for display, module, is_package in work:
+        records[display] = extract_record(
+            sources[display], display, module, is_package, rules
+        )
 
     summaries = []
     suppressions: dict[str, tuple[Mapping[int, set[str]], frozenset[str]]] = {}

@@ -7,7 +7,7 @@ about the audit methodology, and the methodology never knows about
 the drivers.  Upward imports reintroduce exactly the hidden coupling
 (platform internals leaking into audit logic) whose real-world
 analogue the paper is about, and they break the aggressive refactors
-the roadmap calls for: a package can only be sharded or swapped out
+the roadmap calls for: a package can only be split or swapped out
 if nothing below it reaches up into it.
 """
 
@@ -29,10 +29,6 @@ LAYERS = {
     "core": 3,
     "reporting": 4,
     "experiments": 5,
-    # The parallel engine shards experiment modules across processes,
-    # and the experiments runner dispatches to it: a deliberate
-    # same-rank pairing at the top of the stack.
-    "parallel": 5,
 }
 
 #: Importing the ``repro`` facade pulls in everything up to ``core``,

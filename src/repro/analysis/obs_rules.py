@@ -1,6 +1,6 @@
 """Observability-injection rule.
 
-The tracing contract (DESIGN.md §11) hangs on a single injection
+The tracing contract (DESIGN.md §10) hangs on a single injection
 point: :func:`repro.build_audit_session` hands the tracer and metrics
 registry to the transport, and every other layer picks them up from
 there.  Library code that constructs its own
@@ -9,9 +9,8 @@ ambiently breaks that contract twice over -- its spans land in a
 tracer nobody exports, and the "no-op by default, injected when
 wanted" guarantee silently stops being true.
 
-Only composition roots may instantiate the sinks: CLI entry points
-and parallel workers (each worker process owns its tracer outright
-and ships the export back).  Those few sites carry explicit
+Only composition roots -- the CLI entry points -- may instantiate the
+sinks.  Those few sites carry explicit
 ``# repro-lint: disable=obs/ambient-instrumentation`` suppressions;
 tests and benchmarks live outside ``repro.*`` and are never flagged.
 """
@@ -64,6 +63,6 @@ def check_ambient_instrumentation(ctx: ModuleContext) -> Iterator[Finding]:
             node,
             f"{short}() constructed inside library code: observability "
             "sinks are injected through build_audit_session and read "
-            "from the transport; only composition roots (CLIs, worker "
-            "entry points) may build their own",
+            "from the transport; only composition roots (CLI entry "
+            "points) may build their own",
         )

@@ -255,31 +255,3 @@ class FakeTransport:
             }
             for (method, path), s in sorted(self._stats.items())
         }
-
-    # -- parallel-run merging ----------------------------------------------
-
-    def export_stats(self) -> dict[str, Any]:
-        """Picklable counter snapshot for cross-process merging."""
-        return {
-            "total_requests": self.total_requests,
-            "clock": self.clock.now(),
-            "routes": self.stats(),
-        }
-
-    def absorb_stats(self, payload: Mapping[str, Any]) -> None:
-        """Fold a worker transport's counters into this one.
-
-        Counters are additive (each request happened on exactly one
-        worker); the virtual clock advances to the latest worker time,
-        matching the wall-clock semantics of concurrent workers.
-        """
-        self.total_requests += int(payload["total_requests"])
-        behind = float(payload["clock"]) - self.clock.now()
-        if behind > 0:
-            self.clock.advance(behind)
-        for route, counters in payload["routes"].items():
-            method, path = route.split(" ", 1)
-            stats = self._stats.setdefault((method, path), _RouteStats())
-            stats.requests += counters["requests"]
-            stats.errors += counters["errors"]
-            stats.rate_limited += counters["rate_limited"]

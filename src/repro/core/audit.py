@@ -127,40 +127,6 @@ class AuditTarget:
         if self._checkpoint is not None:
             self._checkpoint.record(interface_key, spec, estimate)
 
-    # -- cache-state transfer (parallel engine) -----------------------------
-
-    def export_cache_state(self) -> dict:
-        """Estimate cache plus hit/miss counters, in a picklable form.
-
-        The parallel engine ships this from worker targets back to the
-        parent, whose targets then hold exactly the estimates a
-        sequential run would have cached (each interface's queries run
-        in one worker, so shards never conflict).
-        """
-        return {
-            "hits": self.cache_hits,
-            "misses": self.cache_misses,
-            "shards": {
-                key: list(shard.items()) for key, shard in self._cache.items()
-            },
-        }
-
-    def absorb_cache_state(self, state: dict) -> None:
-        """Fold a worker target's exported cache into this target.
-
-        Estimates are recorded into any attached checkpoint as well, so
-        a parallel run persists the same entries a sequential run
-        would.  Overlapping entries must agree (same seed, same
-        platform); they are simply overwritten.
-        """
-        self.cache_hits += state["hits"]
-        self.cache_misses += state["misses"]
-        for interface_key, entries in state["shards"].items():
-            shard = self._cache.setdefault(interface_key, {})
-            for spec, estimate in entries:
-                shard[spec] = estimate
-                self._record_estimate(interface_key, spec, estimate)
-
     # -- catalog ------------------------------------------------------------
 
     def study_options(self) -> list[CatalogOption]:
@@ -367,9 +333,6 @@ class AuditTarget:
             bases=self.base_sizes(attribute),
         )
 
-    #: Whether :meth:`audit_many` plans batched size queries by default.
-    batch_queries: bool = True
-
     def _plan_queries(
         self,
         compositions: Sequence[tuple[str, ...]],
@@ -380,7 +343,7 @@ class AuditTarget:
 
         Base sizes are hoisted to the front -- every audit record needs
         them, so they dedupe to one query per sensitive value.  When an
-        inexpressible composition would make the sequential path raise,
+        inexpressible composition would make a direct :meth:`audit` raise,
         only the prefix before it is planned; the scatter pass then
         raises at the same composition.
         """
@@ -429,7 +392,7 @@ class AuditTarget:
         each item completes -- streamed through ``on_result`` so a run
         killed mid-plan keeps everything already fetched.  Per-item
         errors are left uncached, so the scatter pass re-issues that
-        single call and raises exactly where the sequential path would.
+        single call and raises exactly where a direct :meth:`audit` would.
         """
         by_client: dict[str, tuple[ReachClient, list[TargetingSpec]]] = {}
         for client, spec in plan:
@@ -456,32 +419,24 @@ class AuditTarget:
         compositions: Iterable[Sequence[str]],
         attribute: SensitiveAttribute,
         skip_uncomposable: bool = True,
-        batched: bool | None = None,
     ) -> list[TargetingAudit]:
         """Audit a batch, optionally skipping inexpressible compositions.
 
-        With ``batched`` (the default, from :attr:`batch_queries`), the
-        whole batch is planned up front: compositions expand into their
-        demographic-sliced size queries, duplicates collapse against
-        the spec cache, and each client fetches its remaining specs
-        through the platform's batch endpoint in one pass.  The audits
-        are then assembled from the warmed cache, so the records are
-        identical to the sequential path's.
+        The whole batch is planned up front: compositions expand into
+        their demographic-sliced size queries, duplicates collapse
+        against the spec cache, and each client fetches its remaining
+        specs through the platform's batch endpoint in one pass.  The
+        audits are then assembled from the warmed cache, so the records
+        are identical to calling :meth:`audit` on each composition.
         """
         compositions = [tuple(options) for options in compositions]
         if skip_uncomposable:
             compositions = [o for o in compositions if self.can_compose(o)]
-        if batched is None:
-            batched = self.batch_queries
         with self.tracer.span(
-            "audit.audit_many",
-            target=self.key,
-            compositions=len(compositions),
-            batched=batched,
+            "audit.audit_many", target=self.key, compositions=len(compositions)
         ):
             hits, misses = self.cache_hits, self.cache_misses
-            if batched:
-                self._dispatch_plan(self._plan_queries(compositions, attribute))
+            self._dispatch_plan(self._plan_queries(compositions, attribute))
             records = [self.audit(options, attribute) for options in compositions]
             self._note_cache_activity(hits, misses)
             return records

@@ -71,30 +71,6 @@ class ExperimentContext:
         """Panel label for an interface key."""
         return TARGET_LABELS.get(key, key)
 
-    # -- parallel-run merging -------------------------------------------------
-
-    def export_state(self) -> dict:
-        """Picklable snapshot of the cached composition sets.
-
-        Workers in a parallel run ship their caches back so the parent
-        context ends a run as warm as a sequential one (follow-up
-        queries after :func:`repro.parallel.run_parallel` stay cheap).
-        """
-        return {
-            "individuals": dict(self._individuals),
-            "sets": dict(self._sets),
-        }
-
-    def absorb_state(self, state: dict) -> None:
-        """Fold a worker context's caches into this one.
-
-        Shards cover disjoint interfaces, so keys never collide; the
-        engine absorbs shards in canonical order, keeping the merged
-        insertion order deterministic.
-        """
-        self._individuals.update(state["individuals"])
-        self._sets.update(state["sets"])
-
     # -- cached building blocks -----------------------------------------------
 
     def individuals(self, key: str, attribute_name: str) -> CompositionSet:

@@ -31,14 +31,9 @@ from repro.platforms.audiences import TrackingPixel
 from repro.population.demographics import SENSITIVE_ATTRIBUTES, Gender
 from repro.reporting import Table, format_count, format_ratio
 
-__all__ = ["LookalikeResult", "run", "run_part", "merge_parts", "PARTS"]
+__all__ = ["LookalikeResult", "run"]
 
 GENDER = SENSITIVE_ATTRIBUTES["gender"]
-
-#: Parallel shard keys: the experiment audits both Facebook interfaces,
-#: which always shard together (they share the Facebook reach client).
-PARTS: tuple[str, ...] = ("facebook",)
-
 
 @dataclass
 class LookalikeResult:
@@ -87,18 +82,6 @@ class LookalikeResult:
             f"{'YES' if self.special_ad_still_skewed else 'no'}",
         ]
         return "\n".join(lines)
-
-
-def run_part(ctx: ExperimentContext, part: str) -> LookalikeResult:
-    """Run one parallel shard (there is only one: the full experiment)."""
-    if part != PARTS[0]:
-        raise KeyError(part)
-    return run(ctx)
-
-
-def merge_parts(parts: dict[str, LookalikeResult]) -> LookalikeResult:
-    """Reassemble shard results (trivial for a single-part experiment)."""
-    return parts[PARTS[0]]
 
 
 def run(ctx: ExperimentContext) -> LookalikeResult:

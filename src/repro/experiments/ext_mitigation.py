@@ -32,13 +32,10 @@ from repro.experiments.context import ExperimentContext
 from repro.population.demographics import SENSITIVE_ATTRIBUTES, Gender
 from repro.reporting import Table, format_percent
 
-__all__ = ["MitigationResult", "run", "run_part", "merge_parts", "PARTS"]
+__all__ = ["MitigationResult", "run"]
 
 GENDER = SENSITIVE_ATTRIBUTES["gender"]
 _KEY = "facebook_restricted"
-
-#: Parallel shard keys: the whole experiment lives on one interface.
-PARTS: tuple[str, ...] = (_KEY,)
 
 
 @dataclass
@@ -83,18 +80,6 @@ class MitigationResult:
             f"{format_percent(self.discriminator_skewed_fraction, 0)}",
         ]
         return "\n".join(lines)
-
-
-def run_part(ctx: ExperimentContext, part: str) -> MitigationResult:
-    """Run one parallel shard (there is only one: the full experiment)."""
-    if part != _KEY:
-        raise KeyError(part)
-    return run(ctx)
-
-
-def merge_parts(parts: dict[str, MitigationResult]) -> MitigationResult:
-    """Reassemble shard results (trivial for a single-part experiment)."""
-    return parts[_KEY]
 
 
 def run(

@@ -23,12 +23,9 @@ from repro.experiments.base import Panel, panel_from_sets
 from repro.experiments.context import ExperimentContext
 from repro.population.demographics import AgeRange, Gender
 
-__all__ = ["Fig1Result", "run", "run_part", "merge_parts", "PARTS"]
+__all__ = ["Fig1Result", "run"]
 
 _KEY = "facebook_restricted"
-
-#: Parallel shard keys: the whole figure lives on one interface.
-PARTS: tuple[str, ...] = (_KEY,)
 
 
 @dataclass
@@ -64,18 +61,6 @@ class Fig1Result:
             expected_str = f"{expected}" if expected is not None else "n/a"
             parts.append(f"  {name:<28s} {expected_str:>6s} → {measured:.2f}")
         return "\n".join(parts)
-
-
-def run_part(ctx: ExperimentContext, part: str) -> Fig1Result:
-    """Run one parallel shard (there is only one: the full figure)."""
-    if part != _KEY:
-        raise KeyError(part)
-    return run(ctx)
-
-
-def merge_parts(parts: dict[str, Fig1Result]) -> Fig1Result:
-    """Reassemble shard results (trivial for a single-part figure)."""
-    return parts[_KEY]
 
 
 def run(ctx: ExperimentContext) -> Fig1Result:

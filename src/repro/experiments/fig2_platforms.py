@@ -20,13 +20,10 @@ from repro.experiments.base import Panel, panel_from_sets
 from repro.experiments.context import ExperimentContext
 from repro.population.demographics import AgeRange, Gender
 
-__all__ = ["Fig2Result", "run", "run_part", "merge_parts", "PARTS"]
+__all__ = ["Fig2Result", "run"]
 
 #: Figure 2 proper shows the three non-restricted platforms.
 PLATFORM_KEYS = ("facebook", "google", "linkedin")
-
-#: Parallel shard keys: one per platform panel column.
-PARTS: tuple[str, ...] = PLATFORM_KEYS
 
 
 @dataclass
@@ -49,33 +46,21 @@ class Fig2Result:
         return "\n".join(parts)
 
 
-def run_part(ctx: ExperimentContext, part: str) -> tuple[Panel, Panel, float]:
-    """Both panels plus the skewed-pair fraction for one platform."""
-    label = ctx.label(part)
-    gender_sets = ctx.figure_sets(part, Gender.MALE)
-    age_sets = ctx.figure_sets(part, AgeRange.AGE_18_24)
-    gender_panel = panel_from_sets(
-        f"Repr. ratio male ({label})", gender_sets, Gender.MALE
-    )
-    age_panel = panel_from_sets(
-        f"Repr. ratio age 18-24 ({label})", age_sets, AgeRange.AGE_18_24
-    )
-    top = next(s for s in gender_sets if s.label == "Top 2-way")
-    fraction = fraction_outside_four_fifths(top.ratios(Gender.MALE))
-    return gender_panel, age_panel, fraction
-
-
-def merge_parts(parts: dict[str, tuple[Panel, Panel, float]]) -> Fig2Result:
-    """Reassemble per-platform shards in presentation order."""
+def run(ctx: ExperimentContext) -> Fig2Result:
+    """Run E2 against the shared context, one platform at a time."""
     result = Fig2Result()
     for key in PLATFORM_KEYS:
-        gender_panel, age_panel, fraction = parts[key]
-        result.gender_panels[key] = gender_panel
-        result.age_panels[key] = age_panel
-        result.skewed_pair_fraction[key] = fraction
+        label = ctx.label(key)
+        gender_sets = ctx.figure_sets(key, Gender.MALE)
+        age_sets = ctx.figure_sets(key, AgeRange.AGE_18_24)
+        result.gender_panels[key] = panel_from_sets(
+            f"Repr. ratio male ({label})", gender_sets, Gender.MALE
+        )
+        result.age_panels[key] = panel_from_sets(
+            f"Repr. ratio age 18-24 ({label})", age_sets, AgeRange.AGE_18_24
+        )
+        top = next(s for s in gender_sets if s.label == "Top 2-way")
+        result.skewed_pair_fraction[key] = fraction_outside_four_fifths(
+            top.ratios(Gender.MALE)
+        )
     return result
-
-
-def run(ctx: ExperimentContext) -> Fig2Result:
-    """Run E2 against the shared context."""
-    return merge_parts({key: run_part(ctx, key) for key in PARTS})

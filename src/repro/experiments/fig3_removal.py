@@ -18,15 +18,11 @@ from dataclasses import dataclass, field
 
 from repro.core import removal_sweep
 from repro.core.removal import RemovalCurve
-from repro.experiments.context import TARGET_LABELS, ExperimentContext
+from repro.experiments.context import ExperimentContext
 from repro.population.demographics import Gender, SENSITIVE_ATTRIBUTES
 from repro.reporting import Table, format_ratio
 
-__all__ = ["Fig3Result", "run", "run_for_value", "run_part", "merge_parts", "PARTS"]
-
-#: Parallel shard keys: one per audited interface.
-PARTS: tuple[str, ...] = tuple(TARGET_LABELS)
-
+__all__ = ["Fig3Result", "run", "run_for_value"]
 
 @dataclass
 class Fig3Result:
@@ -79,20 +75,6 @@ def run_for_value(
         )
         result.top_curves[key] = removal_sweep(direction="top", **common)
         result.bottom_curves[key] = removal_sweep(direction="bottom", **common)
-    return result
-
-
-def run_part(ctx: ExperimentContext, part: str) -> Fig3Result:
-    """Both removal curves (gender/male) for one interface."""
-    return run_for_value(ctx, Gender.MALE, keys=(part,))
-
-
-def merge_parts(parts: dict[str, Fig3Result]) -> Fig3Result:
-    """Concatenate single-interface shards in presentation order."""
-    result = Fig3Result()
-    for key in PARTS:
-        result.top_curves.update(parts[key].top_curves)
-        result.bottom_curves.update(parts[key].bottom_curves)
     return result
 
 

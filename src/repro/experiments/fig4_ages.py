@@ -13,13 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.experiments.base import Panel, panel_from_sets
-from repro.experiments.context import TARGET_LABELS, ExperimentContext
+from repro.experiments.context import ExperimentContext
 from repro.population.demographics import AgeRange
 
-__all__ = ["Fig4Result", "run", "run_part", "merge_parts", "PARTS", "FIG4_AGES"]
-
-#: Parallel shard keys: one per audited interface.
-PARTS: tuple[str, ...] = tuple(TARGET_LABELS)
+__all__ = ["Fig4Result", "run", "FIG4_AGES"]
 
 #: The age panels Figure 4 adds beyond Figure 1/2's 18-24.
 FIG4_AGES: tuple[AgeRange, ...] = (
@@ -46,38 +43,24 @@ class Fig4Result:
         return "\n".join(parts)
 
 
-def run_part(
-    ctx: ExperimentContext,
-    part: str,
-    ages: tuple[AgeRange, ...] = FIG4_AGES,
-) -> dict[AgeRange, Panel]:
-    """All age panels for one interface (ages in figure order)."""
-    panels: dict[AgeRange, Panel] = {}
-    for age in ages:
-        sets = ctx.figure_sets(part, age)
-        panels[age] = panel_from_sets(
-            f"Repr. ratio age {age.label} ({ctx.label(part)})", sets, age
-        )
-    return panels
-
-
-def merge_parts(
-    parts: dict[str, dict[AgeRange, Panel]],
-    ages: tuple[AgeRange, ...] = FIG4_AGES,
-) -> Fig4Result:
-    """Interleave per-interface shards back into age-major order."""
-    result = Fig4Result()
-    for age in ages:
-        for key in parts:
-            result.panels[(age, key)] = parts[key][age]
-    return result
-
-
 def run(
     ctx: ExperimentContext,
     ages: tuple[AgeRange, ...] = FIG4_AGES,
     keys: tuple[str, ...] | None = None,
 ) -> Fig4Result:
-    """Run E4 against the shared context."""
+    """Run E4 against the shared context.
+
+    Panels are computed one interface at a time (the order the queries
+    go out in) and presented age-major.
+    """
     keys = keys or tuple(ctx.target_keys)
-    return merge_parts({key: run_part(ctx, key, ages) for key in keys}, ages)
+    panels = {
+        (age, key): panel_from_sets(
+            f"Repr. ratio age {age.label} ({ctx.label(key)})",
+            ctx.figure_sets(key, age),
+            age,
+        )
+        for key in keys
+        for age in ages
+    }
+    return Fig4Result({(age, key): panels[age, key] for age in ages for key in keys})

@@ -26,21 +26,11 @@ from dataclasses import dataclass, field
 
 from repro.core import CompositionSet
 from repro.core.stats import BoxStats
-from repro.experiments.context import TARGET_LABELS, ExperimentContext
+from repro.experiments.context import ExperimentContext
 from repro.experiments.populations import FIG5_POPULATIONS, FavoredPopulation
 from repro.reporting import Table, format_count, format_percent
 
-__all__ = [
-    "RecallPanel",
-    "Fig5Result",
-    "run",
-    "run_part",
-    "merge_parts",
-    "PARTS",
-]
-
-#: Parallel shard keys: one per audited interface.
-PARTS: tuple[str, ...] = tuple(TARGET_LABELS)
+__all__ = ["RecallPanel", "Fig5Result", "run"]
 
 
 @dataclass
@@ -123,71 +113,44 @@ def _recalls(
     return [population.recall(a) for a in audits]
 
 
-def run_part(
-    ctx: ExperimentContext,
-    part: str,
-    populations: tuple[FavoredPopulation, ...] = FIG5_POPULATIONS,
-) -> dict[str, RecallPanel]:
-    """All population panels for one interface, keyed by label."""
-    panels: dict[str, RecallPanel] = {}
-    for population in populations:
-        attribute = population.attribute
-        key = part
-        target = ctx.target(key)
-        individual = ctx.individuals(key, attribute.name).filtered(
-            ctx.config.min_reach
-        )
-        random_set = ctx.random_set(key, attribute.name).filtered(
-            ctx.config.min_reach
-        )
-        top_set = ctx.skewed_set(
-            key, population.value, population.direction
-        ).filtered(ctx.config.min_reach)
-        bases = target.base_sizes(attribute)
-        panels[population.label] = RecallPanel(
-                population=population,
-                target_key=key,
-                population_size=population.population_size(bases),
-                rows=[
-                    (
-                        "Individual (all)",
-                        BoxStats.from_values(
-                            _recalls(individual, population, False)
-                        ),
-                    ),
-                    (
-                        "Individual (skewed)",
-                        BoxStats.from_values(
-                            _recalls(individual, population, True)
-                        ),
-                    ),
-                    (
-                        "Random 2-way (skewed)",
-                        BoxStats.from_values(
-                            _recalls(random_set, population, True)
-                        ),
-                    ),
-                    (
-                        "Top 2-way (skewed)",
-                        BoxStats.from_values(
-                            _recalls(top_set, population, True)
-                        ),
-                    ),
-                ],
-            )
-    return panels
-
-
-def merge_parts(
-    parts: dict[str, dict[str, RecallPanel]],
-    populations: tuple[FavoredPopulation, ...] = FIG5_POPULATIONS,
-) -> Fig5Result:
-    """Interleave per-interface shards back into population-major order."""
-    result = Fig5Result()
-    for population in populations:
-        for key in parts:
-            result.panels[(population.label, key)] = parts[key][population.label]
-    return result
+def _panel(
+    ctx: ExperimentContext, key: str, population: FavoredPopulation
+) -> RecallPanel:
+    """Recall distributions of one population on one interface."""
+    attribute = population.attribute
+    individual = ctx.individuals(key, attribute.name).filtered(
+        ctx.config.min_reach
+    )
+    random_set = ctx.random_set(key, attribute.name).filtered(
+        ctx.config.min_reach
+    )
+    top_set = ctx.skewed_set(
+        key, population.value, population.direction
+    ).filtered(ctx.config.min_reach)
+    bases = ctx.target(key).base_sizes(attribute)
+    return RecallPanel(
+        population=population,
+        target_key=key,
+        population_size=population.population_size(bases),
+        rows=[
+            (
+                "Individual (all)",
+                BoxStats.from_values(_recalls(individual, population, False)),
+            ),
+            (
+                "Individual (skewed)",
+                BoxStats.from_values(_recalls(individual, population, True)),
+            ),
+            (
+                "Random 2-way (skewed)",
+                BoxStats.from_values(_recalls(random_set, population, True)),
+            ),
+            (
+                "Top 2-way (skewed)",
+                BoxStats.from_values(_recalls(top_set, population, True)),
+            ),
+        ],
+    )
 
 
 def run(
@@ -195,8 +158,21 @@ def run(
     populations: tuple[FavoredPopulation, ...] = FIG5_POPULATIONS,
     keys: tuple[str, ...] | None = None,
 ) -> Fig5Result:
-    """Run E5 against the shared context."""
+    """Run E5 against the shared context.
+
+    Panels are computed one interface at a time (the order the queries
+    go out in) and presented population-major.
+    """
     keys = keys or tuple(ctx.target_keys)
-    return merge_parts(
-        {key: run_part(ctx, key, populations) for key in keys}, populations
+    panels = {
+        (population.label, key): _panel(ctx, key, population)
+        for key in keys
+        for population in populations
+    }
+    return Fig5Result(
+        {
+            (population.label, key): panels[population.label, key]
+            for population in populations
+            for key in keys
+        }
     )

@@ -13,14 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.experiments.context import TARGET_LABELS, ExperimentContext
+from repro.experiments.context import ExperimentContext
 from repro.experiments.fig3_removal import Fig3Result, run_for_value
 from repro.population.demographics import AGE_RANGES, AgeRange
 
-__all__ = ["Fig6Result", "run", "run_part", "merge_parts", "PARTS", "FIG6_AGES"]
-
-#: Parallel shard keys: one per audited interface.
-PARTS: tuple[str, ...] = tuple(TARGET_LABELS)
+__all__ = ["Fig6Result", "run", "FIG6_AGES"]
 
 #: Age ranges swept by Figure 6 (all four; the paper plots 18-24,
 #: 25-34, 35-54 "top" panels plus both directions for 55+).
@@ -44,35 +41,21 @@ class Fig6Result:
         return "\n".join(parts)
 
 
-def run_part(
-    ctx: ExperimentContext,
-    part: str,
-    ages: tuple[AgeRange, ...] = FIG6_AGES,
-) -> dict[AgeRange, Fig3Result]:
-    """Per-age removal sweeps for one interface (ages in figure order)."""
-    return {age: run_for_value(ctx, age, keys=(part,)) for age in ages}
-
-
-def merge_parts(
-    parts: dict[str, dict[AgeRange, Fig3Result]],
-    ages: tuple[AgeRange, ...] = FIG6_AGES,
-) -> Fig6Result:
-    """Interleave per-interface shards back into age-major order."""
-    result = Fig6Result()
-    for age in ages:
-        sub = Fig3Result()
-        for key in parts:
-            sub.top_curves.update(parts[key][age].top_curves)
-            sub.bottom_curves.update(parts[key][age].bottom_curves)
-        result.by_age[age] = sub
-    return result
-
-
 def run(
     ctx: ExperimentContext,
     ages: tuple[AgeRange, ...] = FIG6_AGES,
     keys: tuple[str, ...] | None = None,
 ) -> Fig6Result:
-    """Run E6 against the shared context."""
+    """Run E6 against the shared context.
+
+    Sweeps run one interface at a time (the order the queries go out
+    in) and are presented age-major.
+    """
     keys = keys or tuple(ctx.target_keys)
-    return merge_parts({key: run_part(ctx, key, ages) for key in keys}, ages)
+    result = Fig6Result({age: Fig3Result() for age in ages})
+    for key in keys:
+        for age in ages:
+            sweep = run_for_value(ctx, age, keys=(key,))
+            result.by_age[age].top_curves.update(sweep.top_curves)
+            result.by_age[age].bottom_curves.update(sweep.bottom_curves)
+    return result

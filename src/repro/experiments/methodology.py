@@ -29,15 +29,12 @@ from repro.core.rounding_study import (
     infer_granularity,
     sensitivity_study,
 )
-from repro.experiments.context import TARGET_LABELS, ExperimentContext
+from repro.experiments.context import ExperimentContext
 from repro.platforms.targeting import TargetingSpec
 from repro.population.demographics import Gender
 from repro.reporting import Table, format_percent
 
-__all__ = ["MethodologyResult", "run", "run_part", "merge_parts", "PARTS"]
-
-#: Parallel shard keys: one per studied interface.
-PARTS: tuple[str, ...] = tuple(TARGET_LABELS)
+__all__ = ["MethodologyResult", "run"]
 
 
 @dataclass
@@ -93,61 +90,38 @@ def _random_specs(
     return specs
 
 
-def run_part(
-    ctx: ExperimentContext, part: str
-) -> tuple[ConsistencyReport, GranularityReport, SensitivityReport]:
-    """All three sub-studies for one interface."""
-    key = part
-    target = ctx.target(key)
-    specs = _random_specs(
-        ctx,
-        key,
-        ctx.config.consistency_targetings,
-        ctx.config.consistency_targetings,
-    )
-    consistency = consistency_study(
-        target.measure_client, specs, repeats=ctx.config.consistency_repeats
-    )
-
-    individual = ctx.individuals(key, "gender")
-    estimates: list[int] = [
-        size for audit in individual.audits for size in audit.sizes.values()
-    ]
-    estimates += target.cached_estimates()
-    granularity = infer_granularity(estimates)
-
-    rounding = ctx.session.suite.interfaces[key].rounding
-    sensitivity = sensitivity_study(
-        individual.filtered(ctx.config.min_reach).audits,
-        Gender.MALE,
-        rounding,
-    )
-    return consistency, granularity, sensitivity
-
-
-def merge_parts(
-    parts: dict[
-        str, tuple[ConsistencyReport, GranularityReport, SensitivityReport]
-    ],
-) -> MethodologyResult:
-    """Reassemble per-interface shards in presentation order."""
-    result = MethodologyResult()
-    for key in parts:
-        consistency, granularity, sensitivity = parts[key]
-        result.consistency[key] = consistency
-        result.granularity[key] = granularity
-        result.sensitivity[key] = sensitivity
-    return result
-
-
 def run(ctx: ExperimentContext) -> MethodologyResult:
-    """Run E10 against the shared context.
+    """Run E10 against the shared context, one interface at a time.
 
     The granularity analysis pools every estimate currently in the
     audit caches (so running this after the figure experiments analyses
     the same tens of thousands of calls the paper pooled); if a cache
     is empty, a fresh individual sweep fills it.
     """
-    return merge_parts(
-        {key: run_part(ctx, key) for key in ctx.target_keys}
-    )
+    result = MethodologyResult()
+    for key in ctx.target_keys:
+        target = ctx.target(key)
+        specs = _random_specs(
+            ctx,
+            key,
+            ctx.config.consistency_targetings,
+            ctx.config.consistency_targetings,
+        )
+        result.consistency[key] = consistency_study(
+            target.measure_client, specs, repeats=ctx.config.consistency_repeats
+        )
+
+        individual = ctx.individuals(key, "gender")
+        estimates: list[int] = [
+            size for audit in individual.audits for size in audit.sizes.values()
+        ]
+        estimates += target.cached_estimates()
+        result.granularity[key] = infer_granularity(estimates)
+
+        rounding = ctx.session.suite.interfaces[key].rounding
+        result.sensitivity[key] = sensitivity_study(
+            individual.filtered(ctx.config.min_reach).audits,
+            Gender.MALE,
+            rounding,
+        )
+    return result

@@ -11,17 +11,12 @@ truncated batches) which the clients' resilience layer absorbs, and
 killed run resumes without re-querying -- output stays bit-identical
 either way.
 
-``--jobs N`` shards the experiments across worker processes by
-platform interface group (``repro.parallel``); results, query counts,
-and rendered reports are bit-identical to a sequential run.
-
 CLI usage::
 
     repro-audit --scale small
     repro-audit --scale full --out results.txt
     repro-audit --only fig1 table1 --records 60000
     repro-audit --chaos storm --checkpoint run.ckpt.json
-    repro-audit --jobs 4            # 0 = one worker per CPU
 """
 
 from __future__ import annotations
@@ -52,7 +47,6 @@ from repro.experiments import (
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.context import ExperimentContext
 from repro.obs import NULL_METRICS, NULL_TRACER, MetricsRegistry, Tracer
-from repro.parallel.engine import resolve_jobs, run_parallel
 
 __all__ = ["EXPERIMENTS", "RunReport", "run_all", "main"]
 
@@ -88,8 +82,6 @@ class RunReport:
     total_api_requests: int = 0
     #: End-to-end wall time of the run, including session build.
     total_wall: float = 0.0
-    #: Worker processes the run used (1 = sequential).
-    jobs: int = 1
 
     def render(self) -> str:
         parts = [
@@ -108,9 +100,7 @@ class RunReport:
             f"Total simulated API requests: {self.total_api_requests:,} "
             "(paper: 80,000+ per platform)"
         )
-        parts.append(
-            f"Total wall time: {self.total_wall:.1f}s (jobs={self.jobs})"
-        )
+        parts.append(f"Total wall time: {self.total_wall:.1f}s")
         return "\n".join(parts)
 
 
@@ -122,7 +112,6 @@ def run_all(
     chaos: FaultProfile | str | None = None,
     chaos_seed: int = 1031,
     checkpoint: EstimateCheckpoint | str | Path | None = None,
-    jobs: int = 1,
     tracer=None,
     metrics=None,
 ) -> RunReport:
@@ -143,11 +132,6 @@ def run_all(
     an experiment raises mid-run -- e.g. an exhausted circuit breaker
     during an outage -- and a re-run with the same checkpoint resumes
     without re-issuing them, producing bit-identical output.
-
-    ``jobs`` > 1 dispatches to :func:`repro.parallel.run_parallel`
-    (``0`` means one worker per CPU); the report is bit-identical to a
-    sequential run apart from wall times.  Parallel runs build their
-    own per-worker sessions, so an explicit ``context`` is rejected.
     """
     config = config or ExperimentConfig.full()
     names = list(only or EXPERIMENTS)
@@ -163,33 +147,6 @@ def run_all(
     metrics = metrics if metrics is not None else NULL_METRICS
 
     started_wall = time.perf_counter()
-    effective_jobs = resolve_jobs(jobs)
-    if effective_jobs > 1:
-        if context is not None:
-            raise ValueError(
-                "jobs > 1 builds its own per-worker sessions; pass a "
-                "config instead of an explicit context"
-            )
-        run = run_parallel(
-            config,
-            names,
-            effective_jobs,
-            chaos=chaos,
-            chaos_seed=chaos_seed,
-            checkpoint=checkpoint,
-            verbose=verbose,
-            tracer=tracer,
-            metrics=metrics,
-        )
-        return RunReport(
-            config=config,
-            results=run.results,
-            durations=run.durations,
-            total_api_requests=run.total_api_requests,
-            total_wall=time.perf_counter() - started_wall,
-            jobs=effective_jobs,
-        )
-
     if context is None and (
         chaos is not None or tracer.enabled or metrics.enabled
     ):
@@ -244,6 +201,30 @@ def run_all(
     return report
 
 
+def _int_at_least(minimum: int) -> Callable[[str], int]:
+    """argparse ``type`` for integers no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer >= {minimum}, got {value}"
+            )
+        return value
+
+    parse.__name__ = "integer"
+    return parse
+
+
+def _serial_jobs(text: str) -> int:
+    """argparse ``type`` for ``--jobs``: only a serial run remains."""
+    if text.strip() != "1":
+        raise argparse.ArgumentTypeError(
+            f"parallel execution was removed; only 1 is accepted, got {text!r}"
+        )
+    return 1
+
+
 def main(argv: list[str] | None = None) -> int:
     """``repro-audit`` console entry point."""
     parser = argparse.ArgumentParser(
@@ -260,14 +241,17 @@ def main(argv: list[str] | None = None) -> int:
         help="experiment scale preset (default: small)",
     )
     parser.add_argument(
-        "--records", type=int, default=None, help="override records/platform"
+        "--records",
+        type=_int_at_least(1),
+        default=None,
+        help="override records/platform",
     )
     parser.add_argument(
-        "--seed", type=int, default=None, help="override the root seed"
+        "--seed", type=_int_at_least(0), default=None, help="override the root seed"
     )
     parser.add_argument(
         "--compositions",
-        type=int,
+        type=_int_at_least(1),
         default=None,
         help="override compositions per Random/Top/Bottom set",
     )
@@ -304,13 +288,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--jobs",
-        type=int,
+        type=_serial_jobs,
+        choices=[1],
         default=1,
-        help=(
-            "worker processes to shard the experiments across "
-            "(default: 1 = sequential; 0 = one per CPU); output is "
-            "bit-identical to a sequential run"
-        ),
+        help="worker processes; runs are serial, so only 1 is accepted",
     )
     parser.add_argument(
         "--trace",
@@ -347,7 +328,7 @@ def main(argv: list[str] | None = None) -> int:
     tracer = None
     if args.trace:
         tracer = Tracer(  # repro-lint: disable=obs/ambient-instrumentation
-            "repro-audit", scale=args.scale, jobs=args.jobs
+            "repro-audit", scale=args.scale
         )
     metrics = None
     if args.metrics:
@@ -360,7 +341,6 @@ def main(argv: list[str] | None = None) -> int:
         chaos=args.chaos,
         chaos_seed=args.chaos_seed,
         checkpoint=args.checkpoint,
-        jobs=args.jobs,
         tracer=tracer,
         metrics=metrics,
     )

@@ -28,21 +28,10 @@ from repro.experiments.context import ExperimentContext
 from repro.experiments.populations import TABLE1_POPULATIONS, FavoredPopulation
 from repro.reporting import Table, format_count, format_percent
 
-__all__ = [
-    "Table1Cell",
-    "Table1Result",
-    "run",
-    "run_part",
-    "merge_parts",
-    "PARTS",
-    "OVERLAP_KEYS",
-]
+__all__ = ["Table1Cell", "Table1Result", "run", "OVERLAP_KEYS"]
 
 #: Table 1 covers the interfaces supporting boolean and-of-or rules.
 OVERLAP_KEYS = ("facebook_restricted", "facebook", "linkedin")
-
-#: Parallel shard keys: one per overlap-capable interface.
-PARTS: tuple[str, ...] = OVERLAP_KEYS
 
 
 @dataclass
@@ -113,74 +102,50 @@ class Table1Result:
         return "Table 1 — Overlap and union recall\n" + table.render()
 
 
-def run_part(
-    ctx: ExperimentContext,
-    part: str,
-    populations: tuple[FavoredPopulation, ...] = TABLE1_POPULATIONS,
-) -> dict[str, Table1Cell]:
-    """All population cells for one interface, keyed by label.
-
-    A population whose skewed set is empty on this interface is absent
-    from the returned dict (matching the sequential ``continue``).
-    """
-    key = part
-    cells: dict[str, Table1Cell] = {}
-    for population in populations:
-        target = ctx.target(key)
-        skewed = ctx.skewed_set(
-            key, population.value, population.direction
-        ).filtered(ctx.config.min_reach)
-        top = skewed.top_by_ratio(
-            population.value,
-            ctx.config.overlap_top_k,
-            ascending=population.exclude,
-        )
-        comps = [a.options for a in top]
-        if not comps:
-            continue
-        overlap = pairwise_overlaps(
-            target,
-            comps,
-            population.value,
-            max_pairs=ctx.config.overlap_max_pairs,
-            seed=ctx.config.seed,
-            exclude=population.exclude,
-        )
-        union = union_recall(
-            target,
-            comps[: ctx.config.union_top_k],
-            population.value,
-            exclude=population.exclude,
-        )
-        top1 = target.intersection_size(
-            [comps[0]], population.value, exclude=population.exclude
-        )
-        bases = target.base_sizes(population.attribute)
-        cells[population.label] = Table1Cell(
-            population=population,
-            target_key=key,
-            population_size=population.population_size(bases),
-            median_overlap=overlap.median_overlap,
-            top1_recall=top1,
-            top10_recall=union.estimate,
-            union_estimate=union,
-            n_compositions=len(comps),
-        )
-    return cells
-
-
-def merge_parts(
-    parts: dict[str, dict[str, Table1Cell]],
-    populations: tuple[FavoredPopulation, ...] = TABLE1_POPULATIONS,
-) -> Table1Result:
-    """Interleave per-interface shards back into population-major order."""
-    result = Table1Result()
-    for population in populations:
-        for key in parts:
-            cell = parts[key].get(population.label)
-            if cell is not None:
-                result.cells[(population.label, key)] = cell
-    return result
+def _cell(
+    ctx: ExperimentContext, key: str, population: FavoredPopulation
+) -> Table1Cell | None:
+    """One population's cell on one interface (None: no skewed set)."""
+    target = ctx.target(key)
+    skewed = ctx.skewed_set(
+        key, population.value, population.direction
+    ).filtered(ctx.config.min_reach)
+    top = skewed.top_by_ratio(
+        population.value,
+        ctx.config.overlap_top_k,
+        ascending=population.exclude,
+    )
+    comps = [a.options for a in top]
+    if not comps:
+        return None
+    overlap = pairwise_overlaps(
+        target,
+        comps,
+        population.value,
+        max_pairs=ctx.config.overlap_max_pairs,
+        seed=ctx.config.seed,
+        exclude=population.exclude,
+    )
+    union = union_recall(
+        target,
+        comps[: ctx.config.union_top_k],
+        population.value,
+        exclude=population.exclude,
+    )
+    top1 = target.intersection_size(
+        [comps[0]], population.value, exclude=population.exclude
+    )
+    bases = target.base_sizes(population.attribute)
+    return Table1Cell(
+        population=population,
+        target_key=key,
+        population_size=population.population_size(bases),
+        median_overlap=overlap.median_overlap,
+        top1_recall=top1,
+        top10_recall=union.estimate,
+        union_estimate=union,
+        n_compositions=len(comps),
+    )
 
 
 def run(
@@ -188,7 +153,22 @@ def run(
     populations: tuple[FavoredPopulation, ...] = TABLE1_POPULATIONS,
     keys: tuple[str, ...] = OVERLAP_KEYS,
 ) -> Table1Result:
-    """Run E7 against the shared context."""
-    return merge_parts(
-        {key: run_part(ctx, key, populations) for key in keys}, populations
+    """Run E7 against the shared context.
+
+    Cells are computed one interface at a time (the order the queries
+    go out in) and presented population-major; a population without
+    skewed compositions on an interface has no cell there.
+    """
+    cells = {
+        (population.label, key): _cell(ctx, key, population)
+        for key in keys
+        for population in populations
+    }
+    return Table1Result(
+        {
+            (population.label, key): cells[population.label, key]
+            for population in populations
+            for key in keys
+            if cells[population.label, key] is not None
+        }
     )

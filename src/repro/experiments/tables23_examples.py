@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from repro.core import CompositionSet
 from repro.core.results import SensitiveValue
-from repro.experiments.context import TARGET_LABELS, ExperimentContext
+from repro.experiments.context import ExperimentContext
 from repro.population.demographics import AgeRange, Gender
 from repro.reporting import Table, format_ratio
 
@@ -23,14 +23,8 @@ __all__ = [
     "ExampleRow",
     "ExamplesResult",
     "run",
-    "run_part",
-    "merge_parts",
-    "PARTS",
     "select_examples",
 ]
-
-#: Parallel shard keys: one per audited interface.
-PARTS: tuple[str, ...] = tuple(TARGET_LABELS)
 
 
 @dataclass(frozen=True)
@@ -143,43 +137,6 @@ _FAVOURED: tuple[tuple[SensitiveValue, str, str], ...] = (
 )
 
 
-def run_part(
-    ctx: ExperimentContext, part: str, k: int = 5
-) -> dict[tuple[str, str], list[ExampleRow]]:
-    """Illustrative rows for one interface, keyed like the result.
-
-    Favoured values that yield no qualifying examples are absent
-    (matching the sequential behaviour).
-    """
-    key = part
-    rows: dict[tuple[str, str], list[ExampleRow]] = {}
-    names = ctx.target(key).option_names()
-    for value, value_label, _ in _FAVOURED:
-        attribute = "gender" if isinstance(value, Gender) else "age"
-        individual = ctx.individuals(key, attribute).filtered(
-            ctx.config.min_reach
-        )
-        top_set = ctx.skewed_set(key, value, "top").filtered(
-            ctx.config.min_reach
-        )
-        examples = select_examples(
-            individual, top_set, value, names, key, k=k
-        )
-        if examples:
-            rows[(key, value_label)] = examples
-    return rows
-
-
-def merge_parts(
-    parts: dict[str, dict[tuple[str, str], list[ExampleRow]]],
-) -> ExamplesResult:
-    """Concatenate per-interface shards in presentation order."""
-    result = ExamplesResult()
-    for key in parts:
-        result.rows.update(parts[key])
-    return result
-
-
 def run(
     ctx: ExperimentContext,
     keys: tuple[str, ...] | None = None,
@@ -188,7 +145,23 @@ def run(
     """Run E8/E9 against the shared context.
 
     Gender rows (Table 2) favour males and females; age rows (Table 3)
-    favour 18-24 and 55+.
+    favour 18-24 and 55+.  Favoured values that yield no qualifying
+    examples on an interface have no rows there.
     """
-    keys = keys or tuple(ctx.target_keys)
-    return merge_parts({key: run_part(ctx, key, k=k) for key in keys})
+    result = ExamplesResult()
+    for key in keys or tuple(ctx.target_keys):
+        names = ctx.target(key).option_names()
+        for value, value_label, _ in _FAVOURED:
+            attribute = "gender" if isinstance(value, Gender) else "age"
+            individual = ctx.individuals(key, attribute).filtered(
+                ctx.config.min_reach
+            )
+            top_set = ctx.skewed_set(key, value, "top").filtered(
+                ctx.config.min_reach
+            )
+            examples = select_examples(
+                individual, top_set, value, names, key, k=k
+            )
+            if examples:
+                result.rows[(key, value_label)] = examples
+    return result

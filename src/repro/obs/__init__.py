@@ -3,7 +3,7 @@
 This package is an island like :mod:`repro.analysis`: it imports
 nothing from the rest of ``repro`` and every layer may import it.
 Library code receives tracers and registries by injection -- only
-composition roots (CLIs, workers, tests) construct them, a rule
+composition roots (CLIs, tests) construct them, a rule
 ``repro-lint`` enforces (``obs/ambient-instrumentation``).
 """
 

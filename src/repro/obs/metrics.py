@@ -11,9 +11,7 @@ seam knowing which experiment is running.
 Nothing here reads a clock: histogram buckets are fixed boundaries
 chosen up front, and every observed value comes from the caller
 (virtual-clock durations, batch sizes, counts).  Identical runs
-produce identical exports, which is what makes the registry mergeable
-across parallel workers (:meth:`absorb`) without ordering effects --
-counter addition commutes.
+produce identical exports.
 
 The default everywhere is the :data:`NULL_METRICS` singleton, a
 :class:`NullMetrics` whose methods are no-ops; hot paths check
@@ -123,8 +121,8 @@ class MetricsRegistry:
 
     def observe(self, name: str, value: float, **labels: Any) -> None:
         key = self._key(name, labels)
-        # Pin the boundaries on first observe so a later absorb() can
-        # detect divergence even when the metric uses the defaults.
+        # Pin the boundaries on first observe: the series' bucket count
+        # is fixed from here on.
         bounds = self._buckets.setdefault(name, DURATION_BUCKETS)
         series = self._histograms.get(key)
         if series is None:
@@ -147,10 +145,10 @@ class MetricsRegistry:
             if metric == name
         )
 
-    # -- export / merge -----------------------------------------------------
+    # -- export ---------------------------------------------------------------
 
     def export(self) -> dict[str, Any]:
-        """Sorted, picklable snapshot (the parallel merge payload)."""
+        """Sorted, JSON-ready snapshot of every series."""
         return {
             "counters": [
                 [name, [list(pair) for pair in labels], value]
@@ -174,31 +172,6 @@ class MetricsRegistry:
                 for (name, labels), series in sorted(self._histograms.items())
             ],
         }
-
-    def absorb(self, payload: Mapping[str, Any]) -> None:
-        """Fold another registry's export in (counters add, gauges win)."""
-        for name, labels, value in payload["counters"]:
-            key = (name, tuple((k, v) for k, v in labels))
-            self._counters[key] = self._counters.get(key, 0.0) + value
-        for name, labels, value in payload["gauges"]:
-            self._gauges[(name, tuple((k, v) for k, v in labels))] = value
-        for name, labels, series in payload["histograms"]:
-            key = (name, tuple((k, v) for k, v in labels))
-            bounds = tuple(series["bounds"])
-            if name not in self._buckets:
-                self._buckets[name] = bounds
-            elif self._buckets[name] != bounds:
-                raise ValueError(
-                    f"histogram {name!r} bucket boundaries diverge; "
-                    "fixed buckets must match to merge"
-                )
-            mine = self._histograms.get(key)
-            if mine is None:
-                mine = self._histograms[key] = [[0] * (len(bounds) + 1), 0, 0.0]
-            for index, count in enumerate(series["buckets"]):
-                mine[0][index] += count
-            mine[1] += series["count"]
-            mine[2] += series["sum"]
 
     # -- rendering ----------------------------------------------------------
 

@@ -58,9 +58,8 @@ def summarize(
         )
         agg["count"] += 1
         agg["total"] += duration
-        # Concurrent children (absorbed worker traces) can sum past
-        # their parent's wall time; negative self-time is an artifact
-        # of that overlap, not a meaningful quantity.
+        # Children's durations are rounded separately, so their sum can
+        # pass the parent's by a few ulps; clamp that to zero.
         agg["self"] += max(0.0, duration - child_time.get(record["id"], 0.0))
         for event in record["events"]:
             # Coalesced events (cache hits/misses) carry how many

@@ -22,11 +22,6 @@ near-zero overhead, and whose ``enabled`` flag lets hot paths skip
 even the keyword-argument packing.  Enabling tracing must never change
 what a run computes -- instrumentation only observes, a contract the
 differential tests enforce bit-for-bit.
-
-Parallel runs give every worker its own tracer; the engine grafts the
-exported worker traces into the parent trace in canonical shard order
-(never completion order) via :meth:`Tracer.absorb`, so the merged
-trace is as reproducible as the sequential one.
 """
 
 from __future__ import annotations
@@ -163,14 +158,7 @@ class Tracer:
                 f"span {span.name!r} closed while {self._stack[-1].name!r} "
                 "is still open"
             )
-        # Absorbed worker spans ran on concurrent clocks and may extend
-        # past this moment; a parent's interval always covers its
-        # children's.
-        end = self._now()
-        for child in span.children:
-            if child.end > end:
-                end = child.end
-        span.end = end
+        span.end = self._now()
         self._stack.pop()
 
     def event(self, name: str, **attrs: Any) -> None:
@@ -181,57 +169,6 @@ class Tracer:
     def current(self) -> Span:
         """The innermost open span (the root when none is open)."""
         return self._stack[-1]
-
-    # -- merging (parallel engine) ------------------------------------------
-
-    def absorb(
-        self, records: Sequence[Mapping[str, Any]], name: str, **attrs: Any
-    ) -> Span:
-        """Graft an exported trace under a new child span.
-
-        ``records`` is another tracer's :meth:`export` output (worker
-        traces in a parallel run).  The absorbed trace's root collapses
-        into the new anchor span -- its attributes and events merge in
-        -- and every absorbed time is shifted by the anchor's start, so
-        the merged tree still nests properly.  Callers must absorb
-        shards in canonical order; this method is order-preserving,
-        never order-restoring.
-        """
-        parent = self._stack[-1]
-        offset = self._now()
-        anchor = Span(self._next_id, parent.span_id, name, attrs, offset)
-        self._next_id += 1
-        parent.children.append(anchor)
-        remap: dict[int, Span] = {}
-        end = offset
-        for record in records:
-            events = [
-                (e["name"], e["t"] + offset, dict(e["attrs"]))
-                for e in record["events"]
-            ]
-            if record["parent"] is None:
-                # The absorbed root: merge into the anchor.
-                anchor.attrs.update(record["attrs"])
-                anchor.events.extend(events)
-                remap[record["id"]] = anchor
-                end = max(end, record["end"] + offset)
-                continue
-            target = remap.get(record["parent"], anchor)
-            span = Span(
-                self._next_id,
-                target.span_id,
-                record["name"],
-                dict(record["attrs"]),
-                record["start"] + offset,
-            )
-            self._next_id += 1
-            span.end = record["end"] + offset
-            span.events = events
-            target.children.append(span)
-            remap[record["id"]] = span
-            end = max(end, span.end)
-        anchor.end = end
-        return anchor
 
     # -- export -------------------------------------------------------------
 
@@ -253,11 +190,7 @@ class Tracer:
         for span in self._walk():
             record = span.to_record()
             if span in self._stack:
-                end = now
-                for child in span.children:
-                    if child.end > end:
-                        end = child.end
-                record["end"] = end
+                record["end"] = now
             records.append(record)
         return records
 
@@ -326,11 +259,6 @@ class NullTracer:
         return _NULL_SPAN
 
     def event(self, name: str, **attrs: Any) -> None:
-        return None
-
-    def absorb(
-        self, records: Sequence[Mapping[str, Any]], name: str, **attrs: Any
-    ) -> None:
         return None
 
     def event_counts(self) -> dict[str, int]:

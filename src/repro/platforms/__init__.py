@@ -137,7 +137,6 @@ def build_platform_suite(
     seed: int = 42,
     model: LatentFactorModel | None = None,
     rounding: RoundingPolicy | None = None,
-    populations: dict | None = None,
 ) -> PlatformSuite:
     """Build all simulated platforms over ``n_records``-sized populations.
 
@@ -146,38 +145,25 @@ def build_platform_suite(
     cross-platform comparisons use the same interest space.  Pass
     ``rounding`` (e.g. :class:`ExactRounding`) to override every
     interface's rounding policy for ablations.
-
-    ``populations`` maps platform names (``"facebook"`` / ``"google"``
-    / ``"linkedin"``) to pre-realised
-    :class:`~repro.population.generator.Population` objects, skipping
-    the generation pass entirely -- the parallel engine's workers use
-    this to rehydrate suites from shared memory.  Supplied populations
-    must have been generated with the same ``seed``/``model`` so
-    derived state (PII audiences, later attribute realisations) stays
-    aligned.
     """
     model = model or default_model()
-    populations = populations or {}
     return PlatformSuite(
         facebook=FacebookMarketingPlatform(
             n_records=n_records,
             seed=seed,
             model=model,
             rounding=rounding,
-            population=populations.get("facebook"),
         ),
         google=GooglePlatform(
             n_records=n_records,
             seed=seed + 1,
             model=model,
             rounding=rounding,
-            population=populations.get("google"),
         ),
         linkedin=LinkedInPlatform(
             n_records=n_records,
             seed=seed + 2,
             model=model,
             rounding=rounding,
-            population=populations.get("linkedin"),
         ),
     )

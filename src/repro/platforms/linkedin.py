@@ -88,21 +88,18 @@ class LinkedInPlatform:
         seed: int = 2022,
         model: LatentFactorModel | None = None,
         rounding: RoundingPolicy | None = None,
-        population: Population | None = None,
     ):
         calibration = get_calibration("linkedin")
         self.model = model or default_model()
         self.build = build_linkedin_universe(calibration, self.model)
-        if population is None:
-            generator = PopulationGenerator(
-                marginals=calibration.marginals,
-                model=self.model,
-                n_records=n_records,
-                scale=calibration.scale_for(n_records),
-                seed=seed,
-            )
-            population = generator.generate(self.build.specs)
-        self.population = population
+        generator = PopulationGenerator(
+            marginals=calibration.marginals,
+            model=self.model,
+            n_records=n_records,
+            scale=calibration.scale_for(n_records),
+            seed=seed,
+        )
+        self.population = generator.generate(self.build.specs)
         self.interface = LinkedInInterface(self.population, self.build, rounding)
         from repro.platforms.audiences import AudienceService
 

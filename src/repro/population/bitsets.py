@@ -330,31 +330,6 @@ class AudienceIndex:
         }
         self._age = {a: BitVector.from_bool(age_codes == int(a)) for a in AGE_RANGES}
 
-    @classmethod
-    def from_vectors(
-        cls,
-        n_records: int,
-        attrs: Mapping[str, BitVector],
-        gender: Mapping[Gender, BitVector],
-        age: Mapping[AgeRange, BitVector],
-    ) -> "AudienceIndex":
-        """Rebuild an index from already-packed vectors without copying.
-
-        This is the worker-side rehydration path of the parallel
-        engine: the vectors wrap words living in a shared-memory block,
-        so the full attribute index costs no per-process memory beyond
-        the dict of views.  Insertion order of ``attrs`` must match the
-        exporting index (it is part of the determinism contract).
-        """
-        index = cls.__new__(cls)
-        index._n = int(n_records)
-        index._attrs = dict(attrs)
-        index._counts = None
-        index._all = BitVector.ones(index._n)
-        index._gender = dict(gender)
-        index._age = dict(age)
-        return index
-
     # -- registration ----------------------------------------------------
 
     def add_attribute(self, attr_id: str, members: BitVector | np.ndarray) -> None:

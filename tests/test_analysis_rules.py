@@ -637,145 +637,10 @@ def test_print_allowed_in_reporting_runner_and_cli():
     for module in (
         "repro.reporting.tables",
         "repro.experiments.runner",
-        "repro.parallel.engine",
         "repro.analysis.cli",
     ):
         findings, _ = lint("print('report')\n", module=module)
         assert findings == [], module
-
-
-# -- parallel safety ------------------------------------------------------
-
-
-def test_parallel_module_state_positive():
-    findings, _ = lint(
-        """
-        _BLOCK_COUNTER = {}
-        CACHE: dict = dict()
-        SEEN = set()
-        NAMES = [n for n in ("a", "b")]
-        """,
-        module="repro.parallel.shm",
-        path="src/repro/parallel/shm.py",
-    )
-    assert rule_ids(findings) == ["parallel/module-state"] * 4
-
-
-def test_parallel_module_state_immutable_negative():
-    findings, _ = lint(
-        """
-        from types import MappingProxyType
-
-        __all__ = ["GROUPS", "GROUP_OF_INTERFACE"]
-        GROUPS = ("facebook", "google", "linkedin")
-        GROUP_OF_INTERFACE = MappingProxyType({"facebook": "facebook"})
-        KEYS = frozenset({"a", "b"})
-        """,
-        module="repro.parallel.plan",
-        path="src/repro/parallel/plan.py",
-    )
-    assert findings == []
-
-
-def test_parallel_module_state_outside_package_is_fine():
-    findings, _ = lint(
-        "_CACHE: dict = {}\n",
-        module="repro.core.audit",
-        path="src/repro/core/audit.py",
-    )
-    assert "parallel/module-state" not in rule_ids(findings)
-
-
-def test_parallel_module_state_inside_function_is_fine():
-    findings, _ = lint(
-        """
-        def run():
-            local = {}
-            return local
-        """,
-        module="repro.parallel.worker",
-        path="src/repro/parallel/worker.py",
-    )
-    assert findings == []
-
-
-def test_direct_multiprocessing_positive():
-    findings, _ = lint(
-        """
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        from multiprocessing import shared_memory
-        """,
-        module="repro.core.audit",
-        path="src/repro/core/audit.py",
-    )
-    assert rule_ids(findings) == ["parallel/direct-multiprocessing"] * 3
-
-
-def test_direct_multiprocessing_allowed_in_parallel_package():
-    findings, _ = lint(
-        """
-        import multiprocessing as mp
-        from concurrent.futures import ProcessPoolExecutor
-        """,
-        module="repro.parallel.engine",
-        path="src/repro/parallel/engine.py",
-    )
-    assert findings == []
-
-
-def test_direct_multiprocessing_outside_repro_is_fine():
-    findings, _ = lint(
-        "import multiprocessing\n",
-        module="conftest",
-        path="tests/conftest.py",
-    )
-    assert findings == []
-
-
-def test_worker_rng_literal_seed_positive():
-    findings, _ = lint(
-        """
-        import random
-        from numpy.random import default_rng
-
-        def faults():
-            return default_rng(1031), random.Random(seed=7)
-        """,
-        module="repro.parallel.worker",
-        path="src/repro/parallel/worker.py",
-    )
-    assert rule_ids(findings) == ["parallel/unseeded-worker-rng"] * 2
-
-
-def test_worker_rng_unseeded_positive():
-    findings, _ = lint(
-        """
-        from numpy.random import default_rng
-
-        def faults():
-            return default_rng()
-        """,
-        module="repro.parallel.worker",
-        path="src/repro/parallel/worker.py",
-    )
-    # Both the parallel rule and determinism/unseeded-rng fire: the
-    # construct is wrong for two independent reasons.
-    assert "parallel/unseeded-worker-rng" in rule_ids(findings)
-
-
-def test_worker_rng_derived_seed_negative():
-    findings, _ = lint(
-        """
-        from numpy.random import default_rng
-
-        def faults(task):
-            return default_rng(derive_chaos_seed(task.chaos_seed, task.group))
-        """,
-        module="repro.parallel.worker",
-        path="src/repro/parallel/worker.py",
-    )
-    assert findings == []
 
 
 # -- engine: suppression, registry, baseline, paths ----------------------

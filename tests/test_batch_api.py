@@ -4,7 +4,7 @@ Covers the three layers the batch path adds: the server-side batch
 endpoints (per-item results and errors, envelope limits, rate-limit
 cost accounting), the clients' ``estimate_many`` (chunking, 429
 back-off, typed per-item errors), and the audit core's query planner
-(dedup, and bit-identical parity with the sequential path).
+(dedup, and bit-identical parity with direct per-composition audits).
 """
 
 from __future__ import annotations
@@ -178,41 +178,46 @@ class TestQueryPlanner:
     def test_batched_parity_with_sequential(
         self, session_small, study_ids, key, attribute_name
     ):
-        """Batched audits are bit-identical to the sequential path."""
+        """Batched audits equal a loop of direct ``audit`` calls."""
         ids = study_ids[key]
         compositions = [
             (ids[0],),
             (ids[0], ids[-1]),
             (ids[1], ids[-2]),
-            (ids[2], ids[2]),  # duplicate option: skipped by both paths
+            (ids[2], ids[2]),  # duplicate option: skipped by both
             (ids[3], ids[-4]),
         ]
         attribute = SENSITIVE_ATTRIBUTES[attribute_name]
-        batched_target = build_audit_targets(session_small.clients)[key]
-        sequential_target = build_audit_targets(session_small.clients)[key]
-        batched = batched_target.audit_many(compositions, attribute)
-        sequential = sequential_target.audit_many(
-            compositions, attribute, batched=False
+        batched = build_audit_targets(session_small.clients)[key].audit_many(
+            compositions, attribute
         )
+        target = build_audit_targets(session_small.clients)[key]
+        sequential = [
+            target.audit(options, attribute)
+            for options in compositions
+            if target.can_compose(options)
+        ]
         assert batched == sequential
 
     def test_error_parity_without_skip(self, session_small, study_ids):
-        """Both paths raise at the same inexpressible composition."""
+        """audit_many raises where the direct ``audit`` loop raises."""
         ids = study_ids["google"]
         client = session_small.clients["google"]
         features = {o.option_id: o.feature for o in client.catalog()}
         same = tuple(i for i in ids if features[i] == features[ids[0]])[:2]
         compositions = [(ids[0],), same, (ids[1],)]
         attribute = SENSITIVE_ATTRIBUTES["gender"]
-        for batched in (True, False):
-            target = build_audit_targets(session_small.clients)["google"]
-            with pytest.raises(UnsupportedCompositionError):
-                target.audit_many(
-                    compositions,
-                    attribute,
-                    skip_uncomposable=False,
-                    batched=batched,
-                )
+        target = build_audit_targets(session_small.clients)["google"]
+        with pytest.raises(UnsupportedCompositionError) as batched:
+            target.audit_many(compositions, attribute, skip_uncomposable=False)
+
+        target = build_audit_targets(session_small.clients)["google"]
+        audited = []
+        with pytest.raises(UnsupportedCompositionError) as direct:
+            for options in compositions:
+                audited.append(target.audit(options, attribute))
+        assert len(audited) == 1  # raised at ``same``, the second one
+        assert str(batched.value) == str(direct.value)
 
 
 class TestServerPriming:

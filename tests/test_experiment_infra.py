@@ -198,3 +198,27 @@ class TestRunnerCli:
 
         with pytest.raises(SystemExit):
             main(["--only", "fig99"])
+
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            (["--records", "0"], "--records: must be an integer >= 1"),
+            (["--compositions", "0"], "--compositions: must be an integer >= 1"),
+            (["--seed", "-1"], "--seed: must be an integer >= 0"),
+            (["--jobs", "2"], "--jobs: parallel execution was removed"),
+            (["--jobs", "0"], "--jobs: parallel execution was removed"),
+        ],
+    )
+    def test_main_rejects_bad_values_before_building(
+        self, monkeypatch, capsys, argv, message
+    ):
+        from repro.experiments import context, runner
+
+        built = []
+        monkeypatch.setattr(runner, "build_audit_session", built.append)
+        monkeypatch.setattr(context, "build_audit_session", built.append)
+        with pytest.raises(SystemExit) as exited:
+            runner.main(["--scale", "tiny", "--only", "fig1", *argv])
+        assert exited.value.code == 2
+        assert message in capsys.readouterr().err
+        assert built == []

@@ -1,0 +1,140 @@
+"""Golden-output gate: the rendered report must not drift.
+
+Every experiment section of a ``repro-audit`` run is reduced to a
+sha256 digest of its text, with the ``(N.Ns)`` wall time stripped from
+its header, and compared against ``tests/golden/tiny.json`` together
+with the run's total simulated API requests.  The same digests must
+come out of a fresh process under another ``PYTHONHASHSEED``, and the
+paper-scale run must reproduce ``results_full_run.txt`` line for line
+apart from wall times (a ``slow`` test).
+
+Regenerate the golden file only for a change that is meant to alter
+results::
+
+    PYTHONPATH=src python tests/test_golden.py > tests/golden/tiny.json
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+GOLDEN = Path(__file__).resolve().parent / "golden" / "tiny.json"
+FULL_RUN = ROOT / "results_full_run.txt"
+FULL_ARGS = ["--scale", "full", "--records", "100000", "--compositions", "500"]
+
+_HEADER = re.compile(r"^== (\w+): (.*) \(\d+\.\ds\) ==$")
+_TOTAL = re.compile(r"^Total simulated API requests: ([\d,]+) ")
+
+
+def _untimed(line: str) -> str:
+    """``line`` with a section header's wall time removed."""
+    return _HEADER.sub(r"== \1: \2 ==", line)
+
+
+def digest_report(text: str) -> dict:
+    """Per-experiment sha256 digests and the request total of a report."""
+    sections: dict[str, list[str]] = {}
+    current: list[str] | None = None
+    total = None
+    for line in text.splitlines():
+        header = _HEADER.match(line)
+        footer = _TOTAL.match(line)
+        if header:
+            current = sections.setdefault(header.group(1), [])
+        elif footer:
+            total = int(footer.group(1).replace(",", ""))
+            current = None
+        if current is not None:
+            current.append(_untimed(line))
+    return {
+        "total_api_requests": total,
+        "sections": {
+            name: hashlib.sha256("\n".join(lines).encode()).hexdigest()
+            for name, lines in sections.items()
+        },
+    }
+
+
+def _run_cli(args: list[str], hash_seed: str) -> str:
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    result = subprocess.run(
+        [sys.executable, "-m", "repro.experiments.runner", *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return result.stdout
+
+
+def _tiny_report() -> str:
+    from repro.experiments.config import ExperimentConfig
+    from repro.experiments.runner import run_all
+
+    return run_all(ExperimentConfig.tiny()).render()
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(GOLDEN.read_text())
+
+
+@pytest.fixture(scope="module")
+def tiny_digests() -> dict:
+    return digest_report(_tiny_report())
+
+
+def test_golden_covers_the_whole_registry(golden):
+    from repro.experiments.runner import EXPERIMENTS
+
+    assert list(golden["sections"]) == list(EXPERIMENTS)
+
+
+def test_tiny_run_matches_golden_digests(tiny_digests, golden):
+    assert tiny_digests["sections"] == golden["sections"]
+
+
+def test_tiny_run_matches_golden_request_total(tiny_digests, golden):
+    assert tiny_digests["total_api_requests"] == golden["total_api_requests"]
+
+
+def test_digests_stable_under_another_hash_seed(golden):
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    assert digest_report(_run_cli(["--scale", "tiny"], seed)) == golden
+
+
+def test_digest_ignores_only_header_wall_times():
+    a = "== fig1: Figure 1 (x) (0.7s) ==\nbody\n\nTotal simulated API requests: 5 (p)"
+    b = a.replace("(0.7s)", "(12.3s)")
+    assert digest_report(a) == digest_report(b)
+    assert digest_report(a) != digest_report(a.replace("body", "bodY"))
+
+
+@pytest.mark.slow
+def test_full_scale_run_reproduces_results_full_run():
+    def comparable(text: str) -> list[str]:
+        return [
+            _untimed(line)
+            for line in text.splitlines()
+            if not line.startswith("Total wall time:")
+        ]
+
+    produced = _run_cli(FULL_ARGS, os.environ.get("PYTHONHASHSEED", "0"))
+    assert comparable(produced) == comparable(FULL_RUN.read_text())
+
+
+if __name__ == "__main__":
+    print(json.dumps(digest_report(_tiny_report()), indent=2))

@@ -46,11 +46,10 @@ def test_every_rule_family_is_loaded():
         "determinism",
         "layering",
         "errors",
-        "parallel",
         "obs",
         "taint",
     }
-    assert len(all_rules()) >= 12
+    assert len(all_rules()) == 9
     assert len(all_project_rules()) == 3
 
 

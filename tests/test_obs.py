@@ -1,13 +1,12 @@
 """Specs for the observability island (:mod:`repro.obs`).
 
 Unit tests pin the tracer's span-tree mechanics (nesting, events,
-absorb/merge, JSONL export), the metrics registry's label and bucket
-semantics, and the ``repro-trace`` summarizer.  Hypothesis property
-tests replay arbitrary span programs and check the structural
-invariants the rest of the suite relies on: spans nest properly, every
-child interval lies within its parent's, and identical programs --
-including parallel-style absorbs done in canonical order -- produce
-identical structures.
+JSONL export), the metrics registry's label and bucket semantics, and
+the ``repro-trace`` summarizer.  Hypothesis property tests replay
+arbitrary span programs and check the structural invariants the rest
+of the suite relies on: spans nest properly, every child interval lies
+within its parent's, and identical programs produce identical
+structures.
 """
 
 from __future__ import annotations
@@ -109,87 +108,6 @@ class TestTracerSpans:
         assert structure(replay(["a", "b"])) != structure(replay(["b", "a"]))
 
 
-class TestTracerAbsorb:
-    def _worker(self, group, parts):
-        worker = Tracer(f"shard:{group}", group=group)
-        for part in parts:
-            with worker.span("experiment.fig2", part=part):
-                worker.event("transport.request", platform=group)
-        return worker.export()
-
-    def test_absorb_collapses_the_worker_root_into_the_anchor(self):
-        parent = Tracer("parent")
-        with parent.span("parallel.run", jobs=2):
-            anchor = parent.absorb(self._worker("facebook", [0, 1]), "shard:facebook")
-        assert anchor.attrs == {"group": "facebook"}
-        assert [child.name for child in anchor.children] == [
-            "experiment.fig2",
-            "experiment.fig2",
-        ]
-        assert parent.event_counts() == {"transport.request": 2}
-
-    def test_absorb_shifts_times_and_keeps_nesting(self):
-        parent = Tracer("parent")
-        with parent.span("parallel.run"):
-            anchor = parent.absorb(self._worker("google", [0]), "shard:google")
-        assert anchor.start >= 0.0
-        for child in anchor.children:
-            assert anchor.start <= child.start <= child.end <= anchor.end
-        run = parent.root.children[0]
-        assert run.start <= anchor.start and anchor.end <= run.end
-
-    def test_parent_interval_covers_absorbed_concurrent_clocks(self):
-        # A worker trace can outlast the moment the parent closes its
-        # span (concurrent clocks); the parent's end must stretch.
-        worker = [
-            {
-                "id": 0,
-                "parent": None,
-                "name": "w",
-                "attrs": {},
-                "start": 0.0,
-                "end": 100.0,
-                "events": [],
-            },
-            {
-                "id": 1,
-                "parent": 0,
-                "name": "experiment.fig2",
-                "attrs": {},
-                "start": 0.0,
-                "end": 100.0,
-                "events": [],
-            },
-        ]
-        parent = Tracer("parent")
-        with parent.span("parallel.run"):
-            parent.absorb(worker, "shard:w")
-        run = parent.root.children[0]
-        anchor = run.children[0]
-        assert anchor.end == pytest.approx(anchor.start + 100.0)
-        assert run.end >= anchor.end
-        records = parent.export()
-        root = records[0]
-        assert root["end"] >= max(r["end"] for r in records)
-
-    def test_absorb_is_order_preserving_never_order_restoring(self):
-        shards = {
-            "facebook": self._worker("facebook", [0]),
-            "google": self._worker("google", [0]),
-        }
-
-        def merged(order):
-            parent = Tracer("parent")
-            with parent.span("parallel.run"):
-                for group in order:
-                    parent.absorb(shards[group], f"shard:{group}")
-            return structure(parent.export())
-
-        canonical = ["facebook", "google"]
-        assert merged(canonical) == merged(canonical)
-        assert merged(canonical) != merged(list(reversed(canonical)))
-
-
 class TestJsonlRoundTrip:
     def test_write_jsonl_round_trips_through_load_trace(self, tmp_path):
         tracer = Tracer("run", scale="tiny")
@@ -223,7 +141,6 @@ class TestNullSinks:
         with NULL_TRACER.span("anything", attr=1) as span:
             assert span is None
         assert NULL_TRACER.event("tick") is None
-        assert NULL_TRACER.absorb([], "anchor") is None
         assert NULL_TRACER.event_counts() == {}
         assert isinstance(NULL_TRACER, NullTracer)
 
@@ -284,50 +201,6 @@ class TestMetricsRegistry:
         metrics.register_buckets("batch", COUNT_BUCKETS)
         assert metrics.bucket_bounds("batch") == COUNT_BUCKETS
         assert metrics.bucket_bounds("other") == DURATION_BUCKETS
-
-    def test_absorb_adds_counters_merges_histograms(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.inc("requests", platform="facebook", value=2.0)
-        b.inc("requests", platform="facebook", value=3.0)
-        b.inc("requests", platform="google")
-        a.observe("latency", 0.2)
-        b.observe("latency", 0.3)
-        a.gauge("depth", 1.0)
-        b.gauge("depth", 7.0)
-        a.absorb(b.export())
-        assert a.counter_value("requests", platform="facebook") == 5.0
-        assert a.counter_total("requests") == 6.0
-        series = a.export()["histograms"][0][2]
-        assert series["count"] == 2
-        assert series["sum"] == pytest.approx(0.5)
-        gauges = {name: value for name, _labels, value in a.export()["gauges"]}
-        assert gauges["depth"] == 7.0  # last write wins on merge
-
-    def test_absorb_rejects_diverging_histogram_bounds(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.observe("latency", 0.2)
-        b.register_buckets("latency", (1.0, 2.0))
-        b.observe("latency", 0.2)
-        with pytest.raises(ValueError, match="diverge"):
-            a.absorb(b.export())
-
-    def test_absorb_commutes_for_counters_and_histograms(self):
-        def build(values):
-            registry = MetricsRegistry()
-            for value in values:
-                registry.inc("requests", platform="facebook")
-                registry.observe("latency", value)
-            return registry.export()
-
-        left, right = build([0.1, 0.2]), build([5.0])
-        ab, ba = MetricsRegistry(), MetricsRegistry()
-        ab.absorb(left)
-        ab.absorb(right)
-        ba.absorb(right)
-        ba.absorb(left)
-        exported_ab, exported_ba = ab.export(), ba.export()
-        assert exported_ab["counters"] == exported_ba["counters"]
-        assert exported_ab["histograms"] == exported_ba["histograms"]
 
     def test_render_lists_each_family(self):
         metrics = MetricsRegistry()
@@ -400,29 +273,6 @@ class TestSpanTreeProperties:
         assert structure(_run_program(programs)) == structure(
             _run_program(programs)
         )
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.lists(_PROGRAMS, min_size=1, max_size=3), st.lists(_PROGRAMS, max_size=3))
-    def test_canonical_absorb_is_stable_and_properly_nested(self, left, right):
-        shards = {"left": _run_program(left), "right": _run_program(right)}
-
-        def merged():
-            parent = Tracer("merged")
-            with parent.span("parallel.run", jobs=2):
-                for group in ("left", "right"):  # canonical order
-                    parent.absorb(shards[group], f"shard:{group}")
-            return parent.export()
-
-        first, second = merged(), merged()
-        assert structure(first) == structure(second)
-        by_id = {record["id"]: record for record in first}
-        for record in first:
-            if record["parent"] is None:
-                continue
-            parent = by_id[record["parent"]]
-            assert parent["start"] <= record["start"]
-            assert record["end"] <= parent["end"]
-
 
 # -- repro-trace ----------------------------------------------------------
 

