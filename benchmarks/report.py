@@ -31,7 +31,6 @@ import time
 from pathlib import Path
 
 from repro import build_audit_session
-from repro.analysis import all_project_rules, all_rules, json_payload, run_lint
 from repro.experiments import (
     ExperimentConfig,
     ExperimentContext,
@@ -173,20 +172,6 @@ def _paired_obs_overhead(run, records: int, rounds: int) -> float:
     return round(best[True] / best[False] - 1.0, 4)
 
 
-def _lint_audit() -> dict:
-    """``repro-lint --format json`` over ``src/``, for drift tracking.
-
-    Recording the rule counts and analyzer wall time next to the perf
-    numbers means a PR that slows the linter down or starts leaning on
-    suppressions/baseline entries shows up in the same diff as its
-    benchmark deltas.
-    """
-    repo_root = Path(__file__).resolve().parent.parent
-    rules = all_rules() + all_project_rules()
-    lint_report, wall = run_lint([repo_root / "src"], rules=rules, root=repo_root)
-    return json_payload(lint_report, rules, wall)
-
-
 def build_report(
     records: int,
     rounds: int,
@@ -204,7 +189,6 @@ def build_report(
             "bit-identical audit records"
         ),
         "experiments": {},
-        "lint": _lint_audit(),
     }
     baselines = baselines or {}
     for name, run in EXPERIMENTS.items():
@@ -305,13 +289,6 @@ def main() -> None:
             f"resilience overhead {entry['resilience_overhead']:+.1%}; "
             f"obs overhead {entry['obs_overhead']:+.1%}"
         )
-    lint = report["lint"]
-    print(
-        f"lint: {lint['files']} files, {sum(lint['rules'].values())} "
-        f"finding(s), {lint['suppressed']} suppressed, "
-        f"{lint['wall_seconds']}s "
-        f"(interprocedural {lint['interprocedural_seconds']}s)"
-    )
     print(f"wrote {args.out}")
 
 

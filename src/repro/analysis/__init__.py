@@ -22,16 +22,16 @@ graph (:mod:`repro.analysis.graph`) with fixpoint dataflow summaries
 * ``determinism/transitive-ambient`` -- public functions transitively
   reaching ambient entropy are flagged with the call chain.
 
-Run it as ``repro-lint src`` (or ``python -m repro.analysis src``),
-or import :func:`analyze_paths` / :func:`analyze_source` directly;
-``tests/test_lint_clean.py`` gates tier-1 on a clean tree.  Warm
-re-runs are incremental (``.repro-lint-cache.json``); see
-``--changed`` and ``--format sarif`` for the pre-commit
-and CI surfaces.
+Every entry point runs one pipeline: a per-file pass (parse, module
+rules, summary) over each file, then one link of the whole program
+and the project rules.  Run it as ``repro-lint src`` (or ``python -m
+repro.analysis src``), or import :func:`analyze_paths` /
+:func:`analyze_source` directly; ``tests/test_lint_clean.py`` gates
+tier-1 on a clean tree.  A ``# repro-lint: disable=<rule>`` comment is
+the one way to accept a finding.
 """
 
-from repro.analysis.baseline import Baseline, BaselineEntry
-from repro.analysis.cli import json_payload, main, run_lint, select_rules
+from repro.analysis.cli import json_payload, main, select_rules
 from repro.analysis.core import (
     AnalysisReport,
     Finding,
@@ -50,13 +50,9 @@ from repro.analysis.core import (
 )
 from repro.analysis.dataflow import SummaryProblem, fixpoint
 from repro.analysis.graph import ModuleSummary, Project, extract_summary
-from repro.analysis.incremental import incremental_analyze
-from repro.analysis.sarif import sarif_document
 
 __all__ = [
     "AnalysisReport",
-    "Baseline",
-    "BaselineEntry",
     "Finding",
     "ModuleContext",
     "ModuleSummary",
@@ -71,14 +67,11 @@ __all__ = [
     "analyze_source",
     "extract_summary",
     "fixpoint",
-    "incremental_analyze",
     "json_payload",
     "main",
     "module_name_for",
     "project_rule",
     "register",
     "rule",
-    "run_lint",
-    "sarif_document",
     "select_rules",
 ]

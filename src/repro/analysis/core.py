@@ -33,12 +33,14 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "AnalysisReport",
+    "FileResult",
     "Finding",
     "ModuleContext",
     "ProjectRule",
     "Rule",
     "all_project_rules",
     "all_rules",
+    "analyze_file",
     "analyze_paths",
     "analyze_project",
     "analyze_source",
@@ -492,6 +494,77 @@ def iter_python_files(paths: Iterable[Path]) -> Iterator[Path]:
     yield from sorted(set(seen))
 
 
+@dataclass
+class FileResult:
+    """Product of the per-file pass over one module."""
+
+    path: str
+    findings: list[Finding] = field(default_factory=list)
+    suppressed: list[Finding] = field(default_factory=list)
+    #: The module's :class:`~repro.analysis.graph.ModuleSummary`, the
+    #: only per-file product the whole-program link needs.
+    summary: object = None
+    #: (line map, file-wide set) routing whole-program findings.
+    suppressions: tuple[Mapping[int, set[str]], frozenset[str]] = ({}, frozenset())
+    parse_error: str | None = None
+
+
+def analyze_file(
+    source: str,
+    path: str,
+    module: str,
+    is_package: bool,
+    rules: Sequence[Rule],
+) -> FileResult:
+    """The per-file pass: parse, run the module rules, extract a summary."""
+    from repro.analysis import graph
+
+    try:
+        ctx = build_context(source, path=path, module=module, is_package=is_package)
+    except SyntaxError as exc:
+        return FileResult(path, parse_error=f"{path}: {exc}")
+    findings, suppressed = _run_module_rules(ctx, rules)
+    return FileResult(
+        path,
+        findings,
+        suppressed,
+        graph.extract_summary(ctx),
+        (ctx.line_suppressions, ctx.file_suppressions),
+    )
+
+
+def _link(
+    results: Iterable[FileResult],
+    project_rules: Sequence[ProjectRule] | None,
+) -> AnalysisReport:
+    """Gather per-file results, link them, and run the project rules."""
+    from repro.analysis.graph import Project
+
+    if project_rules is None:
+        project_rules = all_project_rules()
+    report = AnalysisReport()
+    summaries = []
+    suppressions: dict[str, tuple[Mapping[int, set[str]], frozenset[str]]] = {}
+    for result in results:
+        report.files += 1
+        if result.parse_error is not None:
+            report.parse_errors.append(result.parse_error)
+            continue
+        report.findings.extend(result.findings)
+        report.suppressed.extend(result.suppressed)
+        summaries.append(result.summary)
+        suppressions[result.path] = result.suppressions
+    started = time.perf_counter()
+    project = Project(summaries)
+    findings, suppressed = run_project_rules(project, project_rules, suppressions)
+    report.interprocedural_seconds = time.perf_counter() - started
+    report.findings.extend(findings)
+    report.suppressed.extend(suppressed)
+    report.findings.sort()
+    report.suppressed.sort()
+    return report
+
+
 def analyze_paths(
     paths: Iterable[str | Path],
     rules: Sequence[Rule] | None = None,
@@ -506,54 +579,24 @@ def analyze_paths(
     into a :class:`~repro.analysis.graph.Project` and every project
     rule runs over the whole-program call graph.
     """
-    from repro.analysis.graph import Project, extract_summary
-
     rules = list(rules) if rules is not None else list(all_rules())
-    project_rules = (
-        list(project_rules)
-        if project_rules is not None
-        else list(all_project_rules())
-    )
-    root = Path(root) if root is not None else Path.cwd()
-    report = AnalysisReport()
-    summaries = []
-    suppressions: dict[str, tuple[Mapping[int, set[str]], frozenset[str]]] = {}
-    for file_path in iter_python_files(Path(p) for p in paths):
-        report.files += 1
-        try:
-            display = file_path.resolve().relative_to(root.resolve()).as_posix()
-        except ValueError:
-            display = file_path.as_posix()
-        module, is_package = module_name_for(file_path)
-        try:
-            source = file_path.read_text(encoding="utf-8")
-            ctx = build_context(
-                source, path=display, module=module, is_package=is_package
-            )
-        except (SyntaxError, UnicodeDecodeError) as exc:
-            report.parse_errors.append(f"{display}: {exc}")
-            continue
-        findings, suppressed = _run_module_rules(ctx, rules)
-        report.findings.extend(findings)
-        report.suppressed.extend(suppressed)
-        if project_rules:
-            summaries.append(extract_summary(ctx))
-            suppressions[display] = (
-                ctx.line_suppressions,
-                ctx.file_suppressions,
-            )
-    if project_rules:
-        started = time.perf_counter()
-        project = Project(summaries)
-        findings, suppressed = run_project_rules(
-            project, project_rules, suppressions
-        )
-        report.interprocedural_seconds = time.perf_counter() - started
-        report.findings.extend(findings)
-        report.suppressed.extend(suppressed)
-    report.findings.sort()
-    report.suppressed.sort()
-    return report
+    root = (Path(root) if root is not None else Path.cwd()).resolve()
+
+    def results() -> Iterator[FileResult]:
+        for file_path in iter_python_files(Path(p) for p in paths):
+            try:
+                display = file_path.resolve().relative_to(root).as_posix()
+            except ValueError:
+                display = file_path.as_posix()
+            try:
+                source = file_path.read_text(encoding="utf-8")
+            except UnicodeDecodeError as exc:
+                yield FileResult(display, parse_error=f"{display}: {exc}")
+                continue
+            module, is_package = module_name_for(file_path)
+            yield analyze_file(source, display, module, is_package, rules)
+
+    return _link(results(), project_rules)
 
 
 def analyze_project(
@@ -563,38 +606,18 @@ def analyze_project(
 ) -> tuple[list[Finding], list[Finding]]:
     """Lint a multi-module fixture given ``(path, module, source)`` triples.
 
-    Runs both the per-module rules and the whole-program rules, exactly
-    as :func:`analyze_paths` would for files on disk; used by tests to
-    exercise interprocedural rules without touching the filesystem.
+    Runs the same pipeline as :func:`analyze_paths` over in-memory
+    sources; used by tests to exercise interprocedural rules without
+    touching the filesystem.
     """
-    from repro.analysis.graph import Project, extract_summary
-
     rules = list(rules) if rules is not None else list(all_rules())
-    project_rules = (
-        list(project_rules)
-        if project_rules is not None
-        else list(all_project_rules())
+    report = _link(
+        (
+            analyze_file(source, path, module, path.endswith("__init__.py"), rules)
+            for path, module, source in files
+        ),
+        project_rules,
     )
-    findings: list[Finding] = []
-    suppressed: list[Finding] = []
-    summaries = []
-    suppressions: dict[str, tuple[Mapping[int, set[str]], frozenset[str]]] = {}
-    for path, module, source in files:
-        ctx = build_context(
-            source,
-            path=path,
-            module=module,
-            is_package=path.endswith("__init__.py"),
-        )
-        file_findings, file_suppressed = _run_module_rules(ctx, rules)
-        findings.extend(file_findings)
-        suppressed.extend(file_suppressed)
-        summaries.append(extract_summary(ctx))
-        suppressions[path] = (ctx.line_suppressions, ctx.file_suppressions)
-    project = Project(summaries)
-    project_findings, project_suppressed = run_project_rules(
-        project, project_rules, suppressions
-    )
-    return sorted(findings + project_findings), sorted(
-        suppressed + project_suppressed
-    )
+    if report.parse_errors:
+        raise SyntaxError(report.parse_errors[0])
+    return report.findings, report.suppressed

@@ -4,7 +4,7 @@ The per-file rules see one module at a time; the interprocedural
 rules (:mod:`repro.analysis.flows`) need to know *who calls whom*
 across the whole ``population -> platforms -> api -> core ->
 reporting/experiments`` DAG.  This module provides that in two
-stages, deliberately separated so the first can be cached per file:
+stages, the first per file and the second over the whole program:
 
 1. **Extraction** (:func:`extract_summary`): one pass over a module's
    AST producing a :class:`ModuleSummary` -- imported-name aliases,
@@ -12,8 +12,7 @@ stages, deliberately separated so the first can be cached per file:
    :class:`FunctionSummary` per function with its ordered call sites,
    assignments, returns, raise sites (each with the ``except`` context
    active at the site), and direct ambient-entropy reads.  Summaries
-   are plain-data and JSON-round-trippable, so the incremental cache
-   can persist them and skip re-parsing unchanged files.
+   are plain data: the linker never sees an AST.
 
 2. **Linking** (:class:`Project`): summaries from every file are
    joined into a global symbol table.  Aliases are followed through
@@ -34,7 +33,7 @@ from __future__ import annotations
 import ast
 import builtins
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.analysis.core import ModuleContext, dotted_name
 
@@ -82,35 +81,6 @@ class CallSite:
     line: int = 0
     col: int = 0
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "callee": list(self.callee),
-            "args": [list(a) for a in self.args],
-            "keywords": {k: list(v) for k, v in self.keywords.items()},
-            "receiver": list(self.receiver) if self.receiver else None,
-            "live_keywords": list(self.live_keywords),
-            "caught": [[list(c) for c in layer] for layer in self.caught],
-            "line": self.line,
-            "col": self.col,
-        }
-
-    @classmethod
-    def from_json(cls, data: Mapping[str, Any]) -> "CallSite":
-        callee = list(data["callee"])
-        if callee and callee[0] == "method" and isinstance(callee[1], list):
-            # The receiver hint is itself a ref: restore the nesting.
-            callee[1] = tuple(callee[1])
-        return cls(
-            callee=tuple(callee),
-            args=[tuple(a) for a in data["args"]],
-            keywords={k: tuple(v) for k, v in data["keywords"].items()},
-            receiver=tuple(data["receiver"]) if data["receiver"] else None,
-            live_keywords=list(data["live_keywords"]),
-            caught=[[tuple(c) for c in layer] for layer in data["caught"]],
-            line=data["line"],
-            col=data["col"],
-        )
-
 
 @dataclass
 class RaiseSite:
@@ -123,25 +93,6 @@ class RaiseSite:
     caught: list[list[CalleeRef]] = field(default_factory=list)
     line: int = 0
     col: int = 0
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "exc": list(self.exc) if self.exc is not None else None,
-            "reraise": self.reraise,
-            "caught": [[list(c) for c in layer] for layer in self.caught],
-            "line": self.line,
-            "col": self.col,
-        }
-
-    @classmethod
-    def from_json(cls, data: Mapping[str, Any]) -> "RaiseSite":
-        return cls(
-            exc=tuple(data["exc"]) if data["exc"] is not None else None,
-            reraise=data["reraise"],
-            caught=[[tuple(c) for c in layer] for layer in data["caught"]],
-            line=data["line"],
-            col=data["col"],
-        )
 
 
 @dataclass
@@ -173,39 +124,6 @@ class FunctionSummary:
     def is_public(self) -> bool:
         return not self.name.startswith("_") and "<locals>" not in self.local_qname
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "local_qname": self.local_qname,
-            "name": self.name,
-            "line": self.line,
-            "col": self.col,
-            "params": list(self.params),
-            "annotations": {k: list(v) for k, v in self.annotations.items()},
-            "request_path": self.request_path,
-            "calls": [c.to_json() for c in self.calls],
-            "raises": [r.to_json() for r in self.raises],
-            "assigns": [[t, list(v)] for t, v in self.assigns],
-            "returns": [list(r) for r in self.returns],
-            "ambient": [list(a) for a in self.ambient],
-        }
-
-    @classmethod
-    def from_json(cls, data: Mapping[str, Any]) -> "FunctionSummary":
-        return cls(
-            local_qname=data["local_qname"],
-            name=data["name"],
-            line=data["line"],
-            col=data["col"],
-            params=list(data["params"]),
-            annotations={k: tuple(v) for k, v in data["annotations"].items()},
-            request_path=data["request_path"],
-            calls=[CallSite.from_json(c) for c in data["calls"]],
-            raises=[RaiseSite.from_json(r) for r in data["raises"]],
-            assigns=[(t, tuple(v)) for t, v in data["assigns"]],
-            returns=[tuple(r) for r in data["returns"]],
-            ambient=[tuple(a) for a in data["ambient"]],
-        )
-
 
 @dataclass
 class ClassSummary:
@@ -220,27 +138,6 @@ class ClassSummary:
     #: assignments and class-level annotations.
     attr_types: dict[str, CalleeRef] = field(default_factory=dict)
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "local_qname": self.local_qname,
-            "name": self.name,
-            "line": self.line,
-            "bases": [list(b) for b in self.bases],
-            "methods": list(self.methods),
-            "attr_types": {k: list(v) for k, v in self.attr_types.items()},
-        }
-
-    @classmethod
-    def from_json(cls, data: Mapping[str, Any]) -> "ClassSummary":
-        return cls(
-            local_qname=data["local_qname"],
-            name=data["name"],
-            line=data["line"],
-            bases=[tuple(b) for b in data["bases"]],
-            methods=list(data["methods"]),
-            attr_types={k: tuple(v) for k, v in data["attr_types"].items()},
-        )
-
 
 @dataclass
 class ModuleSummary:
@@ -253,32 +150,6 @@ class ModuleSummary:
     aliases: dict[str, str] = field(default_factory=dict)
     functions: dict[str, FunctionSummary] = field(default_factory=dict)
     classes: dict[str, ClassSummary] = field(default_factory=dict)
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "path": self.path,
-            "module": self.module,
-            "is_package": self.is_package,
-            "aliases": dict(self.aliases),
-            "functions": {k: f.to_json() for k, f in self.functions.items()},
-            "classes": {k: c.to_json() for k, c in self.classes.items()},
-        }
-
-    @classmethod
-    def from_json(cls, data: Mapping[str, Any]) -> "ModuleSummary":
-        return cls(
-            path=data["path"],
-            module=data["module"],
-            is_package=data["is_package"],
-            aliases=dict(data["aliases"]),
-            functions={
-                k: FunctionSummary.from_json(f)
-                for k, f in data["functions"].items()
-            },
-            classes={
-                k: ClassSummary.from_json(c) for k, c in data["classes"].items()
-            },
-        )
 
 
 # -- extraction -----------------------------------------------------------

@@ -7,12 +7,11 @@ rules depend on: facade re-exports (including rename chains and
 module-level assignment aliases), decorated functions,
 ``functools.partial``, nested functions, method dispatch through the
 MRO with subclass fan-out, ``self.attr`` receivers, and the
-exception-type lattice.  A round-trip test pins the JSON cache format.
+exception-type lattice.
 """
 
 from __future__ import annotations
 
-import json
 import textwrap
 
 from repro.analysis import Project, extract_summary
@@ -344,7 +343,7 @@ def test_exception_resolution_and_subtyping():
     }
 
 
-# -- summaries and the cache format ---------------------------------------
+# -- summaries ------------------------------------------------------------
 
 
 def test_request_path_and_publicity_flags():
@@ -384,16 +383,10 @@ def test_module_summary_json_roundtrip_preserves_edges():
                     raise RuntimeError("boom")
         """,
     )
-    original = summarize(*mod)
-    restored = ModuleSummary.from_json(json.loads(json.dumps(original.to_json())))
-    assert restored.to_json() == original.to_json()
-    for project in (
-        Project([summarize(*BASE), original]),
-        Project([summarize(*BASE), restored]),
-    ):
-        assert project.callees_at("pkg.svc.Service.run", 0) == (
-            "pkg.base.Interface.estimate",
-        )
-        raise_site = project.functions["pkg.svc.Service.run"].summary.raises[0]
-        assert raise_site.exc == ("local", "RuntimeError")
-        assert not raise_site.reraise
+    project = Project([summarize(*BASE), summarize(*mod)])
+    assert project.callees_at("pkg.svc.Service.run", 0) == (
+        "pkg.base.Interface.estimate",
+    )
+    raise_site = project.functions["pkg.svc.Service.run"].summary.raises[0]
+    assert raise_site.exc == ("local", "RuntimeError")
+    assert not raise_site.reraise

@@ -8,14 +8,11 @@ uses.  The seeded-RNG cases include the keyword-argument guard:
 
 from __future__ import annotations
 
-import json
 import textwrap
 
 import pytest
 
 from repro.analysis import (
-    Baseline,
-    Finding,
     Rule,
     all_project_rules,
     all_rules,
@@ -643,7 +640,7 @@ def test_print_allowed_in_reporting_runner_and_cli():
         assert findings == [], module
 
 
-# -- engine: suppression, registry, baseline, paths ----------------------
+# -- engine: suppression, registry, paths --------------------------------
 
 
 def test_directive_inside_string_literal_is_inert():
@@ -747,45 +744,6 @@ def test_analyze_paths_collects_parse_errors(tmp_path):
     assert report.findings == []
     assert len(report.parse_errors) == 1
     assert not report.clean
-
-
-def test_baseline_absorbs_each_entry_once(tmp_path):
-    finding = Finding(
-        path="src/repro/core/x.py",
-        line=3,
-        col=0,
-        rule="errors/print",
-        message="msg",
-    )
-    moved = Finding(
-        path="src/repro/core/x.py",
-        line=99,
-        col=4,
-        rule="errors/print",
-        message="msg",
-    )
-    baseline = Baseline.from_findings([finding])
-    path = tmp_path / "baseline.json"
-    baseline.save(path)
-    loaded = Baseline.load(path)
-
-    new, matched, stale = loaded.apply([moved])
-    assert (new, matched, stale) == ([], [moved], [])
-
-    # A second identical violation is not covered by the single entry.
-    new, matched, stale = loaded.apply([moved, finding])
-    assert matched == [moved] and new == [finding]
-
-    # Entries matching nothing are reported stale.
-    new, matched, stale = loaded.apply([])
-    assert stale == loaded.entries
-
-
-def test_baseline_roundtrip_is_json(tmp_path):
-    path = tmp_path / "baseline.json"
-    Baseline.from_findings([]).save(path)
-    data = json.loads(path.read_text())
-    assert data["findings"] == []
 
 
 # -- obs/ambient-instrumentation ------------------------------------------

@@ -8,10 +8,18 @@ come out of a fresh process under another ``PYTHONHASHSEED``, and the
 paper-scale run must reproduce ``results_full_run.txt`` line for line
 apart from wall times (a ``slow`` test).
 
-Regenerate the golden file only for a change that is meant to alter
+Below the rendered text, every audit record the tiny run creates is
+digested too (``tests/golden/tiny_records.json``): per experiment, the
+count and one sha256 over each ``TargetingAudit`` serialised by
+``audit_to_json`` with sorted keys, in creation order.  A change to any
+record then fails even when no rendered digit moves.
+
+Regenerate the golden files only for a change that is meant to alter
 results::
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden/tiny.json
+    PYTHONPATH=src python tests/test_golden.py --records \
+        > tests/golden/tiny_records.json
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 GOLDEN = Path(__file__).resolve().parent / "golden" / "tiny.json"
+RECORDS = GOLDEN.with_name("tiny_records.json")
 FULL_RUN = ROOT / "results_full_run.txt"
 FULL_ARGS = ["--scale", "full", "--records", "100000", "--compositions", "500"]
 
@@ -80,11 +89,43 @@ def _run_cli(args: list[str], hash_seed: str) -> str:
     return result.stdout
 
 
-def _tiny_report() -> str:
+def _tiny_run() -> tuple[str, dict]:
+    """The rendered tiny run and the digests of its audit records."""
+    from repro.core import audit
     from repro.experiments.config import ExperimentConfig
-    from repro.experiments.runner import run_all
+    from repro.experiments.runner import EXPERIMENTS, run_all
+    from repro.reporting.serialize import audit_to_json
 
-    return run_all(ExperimentConfig.tiny()).render()
+    build = audit.TargetingAudit
+    records: dict[str, list[str]] = {}
+    current = ""
+
+    def recording(**fields):
+        made = build(**fields)
+        records[current].append(json.dumps(audit_to_json(made), sort_keys=True))
+        return made
+
+    def scoped(name, runner):
+        def run(ctx):
+            nonlocal current
+            current = name
+            records[name] = []
+            return runner(ctx)
+
+        return run
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(audit, "TargetingAudit", recording)
+        for name, (title, runner) in list(EXPERIMENTS.items()):
+            patch.setitem(EXPERIMENTS, name, (title, scoped(name, runner)))
+        text = run_all(ExperimentConfig.tiny()).render()
+    return text, {
+        name: {
+            "audits": len(lines),
+            "sha256": hashlib.sha256("\n".join(lines).encode()).hexdigest(),
+        }
+        for name, lines in records.items()
+    }
 
 
 @pytest.fixture(scope="module")
@@ -93,8 +134,13 @@ def golden() -> dict:
 
 
 @pytest.fixture(scope="module")
-def tiny_digests() -> dict:
-    return digest_report(_tiny_report())
+def tiny_run() -> tuple[str, dict]:
+    return _tiny_run()
+
+
+@pytest.fixture(scope="module")
+def tiny_digests(tiny_run) -> dict:
+    return digest_report(tiny_run[0])
 
 
 def test_golden_covers_the_whole_registry(golden):
@@ -109,6 +155,10 @@ def test_tiny_run_matches_golden_digests(tiny_digests, golden):
 
 def test_tiny_run_matches_golden_request_total(tiny_digests, golden):
     assert tiny_digests["total_api_requests"] == golden["total_api_requests"]
+
+
+def test_tiny_run_matches_golden_record_digests(tiny_run):
+    assert tiny_run[1] == json.loads(RECORDS.read_text())
 
 
 def test_digests_stable_under_another_hash_seed(golden):
@@ -137,4 +187,6 @@ def test_full_scale_run_reproduces_results_full_run():
 
 
 if __name__ == "__main__":
-    print(json.dumps(digest_report(_tiny_report()), indent=2))
+    text, records = _tiny_run()
+    golden_file = records if sys.argv[1:] == ["--records"] else digest_report(text)
+    print(json.dumps(golden_file, indent=2))

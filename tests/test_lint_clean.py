@@ -14,13 +14,11 @@ from __future__ import annotations
 import json
 import shutil
 import subprocess
-import time
 from pathlib import Path
 
 import pytest
 
 from repro.analysis import (
-    Baseline,
     all_project_rules,
     all_rules,
     analyze_paths,
@@ -28,16 +26,13 @@ from repro.analysis import (
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-BASELINE = REPO_ROOT / "lint_baseline.json"
 
 
 def test_src_tree_is_lint_clean():
     report = analyze_paths([REPO_ROOT / "src"], root=REPO_ROOT)
     assert not report.parse_errors, report.parse_errors
-    new, _, stale = Baseline.load(BASELINE).apply(report.findings)
-    details = "\n".join(finding.render() for finding in new)
-    assert not new, f"repro-lint found unbaselined violations:\n{details}"
-    assert not stale, f"stale baseline entries: {stale}"
+    details = "\n".join(finding.render() for finding in report.findings)
+    assert report.findings == [], f"repro-lint found violations:\n{details}"
 
 
 def test_every_rule_family_is_loaded():
@@ -55,14 +50,7 @@ def test_every_rule_family_is_loaded():
 
 def test_cli_exits_zero_on_clean_tree(capsys):
     code = main(
-        [
-            str(REPO_ROOT / "src"),
-            "--baseline",
-            str(BASELINE),
-            "--no-cache",
-            "--format",
-            "json",
-        ]
+        [str(REPO_ROOT / "src"), "--format", "json"]
     )
     payload = json.loads(capsys.readouterr().out)
     assert code == 0
@@ -85,7 +73,7 @@ def test_cli_fails_on_seeded_violation(tmp_path, capsys):
         "import time\n\n\ndef stamp():\n    return time.time()\n",
         encoding="utf-8",
     )
-    code = main([str(victim), "--no-baseline", "--no-cache"])
+    code = main([str(victim)])
     out = capsys.readouterr().out
     assert code == 1
     assert "determinism/wall-clock" in out
@@ -105,7 +93,7 @@ def test_cli_fails_on_salted_hash_seed(tmp_path, capsys):
         "    )\n",
         encoding="utf-8",
     )
-    code = main([str(victim), "--no-baseline", "--no-cache"])
+    code = main([str(victim)])
     out = capsys.readouterr().out
     assert code == 1
     assert "audiences.py:6" in out
@@ -173,7 +161,7 @@ def test_cli_fails_on_seeded_whole_program_violations(tmp_path, capsys):
         "def snapshot():\n"
         "    return _stamp()\n",
     )
-    code = main([str(root), "--no-baseline", "--no-cache"])
+    code = main([str(root)])
     out = capsys.readouterr().out
     assert code == 1
     assert "taint/restricted-flow" in out
@@ -182,65 +170,45 @@ def test_cli_fails_on_seeded_whole_program_violations(tmp_path, capsys):
     assert "snapshot() -> _stamp()" in out
 
 
-def test_cli_sarif_output_carries_findings(tmp_path, capsys):
-    victim = tmp_path / "audit.py"
-    victim.write_text(
+@pytest.mark.parametrize(
+    ("argv", "code"),
+    [
+        (["nosuchdir"], 2),
+        (["empty"], 2),
+        (["--rules", "determinism", "t"], 2),
+        (["t", "--rules", "determinsm"], 2),
+        (["t", "--rules", "determinism", "nosuchrule"], 2),
+        (["t", "--rules", "determinism"], 1),
+    ],
+)
+def test_cli_rejects_mistyped_targets(tmp_path, monkeypatch, capsys, argv, code):
+    """A missing path, an unknown rule or no Python file is a usage error."""
+    (tmp_path / "t").mkdir()
+    (tmp_path / "t" / "audit.py").write_text(
         "import time\n\nstamp = time.time()\n", encoding="utf-8"
     )
-    code = main(
-        [str(victim), "--no-baseline", "--no-cache", "--format", "sarif"]
-    )
-    document = json.loads(capsys.readouterr().out)
-    assert code == 1
-    assert document["version"] == "2.1.0"
-    run = document["runs"][0]
-    assert run["tool"]["driver"]["name"] == "repro-lint"
-    rule_ids = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
-    assert "taint/restricted-flow" in rule_ids
-    results = run["results"]
-    assert [r["ruleId"] for r in results] == ["determinism/wall-clock"]
-    region = results[0]["locations"][0]["physicalLocation"]["region"]
-    assert (region["startLine"], region["startColumn"]) == (3, 9)
+    (tmp_path / "empty").mkdir()
+    (tmp_path / "empty" / "notes.txt").write_text("", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    try:
+        status = main(argv)
+    except SystemExit as exc:
+        status = exc.code
+    captured = capsys.readouterr()
+    assert status == code
+    if code == 2:
+        assert "repro-lint: error:" in captured.err
+    else:
+        assert "t/audit.py:3:8: determinism/wall-clock" in captured.out
 
 
-def test_warm_cache_and_changed_mode_are_fast(tmp_path, capsys):
-    """A warm ``--changed`` run over the full tree stays under 0.5s."""
-    cache = tmp_path / "cache.json"
-    base_args = [
-        str(REPO_ROOT / "src"),
-        "--baseline",
-        str(BASELINE),
-        "--cache",
-        str(cache),
-        "--format",
-        "json",
-    ]
-    assert main(base_args) == 0  # cold run populates the cache
-    cold = json.loads(capsys.readouterr().out)
-    assert cold["cache"]["cache_misses"] == cold["files"]
-
-    started = time.perf_counter()
-    code = main(base_args + ["--changed"])
-    elapsed = time.perf_counter() - started
-    warm = json.loads(capsys.readouterr().out)
-    assert code == 0
-    assert warm["cache"]["cache_hits"] == warm["files"]
-    assert warm["cache"]["changed_files"] == 0
-    assert elapsed < 0.5, f"warm --changed run took {elapsed:.2f}s"
-
-
-def test_cache_is_rewritten_only_when_a_file_changes(tmp_path, capsys):
+def test_cli_writes_no_file(tmp_path, monkeypatch, capsys):
     victim = tmp_path / "audit.py"
     victim.write_text("def stamp():\n    return 1\n", encoding="utf-8")
-    cache = tmp_path / "cache.json"
-    args = [str(victim), "--no-baseline", "--cache", str(cache)]
-    assert main(args) == 0
-    written = cache.stat().st_ino
-    assert main(args) == 0
-    assert cache.stat().st_ino == written  # all hits: no rewrite
-    victim.write_text("def stamp():\n    return 2\n", encoding="utf-8")
-    assert main(args) == 0
-    assert cache.stat().st_ino != written
+    monkeypatch.chdir(tmp_path)
+    assert main(["audit.py"]) == 0
+    assert main(["audit.py", "--format", "json"]) == 0
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["audit.py"]
     capsys.readouterr()
 
 
