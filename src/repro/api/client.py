@@ -342,22 +342,23 @@ class ReachClient(ABC):
         for entry in BatchEnvelope.decode_response(
             body, expected, allow_truncated=True
         ):
+            if not isinstance(entry, Mapping):
+                raise BadRequestError("malformed batch entry")
             if "error" in entry:
                 err = entry["error"]
-                out.append(
-                    (
-                        None,
-                        (
-                            int(err.get("status", 500)),
-                            str(err.get("error", "unknown error")),
-                            err.get("kind"),
-                        ),
+                try:
+                    triple = (
+                        int(err.get("status", 500)),
+                        str(err.get("error", "unknown error")),
+                        err.get("kind"),
                     )
-                )
+                except (AttributeError, TypeError, ValueError):
+                    raise BadRequestError("malformed batch error entry") from None
+                out.append((None, triple))
             elif "result" in entry:
                 out.append((entry["result"], None))
             else:
-                raise ApiError("malformed batch entry")
+                raise BadRequestError("malformed batch entry")
         return out
 
     def _fetch_batch(

@@ -205,9 +205,18 @@ class GoogleWireCodec:
         clauses: list[Clause] = []
         reverse = self._reverse
         clause_cache = self._clause_cache
-        for fcode, groups in (body.get(_F_CRITERIA) or {}).items():
-            if int(fcode) not in _FEATURE_DECODE:
+        criteria = body.get(_F_CRITERIA) or {}
+        if not isinstance(criteria, Mapping):
+            raise BadRequestError("criteria must be an object")
+        for fcode, groups in criteria.items():
+            try:
+                known = int(fcode) in _FEATURE_DECODE
+            except (TypeError, ValueError):
+                known = False
+            if not known:
                 raise BadRequestError(f"unknown feature code {fcode}")
+            if type(groups) is not list:
+                raise BadRequestError("criteria groups must be a list")
             for group in groups:
                 try:
                     key = tuple(group)
@@ -251,6 +260,13 @@ class GoogleWireCodec:
             clauses=tuple(clauses),
         )
         return spec, cap, objective
+
+    def decode_item(
+        self, body: Mapping[str, Any]
+    ) -> tuple[TargetingSpec, dict[str, Any]]:
+        """A request body as ``(spec, estimate keyword arguments)``."""
+        spec, cap, objective = self.decode_request(body)
+        return spec, {"objective": objective, "frequency_cap": cap}
 
     def encode_response(self, estimate: int) -> dict[str, Any]:
         """Obfuscated response wrapper around the impressions estimate."""

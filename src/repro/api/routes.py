@@ -35,11 +35,11 @@ but very large audits are still metered.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, Protocol
 
 from repro.api.obfuscation import GoogleWireCodec
 from repro.api.transport import FakeTransport, HttpRequest
-from repro.api.wire import BatchEnvelope, FacebookWireCodec, LinkedInWireCodec
+from repro.api.wire import FacebookWireCodec, LinkedInWireCodec
 from repro.platforms import PlatformSuite
 from repro.platforms.base import AdPlatformInterface
 from repro.platforms.catalog import CatalogEntry
@@ -48,8 +48,8 @@ from repro.platforms.errors import (
     BadRequestError,
     NoSizeEstimateError,
     PlatformError,
-    TargetingError,
 )
+from repro.platforms.targeting import TargetingSpec
 
 __all__ = ["BATCH_ITEM_TOKEN_COST", "mount_suite_routes"]
 
@@ -68,8 +68,6 @@ def _error_parts(exc: PlatformError) -> tuple[int, str, str | None]:
         return 422, str(exc), None
     if isinstance(exc, ApiError):
         return exc.status, str(exc), None
-    if isinstance(exc, TargetingError):
-        return 400, str(exc), type(exc).__name__
     return 400, str(exc), type(exc).__name__
 
 
@@ -108,25 +106,60 @@ def _catalog_handler(interface: AdPlatformInterface):
     return handler
 
 
-def _facebook_estimate_handler(interface):
+class RouteCodec(Protocol):
+    """What the estimate routes need of a platform's wire codec.
+
+    :class:`~repro.api.wire.FacebookWireCodec` and
+    :class:`~repro.api.wire.LinkedInWireCodec` answer batches in the
+    plain JSON :class:`~repro.api.wire.BatchEnvelope`;
+    :class:`~repro.api.obfuscation.GoogleWireCodec` in its obfuscated one.
+    """
+
+    def decode_item(
+        self, body: Mapping[str, Any]
+    ) -> tuple[TargetingSpec, dict[str, Any]]:
+        """A request body as ``(spec, estimate keyword arguments)``."""
+
+    def encode_response(self, estimate: int) -> dict[str, Any]: ...
+
+    def decode_batch_request(
+        self, body: Mapping[str, Any]
+    ) -> list[Mapping[str, Any]]: ...
+
+    def batch_item_ok(self, result: Mapping[str, Any]) -> dict[str, Any]: ...
+
+    def batch_item_error(
+        self, status: int, message: str, kind: str | None = None
+    ) -> dict[str, Any]: ...
+
+    def encode_batch_response(
+        self, results: list[dict[str, Any]]
+    ) -> dict[str, Any]: ...
+
+
+def _estimate_handler(interface: AdPlatformInterface, codec: RouteCodec):
+    """Single-estimate route: one request body, one estimate."""
+
     def handler(request: HttpRequest) -> Mapping[str, Any]:
         if request.body is None:
             raise BadRequestError("missing request body")
-        spec, objective = FacebookWireCodec.decode_request(request.body)
-        estimate = interface.estimate_reach(spec, objective)
-        return FacebookWireCodec.encode_response(estimate.estimate)
+        spec, kwargs = codec.decode_item(request.body)
+        estimate = interface.estimate_reach(spec, **kwargs)
+        return codec.encode_response(estimate.estimate)
 
     return handler
 
 
-def _facebook_batch_handler(interface):
+def _batch_handler(interface: AdPlatformInterface, codec: RouteCodec):
+    """Batch route over the codec's envelope, answering per item."""
+
     def handler(request: HttpRequest) -> Mapping[str, Any]:
         if request.body is None:
             raise BadRequestError("missing request body")
-        decoded: list[tuple[Any, ...] | PlatformError] = []
-        for item in BatchEnvelope.decode_request(request.body):
+        decoded: list[tuple[Any, dict[str, Any]] | PlatformError] = []
+        for item in codec.decode_batch_request(request.body):
             try:
-                decoded.append(FacebookWireCodec.decode_request(item))
+                decoded.append(codec.decode_item(item))
             except PlatformError as exc:
                 decoded.append(exc)
         interface.prime_counts(
@@ -137,17 +170,17 @@ def _facebook_batch_handler(interface):
             try:
                 if isinstance(d, PlatformError):
                     raise d
-                spec, objective = d
+                spec, kwargs = d
                 results.append(
-                    BatchEnvelope.item_ok(
-                        FacebookWireCodec.encode_response(
-                            interface.estimate_value(spec, objective)
+                    codec.batch_item_ok(
+                        codec.encode_response(
+                            interface.estimate_value(spec, **kwargs)
                         )
                     )
                 )
             except PlatformError as exc:
-                results.append(BatchEnvelope.item_error(*_error_parts(exc)))
-        return BatchEnvelope.encode_response(results)
+                results.append(codec.batch_item_error(*_error_parts(exc)))
+        return codec.encode_batch_response(results)
 
     return handler
 
@@ -162,113 +195,25 @@ def _facebook_search_handler(interface):
     return handler
 
 
-def _google_estimate_handler(interface, codec: GoogleWireCodec):
-    def handler(request: HttpRequest) -> Mapping[str, Any]:
-        if request.body is None:
-            raise BadRequestError("missing request body")
-        spec, cap, objective = codec.decode_request(request.body)
-        estimate = interface.estimate_reach(
-            spec, objective=objective, frequency_cap=cap
-        )
-        return codec.encode_response(estimate.estimate)
-
-    return handler
-
-
-def _google_batch_handler(interface, codec: GoogleWireCodec):
-    def handler(request: HttpRequest) -> Mapping[str, Any]:
-        if request.body is None:
-            raise BadRequestError("missing request body")
-        decoded: list[tuple[Any, ...] | PlatformError] = []
-        for item in codec.decode_batch_request(request.body):
-            try:
-                decoded.append(codec.decode_request(item))
-            except PlatformError as exc:
-                decoded.append(exc)
-        interface.prime_counts(
-            d[0] for d in decoded if not isinstance(d, PlatformError)
-        )
-        results: list[dict[str, Any]] = []
-        for d in decoded:
-            try:
-                if isinstance(d, PlatformError):
-                    raise d
-                spec, cap, objective = d
-                value = interface.estimate_value(
-                    spec, objective=objective, frequency_cap=cap
-                )
-                results.append(
-                    codec.batch_item_ok(codec.encode_response(value))
-                )
-            except PlatformError as exc:
-                results.append(codec.batch_item_error(*_error_parts(exc)))
-        return codec.encode_batch_response(results)
-
-    return handler
-
-
-def _linkedin_count_handler(interface):
-    def handler(request: HttpRequest) -> Mapping[str, Any]:
-        if request.body is None:
-            raise BadRequestError("missing request body")
-        spec = LinkedInWireCodec.decode_request(request.body)
-        estimate = interface.estimate_reach(spec)
-        return LinkedInWireCodec.encode_response(estimate.estimate)
-
-    return handler
-
-
-def _linkedin_batch_handler(interface):
-    def handler(request: HttpRequest) -> Mapping[str, Any]:
-        if request.body is None:
-            raise BadRequestError("missing request body")
-        decoded: list[Any] = []
-        for item in BatchEnvelope.decode_request(request.body):
-            try:
-                decoded.append(LinkedInWireCodec.decode_request(item))
-            except PlatformError as exc:
-                decoded.append(exc)
-        interface.prime_counts(
-            d for d in decoded if not isinstance(d, PlatformError)
-        )
-        results: list[dict[str, Any]] = []
-        for spec in decoded:
-            try:
-                if isinstance(spec, PlatformError):
-                    raise spec
-                results.append(
-                    BatchEnvelope.item_ok(
-                        LinkedInWireCodec.encode_response(
-                            interface.estimate_value(spec)
-                        )
-                    )
-                )
-            except PlatformError as exc:
-                results.append(BatchEnvelope.item_error(*_error_parts(exc)))
-        return BatchEnvelope.encode_response(results)
-
-    return handler
-
-
 def mount_suite_routes(transport: FakeTransport, suite: PlatformSuite) -> None:
     """Register every platform endpoint on the transport."""
     fb = suite.facebook
     plain_cost = _batch_cost("batch")
     transport.register(
         "POST", "/facebook/delivery_estimate",
-        _facebook_estimate_handler(fb.normal),
+        _estimate_handler(fb.normal, FacebookWireCodec),
     )
     transport.register(
         "POST", "/facebook/delivery_estimates",
-        _facebook_batch_handler(fb.normal), cost=plain_cost,
+        _batch_handler(fb.normal, FacebookWireCodec), cost=plain_cost,
     )
     transport.register(
         "POST", "/facebook/special/delivery_estimate",
-        _facebook_estimate_handler(fb.restricted),
+        _estimate_handler(fb.restricted, FacebookWireCodec),
     )
     transport.register(
         "POST", "/facebook/special/delivery_estimates",
-        _facebook_batch_handler(fb.restricted), cost=plain_cost,
+        _batch_handler(fb.restricted, FacebookWireCodec), cost=plain_cost,
     )
     transport.register(
         "GET", "/facebook/targeting_options", _catalog_handler(fb.normal)
@@ -284,11 +229,11 @@ def mount_suite_routes(transport: FakeTransport, suite: PlatformSuite) -> None:
     google_codec = GoogleWireCodec(suite.google.display.catalog.ids())
     transport.register(
         "POST", "/google/reach_estimate",
-        _google_estimate_handler(suite.google.display, google_codec),
+        _estimate_handler(suite.google.display, google_codec),
     )
     transport.register(
         "POST", "/google/reach_estimates",
-        _google_batch_handler(suite.google.display, google_codec),
+        _batch_handler(suite.google.display, google_codec),
         cost=_batch_cost(GoogleWireCodec.BATCH_FIELD),
     )
     transport.register(
@@ -297,11 +242,12 @@ def mount_suite_routes(transport: FakeTransport, suite: PlatformSuite) -> None:
 
     transport.register(
         "POST", "/linkedin/audience_count",
-        _linkedin_count_handler(suite.linkedin.interface),
+        _estimate_handler(suite.linkedin.interface, LinkedInWireCodec),
     )
     transport.register(
         "POST", "/linkedin/audience_counts",
-        _linkedin_batch_handler(suite.linkedin.interface), cost=plain_cost,
+        _batch_handler(suite.linkedin.interface, LinkedInWireCodec),
+        cost=plain_cost,
     )
     transport.register(
         "GET", "/linkedin/facets", _catalog_handler(suite.linkedin.interface)

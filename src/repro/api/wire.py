@@ -53,6 +53,28 @@ def _cached_clause(cache: dict, key: tuple, options: tuple) -> Clause:
     return clause
 
 
+def _json_list(raw: Any, field: str) -> list:
+    """``raw`` if it is a JSON array, else a 400."""
+    if type(raw) is not list:
+        raise BadRequestError(f"{field} must be a list")
+    return raw
+
+
+def _option_ids(raw: Any, key: str, field: str) -> list[str]:
+    """The option-id list under ``raw[key]`` (empty when absent).
+
+    A string is a sequence too; without the checks ``"abc"`` would
+    silently decode as the three ids ``a``, ``b`` and ``c``.
+    """
+    if not isinstance(raw, Mapping):
+        raise BadRequestError(f"{field} must be an object")
+    ids = _json_list(raw.get(key, []), f"{field}.{key}")
+    for option_id in ids:
+        if type(option_id) is not str or not option_id:
+            raise BadRequestError(f"{field}.{key} must hold option ids")
+    return ids
+
+
 class BatchEnvelope:
     """Plain-JSON batch envelope shared by Facebook and LinkedIn.
 
@@ -112,7 +134,31 @@ class BatchEnvelope:
         return results
 
 
-class FacebookWireCodec:
+class _PlainBatchCodec:
+    """The batch half of the route codec protocol for the plain-JSON
+    codecs: :class:`BatchEnvelope` under the method names
+    :class:`~repro.api.obfuscation.GoogleWireCodec` defines."""
+
+    @staticmethod
+    def decode_batch_request(body: Mapping[str, Any]) -> list[Mapping[str, Any]]:
+        return BatchEnvelope.decode_request(body)
+
+    @staticmethod
+    def batch_item_ok(result: Mapping[str, Any]) -> dict[str, Any]:
+        return BatchEnvelope.item_ok(result)
+
+    @staticmethod
+    def batch_item_error(
+        status: int, message: str, kind: str | None = None
+    ) -> dict[str, Any]:
+        return BatchEnvelope.item_error(status, message, kind)
+
+    @staticmethod
+    def encode_batch_response(results: list[dict[str, Any]]) -> dict[str, Any]:
+        return BatchEnvelope.encode_response(results)
+
+
+class FacebookWireCodec(_PlainBatchCodec):
     """Facebook delivery-estimate request/response codec."""
 
     @staticmethod
@@ -136,15 +182,9 @@ class FacebookWireCodec:
                 bounds.sort()
             targeting["age_ranges"] = bounds
         if spec.clauses:
-            # Single-interest clauses dominate audit traffic; sorting a
-            # one-element list per clause is pure overhead.
+            # A clause iterates in sorted order.
             targeting["flexible_spec"] = [
-                {
-                    "interests": list(clause.options)
-                    if len(clause.options) == 1
-                    else sorted(clause.options)
-                }
-                for clause in spec.clauses
+                {"interests": list(clause)} for clause in spec.clauses
             ]
         if spec.exclusions:
             targeting["exclusions"] = {"interests": sorted(spec.exclusions)}
@@ -161,7 +201,7 @@ class FacebookWireCodec:
             countries = targeting["geo_locations"]["countries"]
         except (KeyError, TypeError):
             raise BadRequestError("missing targeting_spec.geo_locations") from None
-        if len(countries) != 1:
+        if type(countries) is not list or len(countries) != 1:
             raise BadRequestError("exactly one country required")
 
         genders = None
@@ -183,9 +223,11 @@ class FacebookWireCodec:
                 raise BadRequestError("unknown age range bounds") from None
 
         clauses = []
-        for flex in targeting.get("flexible_spec", []):
+        for flex in _json_list(targeting.get("flexible_spec", []), "flexible_spec"):
             try:
                 interests = flex["interests"]
+                if type(interests) is not list:
+                    raise TypeError
                 key = tuple(interests)
                 clause = _FB_CLAUSES.get(key)
                 if clause is None:
@@ -194,7 +236,7 @@ class FacebookWireCodec:
             except (KeyError, TypeError, ValueError):
                 raise BadRequestError("malformed flexible_spec entry") from None
         exclusions = frozenset(
-            targeting.get("exclusions", {}).get("interests", [])
+            _option_ids(targeting.get("exclusions", {}), "interests", "exclusions")
         )
         spec = TargetingSpec(
             country=countries[0],
@@ -204,6 +246,12 @@ class FacebookWireCodec:
             exclusions=exclusions,
         )
         return spec, body.get("optimization_goal")
+
+    @staticmethod
+    def decode_item(body: Mapping[str, Any]) -> tuple[TargetingSpec, dict[str, Any]]:
+        """A request body as ``(spec, estimate keyword arguments)``."""
+        spec, objective = FacebookWireCodec.decode_request(body)
+        return spec, {"objective": objective}
 
     @staticmethod
     def encode_response(estimate: int) -> dict[str, Any]:
@@ -217,7 +265,7 @@ class FacebookWireCodec:
             raise BadRequestError("malformed Facebook response") from None
 
 
-class LinkedInWireCodec:
+class LinkedInWireCodec(_PlainBatchCodec):
     """LinkedIn audience-count request/response codec."""
 
     @staticmethod
@@ -226,7 +274,7 @@ class LinkedInWireCodec:
 
     @staticmethod
     def _unfacet(urn: str) -> str:
-        if not urn.startswith(_LI_FACET_PREFIX):
+        if type(urn) is not str or not urn.startswith(_LI_FACET_PREFIX):
             raise BadRequestError(f"not a targeting facet urn: {urn!r}")
         return urn[len(_LI_FACET_PREFIX):]
 
@@ -264,12 +312,14 @@ class LinkedInWireCodec:
             and_terms = body["include"]["and"]
         except (KeyError, TypeError):
             raise BadRequestError("missing locations or include.and") from None
-        if len(locations) != 1:
+        if type(locations) is not list or len(locations) != 1:
             raise BadRequestError("exactly one location required")
         clauses = []
-        for term in and_terms:
+        for term in _json_list(and_terms, "include.and"):
             try:
                 urns = term["or"]
+                if type(urns) is not list:
+                    raise TypeError
                 key = tuple(urns)
                 clause = _LI_CLAUSES.get(key)
                 if clause is None:
@@ -280,11 +330,17 @@ class LinkedInWireCodec:
             except (KeyError, TypeError, ValueError):
                 raise BadRequestError("malformed include.and term") from None
         exclusions = frozenset(
-            cls._unfacet(u) for u in body.get("exclude", {}).get("or", [])
+            cls._unfacet(u)
+            for u in _option_ids(body.get("exclude", {}), "or", "exclude")
         )
         return TargetingSpec(
             country=locations[0], clauses=tuple(clauses), exclusions=exclusions
         )
+
+    @staticmethod
+    def decode_item(body: Mapping[str, Any]) -> tuple[TargetingSpec, dict[str, Any]]:
+        """A request body as ``(spec, estimate keyword arguments)``."""
+        return LinkedInWireCodec.decode_request(body), {}
 
     @staticmethod
     def encode_response(estimate: int) -> dict[str, Any]:

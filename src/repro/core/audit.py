@@ -22,6 +22,7 @@ care to limit query load.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from repro.api.client import (
@@ -82,12 +83,13 @@ class AuditTarget:
         self.cache_hits = 0
         self.cache_misses = 0
         # Spec-construction memos: demographic slicing builds the same
-        # refined specs for every audit of a composition, and the base
-        # sizes |RA_v| are shared by every audit record.
+        # refined specs for every audit of a composition (one dict per
+        # attribute name), and the base sizes |RA_v| are shared, read-only,
+        # by every audit record of an attribute.
         self._audit_slices: dict[
-            tuple[TargetingSpec, str], list[tuple[SensitiveValue, TargetingSpec]]
+            str, dict[TargetingSpec, tuple[TargetingSpec, ...]]
         ] = {}
-        self._base_sizes: dict[str, dict[SensitiveValue, int]] = {}
+        self._base_sizes: dict[str, MappingProxyType[SensitiveValue, int]] = {}
         self._composition_specs: dict[tuple[str, ...], TargetingSpec] = {}
         self._features: dict[str, str] | None = None
         # Keyed by (enum type, value): Gender and AgeRange are IntEnums
@@ -263,20 +265,25 @@ class AuditTarget:
 
     def _slices(
         self, spec: TargetingSpec, attribute: SensitiveAttribute
-    ) -> list[tuple[SensitiveValue, TargetingSpec]]:
-        """Memoised ``(value, demographically sliced spec)`` pairs.
+    ) -> tuple[TargetingSpec, ...]:
+        """Memoised demographic slices of ``spec``, in
+        ``attribute.values`` order.
 
         Both the query planner and the audit loop walk a composition's
-        demographic slices; memoising the whole list costs one dict hit
+        demographic slices; memoising the whole tuple costs one dict hit
         instead of one per value.
         """
-        key = (spec, attribute.name)
-        cached = self._audit_slices.get(key)
+        memo = self._audit_slices.get(attribute.name)
+        if memo is None:
+            memo = self._audit_slices[attribute.name] = {}
+        cached = memo.get(spec)
         if cached is None:
-            cached = self._audit_slices[key] = [
-                (v, self._build_demographic_spec(spec, v, False))
-                for v in attribute.values
-            ]
+            cached = memo[spec] = tuple(
+                [
+                    self._build_demographic_spec(spec, v, False)
+                    for v in attribute.values
+                ]
+            )
         return cached
 
     def measure(
@@ -295,17 +302,25 @@ class AuditTarget:
     ) -> dict[SensitiveValue, int]:
         """``|RA_v|`` for every value of the sensitive attribute.
 
-        Measured once per attribute and memoised -- every audit record
-        carries these, so they are hoisted out of the per-audit loop.
-        Callers get a fresh copy.
+        Callers get a fresh copy of :meth:`_shared_bases`.
+        """
+        return dict(self._shared_bases(attribute))
+
+    def _shared_bases(
+        self, attribute: SensitiveAttribute
+    ) -> MappingProxyType[SensitiveValue, int]:
+        """Read-only ``|RA_v|`` map, measured once per attribute.
+
+        Every audit record carries these, so they are hoisted out of the
+        per-audit loop and all records of an attribute share one view.
         """
         cached = self._base_sizes.get(attribute.name)
         if cached is None:
             everyone = TargetingSpec.everyone()
-            cached = self._base_sizes[attribute.name] = {
-                v: self.measure(everyone, v) for v in attribute.values
-            }
-        return dict(cached)
+            cached = self._base_sizes[attribute.name] = MappingProxyType(
+                {v: self.measure(everyone, v) for v in attribute.values}
+            )
+        return cached
 
     def audit(
         self, options: Sequence[str], attribute: SensitiveAttribute
@@ -324,13 +339,13 @@ class AuditTarget:
         measure_client = self.measure_client
         sizes = {
             v: self._measure(measure_client, sliced)
-            for v, sliced in self._slices(spec, attribute)
+            for v, sliced in zip(attribute.values, self._slices(spec, attribute))
         }
         return TargetingAudit(
             options=tuple(options),
             attribute=attribute,
             sizes=sizes,
-            bases=self.base_sizes(attribute),
+            bases=self._shared_bases(attribute),
         )
 
     def _plan_queries(
@@ -354,7 +369,7 @@ class AuditTarget:
         validated: list[TargetingSpec] = []
         slices = self._slices
         everyone = TargetingSpec.everyone()
-        measured.extend(s for _v, s in slices(everyone, attribute))
+        measured.extend(slices(everyone, attribute))
         for options in compositions:
             try:
                 spec = self.composition_spec(options)
@@ -362,7 +377,7 @@ class AuditTarget:
                 break
             if validate_client is not None:
                 validated.append(spec)
-            measured.extend(s for _v, s in slices(spec, attribute))
+            measured.extend(slices(spec, attribute))
 
         # Dedup in first-use order at C level, then drop cached specs.
         plan: list[tuple[ReachClient, TargetingSpec]] = []

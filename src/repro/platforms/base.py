@@ -125,9 +125,9 @@ class AdPlatformInterface(ABC):
         # registered by an AudienceService.
         self._audience_vectors: dict[str, BitVector] = {}
         # Resolution memo: the demographic-free rule part of a spec
-        # (clauses + exclusions) resolves to the same bitvector under
-        # every demographic slice, so it is computed once and re-sliced
-        # against precomputed gender/age vectors.
+        # (``spec.rule``: clauses + exclusions) resolves to the same
+        # bitvector under every demographic slice, so it is computed once
+        # and re-sliced against precomputed gender/age vectors.
         self._rule_memo: OrderedDict[
             tuple[object, ...], BitVector
         ] = OrderedDict()
@@ -204,7 +204,7 @@ class AdPlatformInterface(ABC):
         # A rule already in the resolution memo passed the option and
         # composition checks when it was first resolved; demographic
         # slices of it only need the field checks above.
-        if (spec.clauses, spec.exclusions) in self._rule_memo:
+        if spec.rule in self._rule_memo:
             return
         for option_id in spec.option_ids:
             if option_id in self._audience_vectors:
@@ -233,7 +233,7 @@ class AdPlatformInterface(ABC):
         rather than revisiting old ones, so recency tracking would cost
         a ``move_to_end`` on the hot hit path for nothing.
         """
-        key = (spec.clauses, spec.exclusions)
+        key = spec.rule
         cached = self._rule_memo.get(key)
         if cached is not None:
             self.resolution_hits += 1
@@ -317,7 +317,7 @@ class AdPlatformInterface(ABC):
         rule_memo = self._rule_memo
         caps = self.capabilities
         for spec in specs:
-            rule = rule_memo.get((spec.clauses, spec.exclusions))
+            rule = rule_memo.get(spec.rule)
             if rule is not None:
                 self.resolution_hits += 1
                 # A memoised rule already passed option and composition

@@ -9,13 +9,13 @@ overlaps (footnote 11).  Platform-specific restrictions (which features
 compose, whether exclusion is allowed, whether demographics are
 targetable) are enforced by the interfaces, not by this module.
 
-A :class:`TargetingSpec` is immutable and hashable so size-estimate
-results can be cached per spec.
+A :class:`TargetingSpec` is an immutable, hashable tuple so
+size-estimate results can be cached per spec.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from repro.population.demographics import AgeRange, Gender
@@ -48,22 +48,24 @@ def _frozen_options(options: Iterable[str]) -> frozenset[str]:
     return opts
 
 
-@dataclass(frozen=True)
-class Clause:
+class Clause(frozenset):
     """A disjunction (logical-or) of targeting options.
 
-    Users match the clause if they hold *any* of the options.
+    Users match the clause if they hold *any* of the options.  A clause
+    *is* its option frozenset, so it hashes and compares at C level and
+    caches its own hash; iteration is sorted so anything built by
+    walking a clause is independent of the hash seed.
     """
 
-    options: frozenset[str]
+    __slots__ = ()
 
-    def __init__(self, options: Iterable[str]):
-        object.__setattr__(self, "options", _frozen_options(options))
+    def __new__(cls, options: Iterable[str]) -> "Clause":
+        return frozenset.__new__(cls, _frozen_options(options))
 
-    def __hash__(self) -> int:
-        # The option frozenset caches its own hash; avoid the generated
-        # dataclass hash's per-call tuple allocation.
-        return hash(self.options)
+    @property
+    def options(self) -> frozenset[str]:
+        """The OR-ed option ids (the clause itself)."""
+        return self
 
     @classmethod
     def single(cls, option_id: str) -> "Clause":
@@ -94,26 +96,24 @@ class Clause:
         """
         if len(options) == 1:
             return cls.single(next(iter(options)))
-        clause = object.__new__(cls)
-        object.__setattr__(clause, "options", options)
-        return clause
-
-    def __len__(self) -> int:
-        return len(self.options)
+        return frozenset.__new__(cls, options)
 
     def __iter__(self):
-        return iter(sorted(self.options))
-
-    def __contains__(self, option_id: str) -> bool:
-        return option_id in self.options
+        return iter(sorted(frozenset.__iter__(self)))
 
     def __repr__(self) -> str:
-        return "Clause(" + " OR ".join(sorted(self.options)) + ")"
+        return "Clause(" + " OR ".join(self) + ")"
 
 
-@dataclass(frozen=True)
-class TargetingSpec:
+_new_spec = tuple.__new__
+
+
+class TargetingSpec(tuple):
     """An immutable ad targeting: location, demographics, boolean rule.
+
+    A spec is the tuple ``(country, genders, age_ranges, clauses,
+    exclusions)``: it hashes and compares at C level, holds no
+    per-instance dict, and an audit keeps hundreds of thousands alive.
 
     Attributes
     ----------
@@ -131,56 +131,55 @@ class TargetingSpec:
         Options whose holders are removed from the audience.
     """
 
-    country: str = "US"
-    genders: frozenset[Gender] | None = None
-    age_ranges: frozenset[AgeRange] | None = None
-    clauses: tuple[Clause, ...] = ()
-    exclusions: frozenset[str] = frozenset()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(
+        cls,
+        country: str = "US",
+        genders: Iterable[Gender] | None = None,
+        age_ranges: Iterable[AgeRange] | None = None,
+        clauses: Iterable[Clause] = (),
+        exclusions: Iterable[str] = frozenset(),
+    ) -> "TargetingSpec":
         # Specs are built on the audit's hottest path, usually from
-        # already-frozen fields; only convert (and re-assign through the
-        # frozen-dataclass barrier) when a field needs it.
-        if self.genders is not None:
-            if type(self.genders) is not frozenset:
-                object.__setattr__(self, "genders", frozenset(self.genders))
-            if not self.genders:
+        # already-frozen fields; only convert when a field needs it.
+        if genders is not None:
+            if type(genders) is not frozenset:
+                genders = frozenset(genders)
+            if not genders:
                 raise ValueError("genders must be None or non-empty")
-        if self.age_ranges is not None:
-            if type(self.age_ranges) is not frozenset:
-                object.__setattr__(self, "age_ranges", frozenset(self.age_ranges))
-            if not self.age_ranges:
+        if age_ranges is not None:
+            if type(age_ranges) is not frozenset:
+                age_ranges = frozenset(age_ranges)
+            if not age_ranges:
                 raise ValueError("age_ranges must be None or non-empty")
-        if type(self.clauses) is not tuple:
-            object.__setattr__(self, "clauses", tuple(self.clauses))
-        if type(self.exclusions) is not frozenset:
-            object.__setattr__(self, "exclusions", frozenset(self.exclusions))
+        if type(clauses) is not tuple:
+            clauses = tuple(clauses)
+        if type(exclusions) is not frozenset:
+            exclusions = frozenset(exclusions)
+        return _new_spec(cls, (country, genders, age_ranges, clauses, exclusions))
 
-    def __hash__(self) -> int:
-        # Specs key every measurement cache, so they are hashed far
-        # more often than built; compute the field-tuple hash once.
-        try:
-            return self._hash  # type: ignore[attr-defined]
-        except AttributeError:
-            value = hash(
-                (
-                    self.country,
-                    self.genders,
-                    self.age_ranges,
-                    self.clauses,
-                    self.exclusions,
-                )
-            )
-            object.__setattr__(self, "_hash", value)
-            return value
+    country = property(itemgetter(0), doc="Location targeting.")
+    genders = property(itemgetter(1), doc="Targeted genders, or ``None``.")
+    age_ranges = property(itemgetter(2), doc="Targeted age ranges, or ``None``.")
+    clauses = property(itemgetter(3), doc="Conjunction of OR-clauses.")
+    exclusions = property(itemgetter(4), doc="Excluded option ids.")
+    rule = property(
+        itemgetter(slice(3, None)),
+        doc="""``(clauses, exclusions)``: the demographic-free part of the
+        spec, which resolves to the same audience under every
+        demographic slice (the key of the server's resolution memo).""",
+    )
 
-    def __getstate__(self) -> dict:
-        # The cached hash is salted per process (PYTHONHASHSEED); a spec
-        # unpickled elsewhere must rehash, or dict lookups by an equal
-        # locally built spec would probe the wrong bucket.
-        state = self.__dict__.copy()
-        state.pop("_hash", None)
-        return state
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return (
+            f"TargetingSpec(country={self[0]!r}, genders={self[1]!r}, "
+            f"age_ranges={self[2]!r}, clauses={self[3]!r}, "
+            f"exclusions={self[4]!r})"
+        )
 
     # -- constructors ------------------------------------------------------
 
@@ -204,39 +203,25 @@ class TargetingSpec:
         return cls(country=country, clauses=tuple(Clause(g) for g in groups))
 
     # -- refinement --------------------------------------------------------
-
-    def _derive(
-        self,
-        genders: "frozenset[Gender] | None",
-        age_ranges: "frozenset[AgeRange] | None",
-        clauses: "tuple[Clause, ...]",
-        exclusions: "frozenset[str]",
-    ) -> "TargetingSpec":
-        """Construct a sibling spec from already-frozen fields.
-
-        Refinements derive from an existing (validated, frozen) spec,
-        so re-running ``__init__``'s conversions and checks per derived
-        slice would dominate audit-side spec construction.
-        """
-        spec = object.__new__(TargetingSpec)
-        set_field = object.__setattr__
-        set_field(spec, "country", self.country)
-        set_field(spec, "genders", genders)
-        set_field(spec, "age_ranges", age_ranges)
-        set_field(spec, "clauses", clauses)
-        set_field(spec, "exclusions", exclusions)
-        return spec
+    #
+    # Refinements derive from an existing (validated, frozen) spec, so
+    # they build the tuple directly instead of re-running ``__new__``'s
+    # conversions and checks per derived slice.
 
     def with_gender(self, gender: Gender) -> "TargetingSpec":
         """Restrict to a single gender (platform demographic targeting)."""
-        return self._derive(
-            _SINGLE_GENDER[gender], self.age_ranges, self.clauses, self.exclusions
+        country, _genders, ages, clauses, exclusions = self
+        return _new_spec(
+            TargetingSpec,
+            (country, _SINGLE_GENDER[gender], ages, clauses, exclusions),
         )
 
     def with_age(self, age: AgeRange) -> "TargetingSpec":
         """Restrict to a single age range."""
-        return self._derive(
-            self.genders, _SINGLE_AGE[age], self.clauses, self.exclusions
+        country, genders, _ages, clauses, exclusions = self
+        return _new_spec(
+            TargetingSpec,
+            (country, genders, _SINGLE_AGE[age], clauses, exclusions),
         )
 
     def with_ages(self, ages: Iterable[AgeRange]) -> "TargetingSpec":
@@ -244,49 +229,57 @@ class TargetingSpec:
         ages = frozenset(ages)
         if not ages:
             raise ValueError("age_ranges must be None or non-empty")
-        return self._derive(self.genders, ages, self.clauses, self.exclusions)
+        country, genders, _ages, clauses, exclusions = self
+        return _new_spec(
+            TargetingSpec, (country, genders, ages, clauses, exclusions)
+        )
 
     def and_option(self, option_id: str) -> "TargetingSpec":
         """AND one more single-option clause onto the rule."""
-        return self._derive(
-            self.genders,
-            self.age_ranges,
-            self.clauses + (Clause.single(option_id),),
-            self.exclusions,
+        country, genders, ages, clauses, exclusions = self
+        return _new_spec(
+            TargetingSpec,
+            (
+                country,
+                genders,
+                ages,
+                clauses + (Clause.single(option_id),),
+                exclusions,
+            ),
         )
 
     def and_clause(self, options: Iterable[str]) -> "TargetingSpec":
         """AND one more OR-clause onto the rule."""
-        return self._derive(
-            self.genders,
-            self.age_ranges,
-            self.clauses + (Clause._of(_frozen_options(options)),),
-            self.exclusions,
+        country, genders, ages, clauses, exclusions = self
+        return _new_spec(
+            TargetingSpec,
+            (
+                country,
+                genders,
+                ages,
+                clauses + (Clause._of(_frozen_options(options)),),
+                exclusions,
+            ),
         )
 
     def excluding(self, *option_ids: str) -> "TargetingSpec":
         """Exclude holders of the given options."""
-        return replace(self, exclusions=self.exclusions | frozenset(option_ids))
+        country, genders, ages, clauses, exclusions = self
+        return TargetingSpec(
+            country, genders, ages, clauses, exclusions | frozenset(option_ids)
+        )
 
     # -- introspection -----------------------------------------------------
 
     @property
     def option_ids(self) -> frozenset[str]:
-        """Every option referenced anywhere in the rule (memoised)."""
-        try:
-            return self._option_ids  # type: ignore[attr-defined]
-        except AttributeError:
-            ids: set[str] = set(self.exclusions)
-            for clause in self.clauses:
-                ids |= clause.options
-            frozen = frozenset(ids)
-            object.__setattr__(self, "_option_ids", frozen)
-            return frozen
+        """Every option referenced anywhere in the rule."""
+        return self[4].union(*self[3])
 
     @property
     def is_pure_demographic(self) -> bool:
         """True when the spec has no attribute rule at all."""
-        return not self.clauses and not self.exclusions
+        return not self[3] and not self[4]
 
     def describe(self, names: Mapping[str, str] | None = None) -> str:
         """Human-readable one-line description for reports."""

@@ -1,9 +1,12 @@
-"""Memory bounds of the server-side caches.
+"""Memory bounds of the server-side caches and the audit's state.
 
 The rule-resolution memo of every interface is bounded in bit-vector
 words, so its footprint does not grow with the population; one-option
 clauses are interned, so the specs of an audit share them instead of
-each holding its own.  Neither may change a single estimate.
+each holding its own.  Specs and clauses are plain tuples and
+frozensets without a per-instance dict, and every audit record of a
+target shares one read-only map of base sizes.  None of this may
+change a single estimate.
 """
 
 from __future__ import annotations
@@ -18,13 +21,14 @@ import pytest
 
 from repro.api.obfuscation import GoogleWireCodec
 from repro.api.wire import FacebookWireCodec, LinkedInWireCodec
+from repro.core.audit import build_audit_targets
 from repro.core.checkpoint import EstimateCheckpoint
 from repro.experiments import ExperimentConfig, ExperimentContext
 from repro.experiments.runner import run_all
 from repro.platforms import base
 from repro.platforms.facebook import FacebookRestrictedInterface
 from repro.platforms.targeting import Clause, TargetingSpec
-from repro.population.demographics import AgeRange, Gender
+from repro.population.demographics import SENSITIVE_ATTRIBUTES, AgeRange, Gender
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -156,20 +160,77 @@ class TestClauseInterning:
             assert theirs is ours
 
 
+class TestCompactAuditState:
+    def test_specs_and_clauses_have_no_instance_dict(self):
+        spec = TargetingSpec.of("fb:a", "fb:b").with_age(AgeRange.AGE_18_24)
+        assert not hasattr(spec, "__dict__")
+        assert not hasattr(spec.clauses[0], "__dict__")
+        assert not hasattr(Clause(["fb:a", "fb:b"]), "__dict__")
+
+    def test_equal_specs_from_different_builders_hash_equal(self):
+        built = [
+            TargetingSpec.of("fb:a", "fb:b").with_gender(Gender.FEMALE),
+            TargetingSpec.everyone()
+            .and_option("fb:a")
+            .and_clause(["fb:b"])
+            .with_gender(Gender.FEMALE),
+            TargetingSpec(
+                genders=[Gender.FEMALE],
+                clauses=[Clause(["fb:a"]), Clause.single("fb:b")],
+                exclusions=[],
+            ),
+            TargetingSpec.and_of_ors([["fb:a"], ["fb:b"]]).with_gender(
+                Gender.FEMALE
+            ),
+            pickle.loads(
+                pickle.dumps(TargetingSpec.of("fb:a", "fb:b").with_gender(
+                    Gender.FEMALE
+                ))
+            ),
+        ]
+        for spec in built[1:]:
+            assert spec == built[0]
+            assert hash(spec) == hash(built[0])
+            assert spec.rule == built[0].rule
+        assert len(set(built)) == 1
+
+    def test_records_share_one_read_only_bases_map(self, session_small):
+        target = build_audit_targets(session_small.clients)["facebook"]
+        attribute = SENSITIVE_ATTRIBUTES["gender"]
+        ids = target.study_option_ids()[:4]
+        records = target.audit_many([(o,) for o in ids], attribute)
+        records.append(target.audit(ids[:2], attribute))
+        shared = records[0].bases
+        assert all(record.bases is shared for record in records)
+        with pytest.raises(TypeError):
+            shared[Gender.MALE] = 0  # type: ignore[index]
+        fresh = target.base_sizes(attribute)
+        assert type(fresh) is dict and fresh == shared
+        fresh[Gender.MALE] = 0
+        assert target.base_sizes(attribute) == shared != fresh
+
+
 #: ``ru_maxrss`` of ``--only fig6`` at 100k records and 100 compositions
 #: on a 2-CPU Linux container: about 596 MB with an entry-capped memo,
 #: about 220 MB with the word-bounded one.
 _FIG6_RSS_LIMIT_MB = 400
 
 
-#: Runs the audit CLI as its only child and prints that child's peak
-#: RSS.  ``RUSAGE_CHILDREN`` covers every child ever waited for, so the
-#: measuring process must be a fresh one rather than the test runner.
-_MEASURE_FIG6 = """
+#: ``ru_maxrss`` of the ``results_full_run.txt`` configuration on a
+#: 2-CPU Linux container: about 382 MB with dataclass specs, a
+#: ``(spec, attribute)``-keyed slice memo and a ``bases`` copy per
+#: record; about 313 MB with tuple specs, per-attribute slice tuples and
+#: one shared ``bases`` map.  The bound is the latter plus 10%.
+_FULL_RUN_RSS_LIMIT_MB = 344
+
+#: Runs the audit CLI (arguments from ``sys.argv``) as its only child
+#: and prints that child's peak RSS.  ``RUSAGE_CHILDREN`` covers every
+#: child ever waited for, so the measuring process must be a fresh one
+#: rather than the test runner.
+_MEASURE_RUN = """
 import resource, subprocess, sys
 subprocess.run(
-    [sys.executable, "-m", "repro.experiments.runner", "--scale", "full",
-     "--records", "100000", "--compositions", "100", "--only", "fig6"],
+    [sys.executable, "-m", "repro.experiments.runner", *sys.argv[1:]],
     stdout=subprocess.DEVNULL,
     check=True,
 )
@@ -178,17 +239,33 @@ print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024)
 """
 
 
-@pytest.mark.slow
-def test_fig6_full_scale_peak_rss():
+def _child_peak_rss_mb(*runner_args: str) -> float:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p
     )
     result = subprocess.run(
-        [sys.executable, "-c", _MEASURE_FIG6],
+        [sys.executable, "-c", _MEASURE_RUN, *runner_args],
         env=env,
         capture_output=True,
         text=True,
         check=True,
     )
-    assert float(result.stdout) < _FIG6_RSS_LIMIT_MB
+    return float(result.stdout)
+
+
+@pytest.mark.slow
+def test_fig6_full_scale_peak_rss():
+    peak = _child_peak_rss_mb(
+        "--scale", "full", "--records", "100000", "--compositions", "100",
+        "--only", "fig6",
+    )
+    assert peak < _FIG6_RSS_LIMIT_MB
+
+
+@pytest.mark.slow
+def test_full_run_peak_rss():
+    peak = _child_peak_rss_mb(
+        "--scale", "full", "--records", "100000", "--compositions", "500"
+    )
+    assert peak < _FULL_RUN_RSS_LIMIT_MB

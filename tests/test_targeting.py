@@ -195,8 +195,10 @@ def _run_under_hash_seed(source: str, hash_seed: int, stdin: bytes = b"") -> byt
 
 
 def test_unpickled_spec_rehashes_under_another_hash_seed():
-    """A spec pickled in a process with another hash seed (a ``spawn``
-    worker) must land in the same dict bucket as an equal local one."""
+    """A spec pickled in a process with another hash seed (for example
+    a checkpoint or result shipped between runs) must land in the same
+    dict bucket as an equal local one: nothing salted may travel with
+    it."""
     payload = _run_under_hash_seed(_SEND_SPEC, 123)
     assert _run_under_hash_seed(_RECEIVE_SPEC, 7, payload).split() == [
         b"True",

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api.obfuscation import GoogleWireCodec, criterion_id
+from repro.api.transport import HttpRequest
 from repro.api.wire import FacebookWireCodec, LinkedInWireCodec
 from repro.platforms.errors import BadRequestError
 from repro.platforms.google import FrequencyCap
@@ -192,3 +193,79 @@ class TestFacebookCodecProperties:
         body = FacebookWireCodec.encode_request(spec)
         decoded, _ = FacebookWireCodec.decode_request(body)
         assert decoded == spec
+
+
+_FB_GEO = {"geo_locations": {"countries": ["US"]}}
+
+#: ``(platform, body)`` for request bodies every decoder must answer
+#: with :class:`BadRequestError`, never a raw ``TypeError``,
+#: ``AttributeError`` or ``ValueError`` (or, for ``"abc"`` as an id
+#: list, a silent decode as the ids ``a``, ``b`` and ``c``).
+_MALFORMED_BODIES = [
+    ("facebook", {"targeting_spec": {"geo_locations": {"countries": 5}}}),
+    ("facebook", {"targeting_spec": {**_FB_GEO, "exclusions": "x"}}),
+    ("facebook", {"targeting_spec": {**_FB_GEO, "exclusions": {"interests": "abc"}}}),
+    ("facebook", {"targeting_spec": {**_FB_GEO, "flexible_spec": 3}}),
+    (
+        "facebook",
+        {"targeting_spec": {**_FB_GEO, "flexible_spec": [{"interests": "ab"}]}},
+    ),
+    ("linkedin", {"locations": 1, "include": {"and": []}}),
+    ("linkedin", {"locations": ["US"], "include": {"and": 4}}),
+    (
+        "linkedin",
+        {"locations": ["US"], "include": {"and": []}, "exclude": {"or": [7]}},
+    ),
+    ("linkedin", {"locations": ["US"], "include": {"and": []}, "exclude": "x"}),
+    ("google", {"1": 840, "4": [[criterion_id(OPTIONS[0])]]}),
+    ("google", {"1": 840, "4": {"abc": [[criterion_id(OPTIONS[0])]]}}),
+    ("google", {"1": 840, "4": {"201": 5}}),
+]
+
+_ROUTES = {
+    "facebook": ("/facebook/delivery_estimate", "/facebook/delivery_estimates"),
+    "linkedin": ("/linkedin/audience_count", "/linkedin/audience_counts"),
+    "google": ("/google/reach_estimate", "/google/reach_estimates"),
+}
+
+
+@pytest.mark.parametrize("platform, body", _MALFORMED_BODIES)
+def test_malformed_body_is_a_400_that_spares_its_batch(
+    session_small, platform, body
+):
+    """The decoder raises BadRequestError, the single route answers 400,
+    and in a batch only that item fails."""
+    decode = {
+        "facebook": FacebookWireCodec.decode_item,
+        "linkedin": LinkedInWireCodec.decode_item,
+        "google": GoogleWireCodec(OPTIONS).decode_item,
+    }[platform]
+    with pytest.raises(BadRequestError):
+        decode(body)
+
+    single, batch = _ROUTES[platform]
+    transport = session_small.transport
+    response = transport.request(HttpRequest("POST", single, body=body))
+    assert response.status == 400
+
+    client = session_small.clients[platform]
+    good = client._encode_item(TargetingSpec.everyone())
+    response = transport.request(
+        HttpRequest("POST", batch, body=client._encode_batch([good, body, good]))
+    )
+    assert response.status == 200
+    (ok, _), (_, error), (again, _) = client._batch_entries(response.body, 3)
+    assert error[0] == 400
+    assert client._decode_item(ok) == client._decode_item(again) > 0
+
+
+@pytest.mark.parametrize(
+    "platform, body",
+    [
+        ("facebook", {"results": [5]}),
+        ("google", {GoogleWireCodec.BATCH_FIELD: [5]}),
+    ],
+)
+def test_non_mapping_batch_entry_is_a_bad_request(session_small, platform, body):
+    with pytest.raises(BadRequestError, match="malformed .*batch entry"):
+        session_small.clients[platform]._batch_entries(body, 1)
