@@ -26,8 +26,9 @@ the :mod:`repro.core` layer owns both.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable
 
 from repro.api.obfuscation import GoogleWireCodec
 from repro.api.resilience import CircuitBreaker, RetryPolicy

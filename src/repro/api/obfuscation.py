@@ -18,8 +18,9 @@ codec plus a reverse criterion-id table built from the catalog.
 from __future__ import annotations
 
 import zlib
+from collections.abc import Mapping
 from functools import lru_cache
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable
 
 from repro.api.wire import MAX_BATCH_SIZE
 from repro.platforms.errors import BadRequestError

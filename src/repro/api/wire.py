@@ -9,7 +9,8 @@ criteria.
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from collections.abc import Mapping
+from typing import Any
 
 from repro.platforms.errors import BadRequestError
 from repro.platforms.targeting import CLAUSE_CACHE_LIMIT, Clause, TargetingSpec

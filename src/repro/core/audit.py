@@ -72,6 +72,19 @@ class AuditTarget:
         self.name = name
         self.client = client
         self.measure_client = measure_client or client
+        # Interface capabilities, fixed by the client types: read on
+        # every composition check and demographic slice, so computed once.
+        #: Whether AND-composition requires distinct features (Google).
+        self.cross_feature_only = isinstance(client, GoogleReachClient)
+        #: Whether and-of-or rules have size statistics here: True for
+        #: Facebook (both interfaces) and LinkedIn; False for Google,
+        #: which is why the paper's Table 1 omits Google.
+        self.supports_boolean_rules = not isinstance(
+            self.measure_client, GoogleReachClient
+        )
+        self._demographics_via_facets = isinstance(
+            self.measure_client, LinkedInReachClient
+        )
         # Observability rides in on the clients (and ultimately the
         # transport); targets never construct their own sinks.
         self.tracer = getattr(client, "tracer", NULL_TRACER)
@@ -159,11 +172,6 @@ class AuditTarget:
 
     # -- composition rules ---------------------------------------------------
 
-    @property
-    def cross_feature_only(self) -> bool:
-        """Whether AND-composition requires distinct features (Google)."""
-        return isinstance(self.client, GoogleReachClient)
-
     def can_compose(self, options: Sequence[str]) -> bool:
         """Whether this interface can AND-compose the given options."""
         if len(set(options)) != len(options):
@@ -186,10 +194,6 @@ class AuditTarget:
         return cached
 
     # -- demographic slicing ---------------------------------------------
-
-    @property
-    def _demographics_via_facets(self) -> bool:
-        return isinstance(self.measure_client, LinkedInReachClient)
 
     def _linkedin_demo_id(self, value: SensitiveValue) -> str:
         if self._li_demo_ids is None:
@@ -484,15 +488,6 @@ class AuditTarget:
                 )
 
     # -- boolean combinations (overlap / union analyses) ----------------------
-
-    @property
-    def supports_boolean_rules(self) -> bool:
-        """Whether and-of-or rules have size statistics here.
-
-        True for Facebook (both interfaces) and LinkedIn; False for
-        Google, which is why the paper's Table 1 omits Google.
-        """
-        return not isinstance(self.measure_client, GoogleReachClient)
 
     def intersection_size(
         self,

@@ -22,11 +22,13 @@ CLI usage::
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 from repro import build_audit_session
 from repro.api.chaos import FAULT_PROFILES, FaultProfile
@@ -104,6 +106,35 @@ class RunReport:
         return "\n".join(parts)
 
 
+@contextmanager
+def _collect_at_boundaries(tracer) -> Iterator[Callable[[str], None]]:
+    """Own the cyclic collector for one run; yield its boundary hook.
+
+    An audit's heap is an append-only cache (every spec it sized, every
+    estimate), so automatic collections would re-walk it over and over.
+    When the collector is on CPython's defaults, automatic collection is
+    off for the whole run and ``boundary(after)`` collects once and
+    freezes the survivors, so later collections skip them.  Reference
+    counting still frees acyclic garbage at once.  A caller who set the
+    collector up otherwise keeps it untouched: the hook does nothing.
+    """
+    if not (gc.isenabled() and gc.get_freeze_count() == 0):
+        yield lambda after: None
+        return
+
+    def boundary(after: str) -> None:
+        with tracer.span("gc.collect", after=after):
+            gc.collect()
+            gc.freeze()
+
+    gc.disable()
+    try:
+        yield boundary
+    finally:
+        gc.unfreeze()
+        gc.enable()
+
+
 def run_all(
     config: ExperimentConfig | None = None,
     only: list[str] | None = None,
@@ -132,6 +163,12 @@ def run_all(
     an experiment raises mid-run -- e.g. an exhausted circuit breaker
     during an outage -- and a re-run with the same checkpoint resumes
     without re-issuing them, producing bit-identical output.
+
+    The cyclic collector runs only at stage boundaries: once after the
+    session build (inside the first experiment's span, before its
+    timer) and once after each experiment (inside its span, outside
+    ``durations``), each a ``gc.collect`` span; see
+    :func:`_collect_at_boundaries`.
     """
     config = config or ExperimentConfig.full()
     names = list(only or EXPERIMENTS)
@@ -146,59 +183,67 @@ def run_all(
     tracer = tracer if tracer is not None else NULL_TRACER
     metrics = metrics if metrics is not None else NULL_METRICS
 
-    started_wall = time.perf_counter()
-    if context is None and (
-        chaos is not None or tracer.enabled or metrics.enabled
-    ):
-        session = build_audit_session(
-            n_records=config.n_records,
-            seed=config.seed,
-            chaos=chaos,
-            chaos_seed=chaos_seed,
-            tracer=tracer,
-            metrics=metrics,
-        )
-        context = ExperimentContext(config, session=session)
-    ctx = context or ExperimentContext(config)
-
-    store: EstimateCheckpoint | None = None
-    if checkpoint is not None:
-        store = (
-            checkpoint
-            if isinstance(checkpoint, EstimateCheckpoint)
-            else EstimateCheckpoint(checkpoint)
-        )
-        for target in ctx.session.targets.values():
-            target.attach_checkpoint(store)
-        if verbose and len(store):
-            print(
-                f"resuming from checkpoint: {len(store):,} estimates",
-                file=sys.stderr,
-                flush=True,
+    with _collect_at_boundaries(tracer) as boundary:
+        started_wall = time.perf_counter()
+        if context is None and (
+            chaos is not None or tracer.enabled or metrics.enabled
+        ):
+            session = build_audit_session(
+                n_records=config.n_records,
+                seed=config.seed,
+                chaos=chaos,
+                chaos_seed=chaos_seed,
+                tracer=tracer,
+                metrics=metrics,
             )
+            context = ExperimentContext(config, session=session)
+        ctx = context or ExperimentContext(config)
 
-    report = RunReport(config=ctx.config)
-    try:
-        for name in names:
-            title, runner = EXPERIMENTS[name]
-            if verbose:
-                print(f"running {name}: {title} ...", file=sys.stderr, flush=True)
-            started = time.perf_counter()
-            with tracer.span(f"experiment.{name}"), metrics.scope(
-                experiment=name
-            ):
-                report.results[name] = runner(ctx)
-            report.durations[name] = time.perf_counter() - started
-    finally:
-        # Persist whatever completed, even when an experiment raised --
-        # that is the whole point of the checkpoint.
-        if store is not None and store.path is not None:
-            store.save()
-            if tracer.enabled:
-                tracer.event("checkpoint.save", entries=len(store))
-    report.total_api_requests = ctx.session.total_api_requests()
-    report.total_wall = time.perf_counter() - started_wall
-    return report
+        store: EstimateCheckpoint | None = None
+        if checkpoint is not None:
+            store = (
+                checkpoint
+                if isinstance(checkpoint, EstimateCheckpoint)
+                else EstimateCheckpoint(checkpoint)
+            )
+            for target in ctx.session.targets.values():
+                target.attach_checkpoint(store)
+            if verbose and len(store):
+                print(
+                    f"resuming from checkpoint: {len(store):,} estimates",
+                    file=sys.stderr,
+                    flush=True,
+                )
+
+        report = RunReport(config=ctx.config)
+        try:
+            for index, name in enumerate(names):
+                title, runner = EXPERIMENTS[name]
+                if verbose:
+                    print(
+                        f"running {name}: {title} ...", file=sys.stderr, flush=True
+                    )
+                with tracer.span(f"experiment.{name}"), metrics.scope(
+                    experiment=name
+                ):
+                    if index == 0:
+                        # Kept under an experiment span: the trace root
+                        # holds experiment spans only.
+                        boundary("session")
+                    started = time.perf_counter()
+                    report.results[name] = runner(ctx)
+                    report.durations[name] = time.perf_counter() - started
+                    boundary(name)
+        finally:
+            # Persist whatever completed, even when an experiment raised --
+            # that is the whole point of the checkpoint.
+            if store is not None and store.path is not None:
+                store.save()
+                if tracer.enabled:
+                    tracer.event("checkpoint.save", entries=len(store))
+        report.total_api_requests = ctx.session.total_api_requests()
+        report.total_wall = time.perf_counter() - started_wall
+        return report
 
 
 def _int_at_least(minimum: int) -> Callable[[str], int]:

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+from types import SimpleNamespace
+
 import pytest
 
 from repro.experiments import (
@@ -222,3 +226,161 @@ class TestRunnerCli:
         assert exited.value.code == 2
         assert message in capsys.readouterr().err
         assert built == []
+
+
+class _Node:
+    """A weak-referenceable object to build reference cycles from."""
+
+
+def _churn(n: int = 20_000) -> None:
+    """Allocate enough containers to trip CPython's automatic collector
+    many times over (its gen-0 threshold is 700 allocations)."""
+    keep = [[index] for index in range(n)]
+    del keep
+
+
+class _FakeContext:
+    """Stands in for ExperimentContext: builds garbage, no platforms."""
+
+    def __init__(self, config, session=None):
+        self.config = config
+        self.session = SimpleNamespace(total_api_requests=lambda: 0)
+        _churn()
+
+
+class TestCollectorPolicy:
+    """``run_all`` collects cyclic garbage only at stage boundaries."""
+
+    @pytest.fixture
+    def register(self, monkeypatch):
+        """Register fake experiments; returns their names, in order."""
+        from repro.experiments import runner
+
+        monkeypatch.setattr(runner, "build_audit_session", lambda **_: None)
+        monkeypatch.setattr(runner, "ExperimentContext", _FakeContext)
+
+        def register(*experiments):
+            names = []
+            for index, experiment in enumerate(experiments):
+                name = f"gc_fake_{index}"
+                monkeypatch.setitem(
+                    runner.EXPERIMENTS, name, (name, experiment)
+                )
+                names.append(name)
+            return names
+
+        return register
+
+    @pytest.fixture
+    def collections(self):
+        """Generation of every collection started while the test runs."""
+        seen = []
+
+        def hook(phase, info):
+            if phase == "start":
+                seen.append(info["generation"])
+
+        gc.callbacks.append(hook)
+        yield seen
+        gc.callbacks.remove(hook)
+
+    @staticmethod
+    def _run(names, **kwargs):
+        from repro.experiments.runner import run_all
+
+        return run_all(
+            config=ExperimentConfig.tiny(), only=names, **kwargs
+        )
+
+    def test_only_boundary_collections(self, register, collections):
+        def experiment(ctx):
+            _churn()
+            return None
+
+        names = register(experiment, experiment, experiment)
+        self._run(names)
+        # One after the session build, one after each experiment; none
+        # of the automatic gen-0/1 collections the churn would trip.
+        assert collections == [2] * (1 + len(names))
+
+    def test_each_boundary_is_a_gc_collect_span(self, register):
+        from repro.obs import Tracer
+
+        def experiment(ctx):
+            return None
+
+        names = register(experiment, experiment)
+        tracer = Tracer("gc")
+        self._run(names, tracer=tracer)
+        spans = [
+            (record["name"], record["attrs"].get("after"))
+            for record in tracer.export()
+        ]
+        assert spans == [
+            ("gc", None),
+            (f"experiment.{names[0]}", None),
+            ("gc.collect", "session"),
+            ("gc.collect", names[0]),
+            (f"experiment.{names[1]}", None),
+            ("gc.collect", names[1]),
+        ]
+
+    def test_cycle_is_reclaimed_at_its_experiment_boundary(self, register):
+        reclaimed = []
+        seen_by_next = []
+
+        def make_cycle(ctx):
+            node = _Node()
+            node.self = node
+            weakref.finalize(node, reclaimed.append, "cycle")
+            return None
+
+        def observe(ctx):
+            seen_by_next.append(list(reclaimed))
+            return None
+
+        names = register(make_cycle, observe)
+        self._run(names)
+        assert seen_by_next == [["cycle"]]
+        assert reclaimed == ["cycle"]
+
+    @pytest.mark.parametrize("raised", [None, RuntimeError, KeyboardInterrupt])
+    def test_collector_is_restored_on_every_exit(self, register, raised):
+        states = []
+
+        def experiment(ctx):
+            states.append((gc.isenabled(), gc.get_freeze_count() > 0))
+            if raised is not None:
+                raise raised("boom")
+            return None
+
+        names = register(experiment, experiment)
+        if raised is None:
+            self._run(names)
+        else:
+            with pytest.raises(raised):
+                self._run(names)
+        # Inside the run: automatic collection off, the session frozen.
+        assert states[0] == (False, True)
+        assert gc.isenabled()
+        assert gc.get_freeze_count() == 0
+
+    def test_caller_configured_collector_is_left_alone(
+        self, register, collections
+    ):
+        states = []
+
+        def experiment(ctx):
+            states.append((gc.isenabled(), gc.get_freeze_count()))
+            return None
+
+        names = register(experiment, experiment)
+        gc.disable()
+        try:
+            self._run(names)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+        assert states == [(False, 0), (False, 0)]
+        assert gc.get_freeze_count() == 0
+        assert collections == []

@@ -22,10 +22,12 @@ from repro.experiments import (
     fig3_removal,
     fig4_ages,
     fig5_recall,
+    fig6_removal_ages,
     methodology,
     table1_overlap,
     tables23_examples,
 )
+from repro.core.metrics import FOUR_FIFTHS_HIGH
 from repro.experiments.runner import EXPERIMENTS, run_all
 from repro.population.demographics import AgeRange, Gender
 
@@ -105,6 +107,17 @@ class TestFig2:
         assert "Figure 2" in result.render()
 
 
+def assert_top_p90_outside_four_fifths(ctx, result):
+    """Every Top curve's headline p90 at the largest removal step
+    stays above 1.25 -- removal does not mitigate the skew."""
+    assert set(result.top_curves) == set(ctx.target_keys)
+    largest = max(ctx.config.removal_percentiles)
+    for key, curve in result.top_curves.items():
+        percentile, p90 = curve.headline_series()[-1]
+        assert percentile == largest
+        assert p90 > FOUR_FIFTHS_HIGH, (key, p90)
+
+
 class TestFig3:
     @pytest.fixture(scope="class")
     def result(self, ctx):
@@ -118,6 +131,22 @@ class TestFig3:
 
     def test_render(self, result):
         assert "Removal" in result.render()
+
+    def test_removal_leaves_top_p90_outside_four_fifths(self, ctx):
+        """E3: after the largest removal step, every interface's Top
+        2-way p90 still exceeds four-fifths (tiny fixture: 4.2-38.2)."""
+        assert_top_p90_outside_four_fifths(ctx, fig3_removal.run(ctx))
+
+
+class TestFig6:
+    def test_removal_leaves_top_p90_outside_four_fifths(self, ctx):
+        """E6: the same holds for 18-24 and 55+ on every interface
+        (tiny fixture: 8 curves, 2.81-14.54)."""
+        result = fig6_removal_ages.run(
+            ctx, ages=(AgeRange.AGE_18_24, AgeRange.AGE_55_PLUS)
+        )
+        for sub in result.by_age.values():
+            assert_top_p90_outside_four_fifths(ctx, sub)
 
 
 class TestFig4:
