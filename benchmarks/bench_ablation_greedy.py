@@ -29,8 +29,7 @@ def test_ablation_greedy_vs_exhaustive(benchmark):
 
         # Exhaustive ground truth: audit every pair, take the true top-K.
         pairs = [tuple(sorted(p)) for p in combinations(options, 2)]
-        audits = target.audit_many(pairs, GENDER)
-        audits = [a for a in audits if a.total_reach >= 10_000]
+        audits = target.audit_many(pairs, GENDER).filtered(10_000).audits
         audits.sort(key=lambda a: a.ratio(Gender.MALE), reverse=True)
         true_top = {a.options for a in audits[:TOP_K]}
 

@@ -5,8 +5,9 @@ Layering:
 ``metrics``
     Representation ratio (Equation 1), recall, the four-fifths rule.
 ``results``
-    :class:`~repro.core.results.TargetingAudit` records and labelled
-    :class:`~repro.core.results.CompositionSet` collections.
+    Labelled, columnar :class:`~repro.core.results.CompositionSet`
+    collections (one size matrix per set) and the per-targeting
+    :class:`~repro.core.results.TargetingAudit` record.
 ``stats``
     Box-plot statistics matching the paper's figures.
 ``audit``

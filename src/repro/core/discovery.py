@@ -34,7 +34,9 @@ __all__ = [
     "DEFAULT_MIN_REACH",
     "audit_individuals",
     "random_compositions",
+    "rank_options",
     "greedy_candidates",
+    "candidates_from_ranking",
     "skewed_compositions",
     "smallest_k_for_combinations",
 ]
@@ -65,10 +67,13 @@ def audit_individuals(
     option_ids: Sequence[str] | None = None,
     label: str = "Individual",
 ) -> CompositionSet:
-    """Audit every option of the default study list individually."""
-    option_ids = list(option_ids or target.study_option_ids())
-    audits = target.audit_many([(o,) for o in option_ids], attribute)
-    return CompositionSet(label, audits)
+    """Audit every option of the default study list individually.
+
+    ``option_ids`` narrows the list; an empty one audits nothing.
+    """
+    if option_ids is None:
+        option_ids = target.study_option_ids()
+    return target.audit_many([(o,) for o in option_ids], attribute, label=label)
 
 
 def random_compositions(
@@ -87,7 +92,9 @@ def random_compositions(
     deduplicated.
     """
     rng = np.random.default_rng(seed)
-    options = list(option_ids or target.study_option_ids())
+    options = list(
+        target.study_option_ids() if option_ids is None else option_ids
+    )
     n_options = len(options)
     if n_options < arity:
         raise ValueError("not enough options to compose")
@@ -110,11 +117,12 @@ def random_compositions(
             chosen.add(combo)
             if len(chosen) >= n:
                 break
-    audits = target.audit_many(sorted(chosen), attribute)
-    return CompositionSet(label or f"Random {arity}-way", audits)
+    return target.audit_many(
+        sorted(chosen), attribute, label=label or f"Random {arity}-way"
+    )
 
 
-def _ranked_options(
+def rank_options(
     individual: CompositionSet,
     value: SensitiveValue,
     direction: str,
@@ -124,21 +132,19 @@ def _ranked_options(
 
     ``direction="top"`` ranks most-skewed-toward first;
     ``direction="bottom"`` most-skewed-away first.  Only individual
-    targetings above the reach floor participate, per the paper.
+    targetings above the reach floor with a defined ratio participate,
+    per the paper.  Ties keep set order, as Python's stable sort does.
     """
     if direction not in ("top", "bottom"):
         raise ValueError("direction must be 'top' or 'bottom'")
-    eligible: list[tuple[float, str]] = []
-    for audit in individual.audits:
-        if audit.total_reach < min_reach:
-            continue
-        ratio = audit.ratio(value)
-        if math.isnan(ratio):
-            continue
-        eligible.append((ratio, audit.options[0]))
-    reverse = direction == "top"
-    eligible.sort(key=lambda pair: pair[0], reverse=reverse)
-    return [option for _, option in eligible]
+    ratios = individual.ratio_column(value)
+    eligible = np.flatnonzero(
+        (individual.reach() >= min_reach) & ~np.isnan(ratios)
+    )
+    key = ratios[eligible]
+    order = np.argsort(-key if direction == "top" else key, kind="stable")
+    options = individual.options
+    return [options[i][0] for i in eligible[order].tolist()]
 
 
 def greedy_candidates(
@@ -156,8 +162,20 @@ def greedy_candidates(
     Returns at most ``n`` compositions, randomly sampled from the
     greedy candidate pool as in the paper.
     """
+    ranked = rank_options(individual, value, direction, min_reach)
+    return candidates_from_ranking(target, ranked, arity, n, seed)
+
+
+def candidates_from_ranking(
+    target: AuditTarget,
+    ranked: Sequence[str],
+    arity: int = 2,
+    n: int = 1000,
+    seed: int = 0,
+) -> list[tuple[str, ...]]:
+    """The greedy pool over options already ranked by :func:`rank_options`,
+    sampled down to ``n`` compositions."""
     rng = np.random.default_rng(seed)
-    ranked = _ranked_options(individual, value, direction, min_reach)
     if not ranked:
         return []
 
@@ -220,7 +238,8 @@ def skewed_compositions(
     candidates = greedy_candidates(
         target, individual, value, direction, arity, n, min_reach, seed
     )
-    audits = target.audit_many(candidates, attribute)
-    return CompositionSet(
-        label or f"{direction.capitalize()} {arity}-way", audits
+    return target.audit_many(
+        candidates,
+        attribute,
+        label=label or f"{direction.capitalize()} {arity}-way",
     )

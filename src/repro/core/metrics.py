@@ -25,13 +25,16 @@ the targeting reaches: ``|TA AND RA_s|`` when including ``s``,
 from __future__ import annotations
 
 import math
-from typing import Mapping, TypeVar
+from typing import Mapping, Sequence, TypeVar
+
+import numpy as np
 
 __all__ = [
     "FOUR_FIFTHS_LOW",
     "FOUR_FIFTHS_HIGH",
     "representation_ratio",
     "representation_ratio_from_sizes",
+    "representation_ratios",
     "recall_including",
     "recall_excluding",
     "violates_four_fifths",
@@ -82,6 +85,37 @@ def representation_ratio_from_sizes(
     included_not_s = sum(size for v, size in sizes.items() if v != s)
     base_not_s = sum(base for v, base in bases.items() if v != s)
     return representation_ratio(sizes[s], bases[s], included_not_s, base_not_s)
+
+
+def representation_ratios(
+    sizes: np.ndarray, bases: Sequence[int], column: int
+) -> np.ndarray:
+    """Equation 1 for every row of a size matrix, toward value ``column``.
+
+    ``sizes[i, v]`` is ``|TA_i AND RA_v|`` (int64) and ``bases[v]`` is
+    ``|RA_v|``.  Each entry equals :func:`representation_ratio_from_sizes`
+    on that row bit for bit: the int64 sums are exact, int-to-float64
+    conversion is exact below 2**53 (where Python's int true division
+    divides the same two doubles), and a zero complement share gives
+    ``inf`` or ``nan`` exactly as the scalar does.
+    """
+    base_s = int(bases[column])
+    base_not_s = sum(int(base) for base in bases) - base_s
+    included_s = sizes[:, column]
+    included_not_s = sizes.sum(axis=1) - included_s
+    if (
+        min(base_s, base_not_s) <= 0
+        or (included_s < 0).any()
+        or (included_not_s < 0).any()
+    ):
+        raise ValueError("audience sizes must be non-negative, bases positive")
+    share_s = included_s / base_s
+    share_not_s = included_not_s / base_not_s
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = share_s / share_not_s
+    # 0/0 yields the platform's default NaN; store the scalar's math.nan.
+    ratios[(share_not_s == 0) & (share_s == 0)] = math.nan
+    return ratios
 
 
 def recall_including(sizes: Mapping[V, float], s: V) -> float:

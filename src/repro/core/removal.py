@@ -12,14 +12,14 @@ percentile, which is the paper's case for outcome-based mitigations.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.core.audit import AuditTarget
 from repro.core.discovery import (
     DEFAULT_MIN_REACH,
-    skewed_compositions,
+    candidates_from_ranking,
+    rank_options,
 )
 from repro.core.results import CompositionSet, SensitiveValue
 from repro.core.stats import BoxStats
@@ -77,32 +77,6 @@ class RemovalCurve:
         raise KeyError(f"no removal point at percentile {percentile}")
 
 
-def _surviving_individuals(
-    individual: CompositionSet,
-    value: SensitiveValue,
-    direction: str,
-    percentile: float,
-    min_reach: int,
-) -> tuple[CompositionSet, int]:
-    """Drop the ``percentile`` percent most skewed eligible options.
-
-    "Most skewed" is direction-specific: for a ``top`` sweep the
-    options most skewed *toward* the value are removed; for ``bottom``
-    those most skewed *away*.  Returns the survivors and how many
-    eligible options were removed.
-    """
-    eligible = [
-        a
-        for a in individual.audits
-        if a.total_reach >= min_reach and not math.isnan(a.ratio(value))
-    ]
-    reverse = direction == "top"
-    ranked = sorted(eligible, key=lambda a: a.ratio(value), reverse=reverse)
-    n_remove = int(round(len(ranked) * percentile / 100.0))
-    survivors = ranked[n_remove:]
-    return CompositionSet(individual.label, survivors), len(ranked) - len(survivors)
-
-
 def removal_sweep(
     target: AuditTarget,
     attribute: SensitiveAttribute,
@@ -116,34 +90,29 @@ def removal_sweep(
 ) -> RemovalCurve:
     """Re-discover skewed compositions after successive removals.
 
-    Individual audits are reused (no re-measurement); each percentile
-    step re-runs the greedy discovery over the surviving options and
-    summarises the resulting composition ratios (reach-filtered, as
-    everywhere in the paper).
+    Individual audits are reused (no re-measurement).  The eligible
+    options are ranked once, most skewed first ("most skewed" is
+    direction-specific: toward ``value`` for ``top``, away for
+    ``bottom``); the survivors of removing ``p`` percent are a suffix
+    of that ranking.  Each step re-runs the greedy discovery over the
+    survivors and summarises the resulting composition ratios
+    (reach-filtered, as everywhere in the paper).
     """
-    if direction not in ("top", "bottom"):
-        raise ValueError("direction must be 'top' or 'bottom'")
+    ranking = rank_options(individual, value, direction, min_reach)
     curve = RemovalCurve(target_key=target.key, value=value, direction=direction)
     for percentile in percentiles:
-        survivors, n_removed = _surviving_individuals(
-            individual, value, direction, percentile, min_reach
+        n_remove = int(round(len(ranking) * percentile / 100.0))
+        survivors = ranking[n_remove:]
+        candidates = candidates_from_ranking(
+            target, survivors, n=n_compositions, seed=seed
         )
-        composed = skewed_compositions(
-            target,
-            attribute,
-            survivors,
-            value,
-            direction=direction,
-            n=n_compositions,
-            min_reach=min_reach,
-            seed=seed,
-        ).filtered(min_reach)
+        composed = target.audit_many(candidates, attribute).filtered(min_reach)
         curve.points.append(
             RemovalPoint(
                 percentile_removed=float(percentile),
-                n_options_removed=n_removed,
+                n_options_removed=len(ranking) - len(survivors),
                 n_compositions=len(composed),
-                box=BoxStats.from_values(composed.ratios(value)),
+                box=BoxStats.from_values(composed.ratio_column(value)),
             )
         )
     return curve

@@ -35,12 +35,15 @@ class BoxStats:
     mean: float
 
     @classmethod
-    def from_values(cls, values: Iterable[float]) -> "BoxStats":
-        """Summarise finite values; NaNs and infinities are dropped."""
-        arr = np.asarray(
-            [v for v in values if not (math.isnan(v) or math.isinf(v))],
-            dtype=float,
-        )
+    def from_values(cls, values: Iterable[float] | np.ndarray) -> "BoxStats":
+        """Summarise finite values; NaNs and infinities are dropped.
+
+        An ndarray is read as is; any other iterable is listed first.
+        """
+        if not isinstance(values, np.ndarray):
+            values = list(values)
+        arr = np.asarray(values, dtype=float)
+        arr = arr[np.isfinite(arr)]
         if arr.size == 0:
             nan = float("nan")
             return cls(0, nan, nan, nan, nan, nan, nan, nan, nan)

@@ -94,11 +94,7 @@ def run(
     rng = np.random.default_rng(config.seed)
 
     # Campaign portfolios.
-    options = [
-        a.options[0]
-        for a in individual.audits
-        if a.total_reach >= config.min_reach
-    ]
+    options = [o[0] for o in individual.filtered(config.min_reach).options]
     honest_campaigns: dict[str, list[tuple[str, ...]]] = {}
     for advertiser in range(n_honest):
         picks: list[tuple[str, ...]] = []
@@ -113,11 +109,8 @@ def run(
     # The discriminator adapts to the ban list (the paper's point:
     # compositions of the *surviving* options remain highly skewed), so
     # their campaigns greedily combine the most skewed allowed options.
-    from repro.core.results import CompositionSet
-
-    surviving = CompositionSet(
-        individual.label,
-        [a for a in individual.audits if a.options[0] not in removal.banned],
+    surviving = individual.subset(
+        [o[0] not in removal.banned for o in individual.options]
     )
     discriminator_campaigns = greedy_candidates(
         target, surviving, Gender.MALE, "top",

@@ -24,6 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.core import CompositionSet
 from repro.core.stats import BoxStats
 from repro.experiments.context import ExperimentContext
@@ -106,11 +108,11 @@ def _recalls(
     composition_set: CompositionSet,
     population: FavoredPopulation,
     skewed_only: bool,
-) -> list[int]:
-    audits = composition_set.audits
+) -> np.ndarray:
+    recalls = population.recalls(composition_set)
     if skewed_only:
-        audits = [a for a in audits if population.favours(a)]
-    return [population.recall(a) for a in audits]
+        recalls = recalls[population.favours(composition_set)]
+    return recalls
 
 
 def _panel(

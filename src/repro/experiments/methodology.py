@@ -112,9 +112,7 @@ def run(ctx: ExperimentContext) -> MethodologyResult:
         )
 
         individual = ctx.individuals(key, "gender")
-        estimates: list[int] = [
-            size for audit in individual.audits for size in audit.sizes.values()
-        ]
+        estimates: list[int] = individual.sizes.ravel().tolist()
         estimates += target.cached_estimates()
         result.granularity[key] = infer_granularity(estimates)
 

@@ -4,16 +4,19 @@ The paper's recall analyses (Figure 5, Table 1) are organised around
 the population an advertiser *favours*: a skewed targeting can favour
 males, favour females, or favour "everyone except an age range" (i.e.
 selectively exclude young or old users).  :class:`FavoredPopulation`
-captures one such choice and knows how to read the right ratio, recall,
-and discovery direction off a :class:`~repro.core.results.TargetingAudit`.
+captures one such choice and knows how to read the right skew test,
+recall, and discovery direction off the columns of a
+:class:`~repro.core.results.CompositionSet`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.metrics import FOUR_FIFTHS_HIGH, FOUR_FIFTHS_LOW
-from repro.core.results import SensitiveValue, TargetingAudit
+from repro.core.results import CompositionSet, SensitiveValue
 from repro.population.demographics import (
     AgeRange,
     Gender,
@@ -55,19 +58,17 @@ class FavoredPopulation:
         """Greedy-discovery direction producing favouring targetings."""
         return "bottom" if self.exclude else "top"
 
-    def favours(self, audit: TargetingAudit) -> bool:
-        """Whether the audit's skew favours this population beyond the
-        four-fifths thresholds."""
-        ratio = audit.ratio(self.value)
+    def favours(self, composition_set: CompositionSet) -> np.ndarray:
+        """Per row of the set: whether its skew favours this population
+        beyond the four-fifths thresholds."""
+        ratios = composition_set.ratio_column(self.value)
         if self.exclude:
-            return ratio <= FOUR_FIFTHS_LOW
-        return ratio >= FOUR_FIFTHS_HIGH
+            return ratios <= FOUR_FIFTHS_LOW
+        return ratios >= FOUR_FIFTHS_HIGH
 
-    def recall(self, audit: TargetingAudit) -> int:
-        """Recall of this population achieved by the audited targeting."""
-        if self.exclude:
-            return audit.recall_excluding(self.value)
-        return audit.recall(self.value)
+    def recalls(self, composition_set: CompositionSet) -> np.ndarray:
+        """Per row of the set: the recall of this population."""
+        return composition_set.recalls(self.value, excluding=self.exclude)
 
     def population_size(self, bases: dict[SensitiveValue, int]) -> int:
         """Total size of this population on the platform."""

@@ -66,16 +66,20 @@ def select_examples(
     """
     from repro.core.metrics import FOUR_FIFTHS_HIGH
 
-    individual_ratio = {
-        audit.options[0]: audit.ratio(value) for audit in individual.audits
-    }
+    individual_ratio = dict(
+        zip(
+            [options[0] for options in individual.options],
+            individual.ratio_column(value).tolist(),
+        )
+    )
     rows: list[ExampleRow] = []
-    for audit in top_set.audits:
-        if len(audit.options) != 2:
+    for options, combined in zip(
+        top_set.options, top_set.ratio_column(value).tolist()
+    ):
+        if len(options) != 2:
             continue
-        o1, o2 = audit.options
+        o1, o2 = options
         r1, r2 = individual_ratio.get(o1), individual_ratio.get(o2)
-        combined = audit.ratio(value)
         if r1 is None or r2 is None:
             continue
         if any(math.isnan(x) or math.isinf(x) for x in (r1, r2, combined)):

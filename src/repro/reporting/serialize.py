@@ -96,8 +96,7 @@ def composition_set_to_json(composition_set: CompositionSet) -> dict[str, Any]:
 def composition_set_from_json(payload: Mapping[str, Any]) -> CompositionSet:
     """Inverse of :func:`composition_set_to_json`."""
     return CompositionSet(
-        label=payload["label"],
-        audits=[audit_from_json(a) for a in payload["audits"]],
+        payload["label"], [audit_from_json(a) for a in payload["audits"]]
     )
 
 

@@ -197,7 +197,7 @@ class TestQueryPlanner:
             for options in compositions
             if target.can_compose(options)
         ]
-        assert batched == sequential
+        assert batched.audits == sequential
 
     def test_error_parity_without_skip(self, session_small, study_ids):
         """audit_many raises where the direct ``audit`` loop raises."""

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 import pytest
 
+from repro import build_audit_session
 from repro.core.discovery import (
     audit_individuals,
     greedy_candidates,
@@ -48,6 +50,11 @@ class TestIndividualAudits:
         assert all(len(a.options) == 1 for a in fb_individual.audits)
         assert fb_individual.label == "Individual"
 
+    def test_empty_option_ids_audit_nothing(self, session_small):
+        target = session_small.targets["facebook"]
+        empty = audit_individuals(target, GENDER, option_ids=[])
+        assert len(empty) == 0 and empty.label == "Individual"
+
     def test_ratio_distribution_sane(self, fb_individual):
         ratios = fb_individual.filtered(10_000).ratios(Gender.MALE)
         assert len(ratios) > 300
@@ -75,6 +82,11 @@ class TestRandomCompositions:
         for audit in result.audits:
             features = {target.feature_of(o) for o in audit.options}
             assert len(features) == 2
+
+    def test_empty_option_ids_raise(self, session_small):
+        target = session_small.targets["facebook"]
+        with pytest.raises(ValueError, match="not enough options"):
+            random_compositions(target, GENDER, n=5, option_ids=[])
 
     def test_arity_3(self, session_small):
         target = session_small.targets["facebook"]
@@ -171,3 +183,32 @@ class TestSkewedCompositions:
         three_ratios = three.ratios(Gender.MALE)
         if three_ratios:  # small populations can filter everything out
             assert max(three_ratios) >= max(two_ratios) * 0.8
+
+
+class TestGreedyAblation:
+    """Greedy vs exhaustive discovery on a catalog slice small enough to
+    crawl every pair (DESIGN.md section 5)."""
+
+    CATALOG_SLICE = 60  # C(60, 2) = 1,770 pairs
+    TOP_K = 50
+
+    def test_greedy_captures_exhaustive_top(self):
+        """The paper accepts greedy discovery as an approximate lower
+        bound (Section 3); it must still capture over 30% of the true
+        top-50 compositions to be usable."""
+        session = build_audit_session(n_records=15_000, seed=9)
+        target = session.targets["facebook"]
+        options = target.study_option_ids()[: self.CATALOG_SLICE]
+        individual = audit_individuals(target, GENDER, option_ids=options)
+
+        pairs = [tuple(sorted(p)) for p in combinations(options, 2)]
+        audits = target.audit_many(pairs, GENDER).filtered(10_000).audits
+        audits.sort(key=lambda a: a.ratio(Gender.MALE), reverse=True)
+        true_top = {a.options for a in audits[: self.TOP_K]}
+
+        greedy = set(
+            greedy_candidates(
+                target, individual, Gender.MALE, "top", n=self.TOP_K, seed=0
+            )
+        )
+        assert len(true_top & greedy) / len(true_top) > 0.3

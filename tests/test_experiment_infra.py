@@ -16,7 +16,7 @@ from repro.experiments import (
     TABLE1_POPULATIONS,
     TARGET_LABELS,
 )
-from repro.core.results import TargetingAudit
+from repro.core.results import CompositionSet, TargetingAudit
 from repro.population.demographics import (
     SENSITIVE_ATTRIBUTES,
     AgeRange,
@@ -89,9 +89,10 @@ class TestFavoredPopulation:
 
     def test_favours_inclusion(self):
         population = FavoredPopulation(Gender.MALE)
-        assert population.favours(gender_audit(30, 10))
-        assert not population.favours(gender_audit(10, 30))
-        assert not population.favours(gender_audit(10, 10))
+        rows = CompositionSet(
+            "x", [gender_audit(30, 10), gender_audit(10, 30), gender_audit(10, 10)]
+        )
+        assert population.favours(rows).tolist() == [True, False, False]
 
     def test_favours_exclusion(self):
         population = FavoredPopulation(AgeRange.AGE_55_PLUS, exclude=True)
@@ -101,14 +102,15 @@ class TestFavoredPopulation:
             AgeRange.AGE_35_54: 100,
             AgeRange.AGE_55_PLUS: 5,
         }
-        assert population.favours(age_audit(sizes))
+        rows = CompositionSet("x", [age_audit(sizes)])
+        assert population.favours(rows).tolist() == [True]
 
     def test_recall(self):
         inc = FavoredPopulation(Gender.MALE)
         exc = FavoredPopulation(Gender.MALE, exclude=True)
-        audit = gender_audit(30, 12)
-        assert inc.recall(audit) == 30
-        assert exc.recall(audit) == 12
+        rows = CompositionSet("x", [gender_audit(30, 12)])
+        assert inc.recalls(rows).tolist() == [30]
+        assert exc.recalls(rows).tolist() == [12]
 
     def test_population_size(self):
         bases = {Gender.MALE: 600, Gender.FEMALE: 400}

@@ -10,9 +10,11 @@ apart from wall times (a ``slow`` test).
 
 Below the rendered text, every audit record the tiny run creates is
 digested too (``tests/golden/tiny_records.json``): per experiment, the
-count and one sha256 over each ``TargetingAudit`` serialised by
-``audit_to_json`` with sorted keys, in creation order.  A change to any
-record then fails even when no rendered digit moves.
+count and one sha256 over each record serialised by ``audit_to_json``
+with sorted keys, in creation order.  The records are every row of
+every ``AuditTarget.audit_many`` result and every single
+``AuditTarget.audit`` record.  A change to any record then fails even
+when no rendered digit moves.
 
 Regenerate the golden files only for a change that is meant to alter
 results::
@@ -91,18 +93,28 @@ def _run_cli(args: list[str], hash_seed: str) -> str:
 
 def _tiny_run() -> tuple[str, dict]:
     """The rendered tiny run and the digests of its audit records."""
-    from repro.core import audit
+    from repro.core.audit import AuditTarget
     from repro.experiments.config import ExperimentConfig
     from repro.experiments.runner import EXPERIMENTS, run_all
     from repro.reporting.serialize import audit_to_json
 
-    build = audit.TargetingAudit
+    audit_many, audit = AuditTarget.audit_many, AuditTarget.audit
     records: dict[str, list[str]] = {}
     current = ""
 
-    def recording(**fields):
-        made = build(**fields)
-        records[current].append(json.dumps(audit_to_json(made), sort_keys=True))
+    def record(audits):
+        records[current].extend(
+            json.dumps(audit_to_json(a), sort_keys=True) for a in audits
+        )
+
+    def recording_many(self, *args, **kwargs):
+        made = audit_many(self, *args, **kwargs)
+        record(made.audits)
+        return made
+
+    def recording(self, *args, **kwargs):
+        made = audit(self, *args, **kwargs)
+        record([made])
         return made
 
     def scoped(name, runner):
@@ -115,7 +127,8 @@ def _tiny_run() -> tuple[str, dict]:
         return run
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(audit, "TargetingAudit", recording)
+        patch.setattr(AuditTarget, "audit_many", recording_many)
+        patch.setattr(AuditTarget, "audit", recording)
         for name, (title, runner) in list(EXPERIMENTS.items()):
             patch.setitem(EXPERIMENTS, name, (title, scoped(name, runner)))
         text = run_all(ExperimentConfig.tiny()).render()
