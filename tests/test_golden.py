@@ -16,12 +16,22 @@ every ``AuditTarget.audit_many`` result and every single
 ``AuditTarget.audit`` record.  A change to any record then fails even
 when no rendered digit moves.
 
+Below the records, every request the tiny run sends over the simulated
+HTTP transport is digested as well (``tests/golden/tiny_wire.json``):
+per route, the request count and one sha256 over each ``[method,
+request body, status, response body]`` serialised as JSON with sorted
+keys, in send order.  A codec or server change that moves one byte on
+the wire then fails even when every estimate is unchanged.  The
+second-``PYTHONHASHSEED`` subprocess checks these digests too.
+
 Regenerate the golden files only for a change that is meant to alter
-results::
+results (or, for the wire digests, the wire format)::
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden/tiny.json
     PYTHONPATH=src python tests/test_golden.py --records \
         > tests/golden/tiny_records.json
+    PYTHONPATH=src python tests/test_golden.py --wire \
+        > tests/golden/tiny_wire.json
 """
 
 from __future__ import annotations
@@ -32,6 +42,7 @@ import os
 import re
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -40,6 +51,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 GOLDEN = Path(__file__).resolve().parent / "golden" / "tiny.json"
 RECORDS = GOLDEN.with_name("tiny_records.json")
+WIRE = GOLDEN.with_name("tiny_wire.json")
 FULL_RUN = ROOT / "results_full_run.txt"
 FULL_ARGS = ["--scale", "full", "--records", "100000", "--compositions", "500"]
 
@@ -76,13 +88,67 @@ def digest_report(text: str) -> dict:
     }
 
 
-def _run_cli(args: list[str], hash_seed: str) -> str:
+def _digest_lines(groups: dict[str, list[str]], count: str) -> dict:
+    """Per group, its line count and one sha256 over its lines."""
+    return {
+        name: {
+            count: len(lines),
+            "sha256": hashlib.sha256("\n".join(lines).encode()).hexdigest(),
+        }
+        for name, lines in groups.items()
+    }
+
+
+@contextmanager
+def recording_wire():
+    """Record every transport exchange, per ``"METHOD /path"`` route.
+
+    Yields the route map, filled as requests are sent; each exchange
+    is one ``[method, body, status, response body]`` JSON line.
+    """
+    from repro.api.transport import FakeTransport
+
+    request = FakeTransport.request
+    wire: dict[str, list[str]] = {}
+
+    def recording(self, http_request):
+        response = request(self, http_request)
+        wire.setdefault(
+            f"{http_request.method} {http_request.path}", []
+        ).append(
+            json.dumps(
+                [
+                    http_request.method,
+                    http_request.body,
+                    response.status,
+                    response.body,
+                ],
+                sort_keys=True,
+            )
+        )
+        return response
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FakeTransport, "request", recording)
+        yield wire
+
+
+def digest_wire(wire: dict[str, list[str]]) -> dict:
+    """Request count and sha256 of each route's exchanges, by route."""
+    return _digest_lines(dict(sorted(wire.items())), "requests")
+
+
+def _run_cli(args: list[str], hash_seed: str, wire: bool = False) -> str:
+    """The CLI's output; with ``wire``, plus a last line of wire digests."""
     env = dict(os.environ, PYTHONHASHSEED=hash_seed)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p
     )
+    command = (
+        [__file__, "--wire-cli"] if wire else ["-m", "repro.experiments.runner"]
+    )
     result = subprocess.run(
-        [sys.executable, "-m", "repro.experiments.runner", *args],
+        [sys.executable, *command, *args],
         env=env,
         capture_output=True,
         text=True,
@@ -91,8 +157,8 @@ def _run_cli(args: list[str], hash_seed: str) -> str:
     return result.stdout
 
 
-def _tiny_run() -> tuple[str, dict]:
-    """The rendered tiny run and the digests of its audit records."""
+def _tiny_run() -> tuple[str, dict, dict]:
+    """The rendered tiny run and the digests of its records and wire."""
     from repro.core.audit import AuditTarget
     from repro.experiments.config import ExperimentConfig
     from repro.experiments.runner import EXPERIMENTS, run_all
@@ -126,19 +192,13 @@ def _tiny_run() -> tuple[str, dict]:
 
         return run
 
-    with pytest.MonkeyPatch.context() as patch:
+    with pytest.MonkeyPatch.context() as patch, recording_wire() as wire:
         patch.setattr(AuditTarget, "audit_many", recording_many)
         patch.setattr(AuditTarget, "audit", recording)
         for name, (title, runner) in list(EXPERIMENTS.items()):
             patch.setitem(EXPERIMENTS, name, (title, scoped(name, runner)))
         text = run_all(ExperimentConfig.tiny()).render()
-    return text, {
-        name: {
-            "audits": len(lines),
-            "sha256": hashlib.sha256("\n".join(lines).encode()).hexdigest(),
-        }
-        for name, lines in records.items()
-    }
+    return text, _digest_lines(records, "audits"), digest_wire(wire)
 
 
 @pytest.fixture(scope="module")
@@ -147,7 +207,7 @@ def golden() -> dict:
 
 
 @pytest.fixture(scope="module")
-def tiny_run() -> tuple[str, dict]:
+def tiny_run() -> tuple[str, dict, dict]:
     return _tiny_run()
 
 
@@ -174,9 +234,16 @@ def test_tiny_run_matches_golden_record_digests(tiny_run):
     assert tiny_run[1] == json.loads(RECORDS.read_text())
 
 
+def test_tiny_run_matches_golden_wire_digests(tiny_run):
+    assert tiny_run[2] == json.loads(WIRE.read_text())
+
+
 def test_digests_stable_under_another_hash_seed(golden):
     seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
-    assert digest_report(_run_cli(["--scale", "tiny"], seed)) == golden
+    output = _run_cli(["--scale", "tiny"], seed, wire=True)
+    report, _, wire = output.rstrip("\n").rpartition("\n")
+    assert digest_report(report) == golden
+    assert json.loads(wire) == json.loads(WIRE.read_text())
 
 
 def test_digest_ignores_only_header_wall_times():
@@ -200,6 +267,15 @@ def test_full_scale_run_reproduces_results_full_run():
 
 
 if __name__ == "__main__":
-    text, records = _tiny_run()
-    golden_file = records if sys.argv[1:] == ["--records"] else digest_report(text)
+    if sys.argv[1:2] == ["--wire-cli"]:
+        from repro.experiments.runner import main
+
+        with recording_wire() as exchanges:
+            main(sys.argv[2:])
+        print(json.dumps(digest_wire(exchanges)))
+        sys.exit(0)
+    text, records, wire = _tiny_run()
+    golden_file = {
+        "--records": records, "--wire": wire
+    }.get(" ".join(sys.argv[1:]), digest_report(text))
     print(json.dumps(golden_file, indent=2))
