@@ -27,10 +27,16 @@ Endpoint                                  Behaviour
 Batch endpoints accept up to :data:`repro.api.wire.MAX_BATCH_SIZE`
 targeting specs per request and answer per item: each entry is either
 the single-call response body or a typed error payload, so one
-inexpressible spec never fails its batch-mates.  The rate limiter
-charges batches by size (one token plus :data:`BATCH_ITEM_TOKEN_COST`
-per additional item), so batching is much cheaper than per-item calls
-but very large audits are still metered.
+inexpressible spec never fails its batch-mates.  A batch request is one
+:meth:`~repro.platforms.base.AdPlatformInterface.estimate_batch` call
+over the decoded items (an item that fails to decode passes through as
+its error).  A single-estimate request is
+:meth:`~repro.platforms.base.AdPlatformInterface.estimate_reach`, a
+batch of one over the same pass, so an item gets the same estimate or
+the same error either way.  The rate limiter charges batches by size
+(one token plus :data:`BATCH_ITEM_TOKEN_COST` per additional item), so
+batching is much cheaper than per-item calls but very large audits are
+still metered.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from repro.api.obfuscation import GoogleWireCodec
 from repro.api.transport import FakeTransport, HttpRequest
 from repro.api.wire import FacebookWireCodec, LinkedInWireCodec
 from repro.platforms import PlatformSuite
-from repro.platforms.base import AdPlatformInterface
+from repro.platforms.base import AdPlatformInterface, BatchItem
 from repro.platforms.catalog import CatalogEntry
 from repro.platforms.errors import (
     ApiError,
@@ -151,36 +157,25 @@ def _estimate_handler(interface: AdPlatformInterface, codec: RouteCodec):
 
 
 def _batch_handler(interface: AdPlatformInterface, codec: RouteCodec):
-    """Batch route over the codec's envelope, answering per item."""
+    """Batch route over the codec's envelope: one platform call per request."""
 
     def handler(request: HttpRequest) -> Mapping[str, Any]:
         if request.body is None:
             raise BadRequestError("missing request body")
-        decoded: list[tuple[Any, dict[str, Any]] | PlatformError] = []
+        decoded: list[BatchItem] = []
         for item in codec.decode_batch_request(request.body):
             try:
                 decoded.append(codec.decode_item(item))
             except PlatformError as exc:
                 decoded.append(exc)
-        interface.prime_counts(
-            d[0] for d in decoded if not isinstance(d, PlatformError)
+        return codec.encode_batch_response(
+            [
+                codec.batch_item_error(*_error_parts(result))
+                if isinstance(result, PlatformError)
+                else codec.batch_item_ok(codec.encode_response(result))
+                for result in interface.estimate_batch(decoded)
+            ]
         )
-        results: list[dict[str, Any]] = []
-        for d in decoded:
-            try:
-                if isinstance(d, PlatformError):
-                    raise d
-                spec, kwargs = d
-                results.append(
-                    codec.batch_item_ok(
-                        codec.encode_response(
-                            interface.estimate_value(spec, **kwargs)
-                        )
-                    )
-                )
-            except PlatformError as exc:
-                results.append(codec.batch_item_error(*_error_parts(exc)))
-        return codec.encode_batch_response(results)
 
     return handler
 

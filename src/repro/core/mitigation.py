@@ -245,42 +245,6 @@ class OutcomeMonitor:
             return math.nan
         return sum(magnitudes) / len(magnitudes)
 
-    def anomalous_advertisers(self, z_threshold: float = 3.0) -> list[str]:
-        """Advertisers whose outcome history is anomalously skewed.
-
-        This is the paper's actual proposal: "anomaly detection based
-        on the outcome of ad targeting to detect advertisers who
-        *consistently* target skewed audiences".  Because even honest
-        advertisers inadvertently produce some skew (Section 4.3), the
-        detector is *relative*: it computes each advertiser's mean skew
-        magnitude and flags those more than ``z_threshold`` robust
-        z-scores (median / MAD) above the advertiser population, with
-        the absolute ``min_campaigns``/``flag_fraction`` gates as a
-        floor.
-        """
-        eligible = {
-            advertiser: self.mean_skew_magnitude(advertiser)
-            for advertiser, history in self._history.items()
-            if history.n_campaigns >= self.min_campaigns
-        }
-        finite = sorted(
-            m for m in eligible.values() if not math.isnan(m)
-        )
-        if len(finite) < 3:
-            return self.flagged_advertisers()
-        median = finite[len(finite) // 2]
-        deviations = sorted(abs(m - median) for m in finite)
-        mad = deviations[len(deviations) // 2]
-        scale = max(mad * 1.4826, 1e-6)  # MAD -> sigma for normal data
-        flagged = [
-            advertiser
-            for advertiser, magnitude in eligible.items()
-            if not math.isnan(magnitude)
-            and (magnitude - median) / scale >= z_threshold
-            and self.history(advertiser).skewed_fraction >= self.flag_fraction
-        ]
-        return sorted(flagged)
-
 
 class RemovalPolicy:
     """Baseline mitigation: ban the most skewed individual options.

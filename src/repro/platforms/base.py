@@ -16,22 +16,33 @@ from __future__ import annotations
 from abc import ABC
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Any, Mapping, Sequence
 
 from repro.platforms.catalog import Catalog, CatalogEntry
 from repro.platforms.errors import (
     CampaignConfigError,
     DisallowedTargetingError,
     ExclusionNotAllowedError,
+    PlatformError,
     TargetingError,
     UnknownOptionError,
 )
 from repro.platforms.rounding import RoundingPolicy
 from repro.platforms.targeting import TargetingSpec
-from repro.population.bitsets import BitVector, intersect_counts, union_all
+from repro.population.bitsets import (
+    BitVector,
+    intersect_all,
+    intersect_counts,
+    union_all,
+)
 from repro.population.generator import Population
 
-__all__ = ["InterfaceCapabilities", "ReachEstimate", "AdPlatformInterface"]
+__all__ = [
+    "BatchItem",
+    "InterfaceCapabilities",
+    "ReachEstimate",
+    "AdPlatformInterface",
+]
 
 #: Bound on the bit-vector words each interface's rule-resolution memo
 #: retains: 8 MiB of ``uint64`` words, which is 670 entries at 100k
@@ -42,6 +53,14 @@ __all__ = ["InterfaceCapabilities", "ReachEstimate", "AdPlatformInterface"]
 #: each demographic slice of one batch, then moves on -- so a few
 #: hundred entries hit about as often as tens of thousands.
 _RULE_MEMO_WORDS = 1 << 20
+
+#: One batch item: a decoded ``(spec, estimate options)`` pair, or the
+#: error that decoding it raised.  The options are the keyword
+#: arguments of :meth:`AdPlatformInterface.estimate_reach`.
+BatchItem = tuple[TargetingSpec, Mapping[str, Any]] | PlatformError
+
+#: Size at which an interface's slice-mask memo starts over.
+_MASK_MEMO_ENTRIES = 256
 
 
 @dataclass(frozen=True)
@@ -125,18 +144,28 @@ class AdPlatformInterface(ABC):
         # registered by an AudienceService.
         self._audience_vectors: dict[str, BitVector] = {}
         # Resolution memo: the demographic-free rule part of a spec
-        # (``spec.rule``: clauses + exclusions) resolves to the same
-        # bitvector under every demographic slice, so it is computed once
-        # and re-sliced against precomputed gender/age vectors.
+        # (clauses + exclusions, minus folded facet clauses) resolves to
+        # the same bitvector under every demographic slice, so it is
+        # computed once and counted against each slice's mask.
         self._rule_memo: OrderedDict[
             tuple[object, ...], BitVector
         ] = OrderedDict()
         self._rule_memo_entries = max(
             1, _RULE_MEMO_WORDS // population.index.everyone.words.size
         )
-        self._demographic_memo: dict[tuple[object, ...], BitVector] = {}
-        # Popcounts primed by the batch endpoints (consumed on use).
-        self._count_memo: dict[TargetingSpec, int] = {}
+        # Demographic mask of each slice (genders, ages, facet clauses).
+        self._mask_memo: dict[tuple[object, ...], BitVector | None] = {}
+        # Catalog options that *are* a demographic value (LinkedIn's
+        # gender and age facets).  A clause made only of these is a
+        # demographic slice, not part of the rule.  A memo hit skips
+        # ``_validate_extra``, so an interface with composition rules
+        # folds none: they may constrain the facet clauses too.
+        folds = type(self)._validate_extra is AdPlatformInterface._validate_extra
+        self._facet_ids = frozenset(
+            entry.option_id
+            for entry in catalog
+            if folds and entry.demographic_value is not None
+        )
         self.resolution_hits = 0
         self.resolution_misses = 0
 
@@ -171,10 +200,9 @@ class AdPlatformInterface(ABC):
             raise ValueError("audience spans a different population")
         self._audience_vectors[audience_id] = members
         # A re-registered audience id may change what cached rules
-        # resolve to; drop the memos rather than track which entries
+        # resolve to; drop the memo rather than track which entries
         # referenced it.
         self._rule_memo.clear()
-        self._count_memo.clear()
 
     def has_audience(self, audience_id: str) -> bool:
         """Whether an audience id is targetable here."""
@@ -182,8 +210,8 @@ class AdPlatformInterface(ABC):
 
     # -- validation ----------------------------------------------------------
 
-    def validate(self, spec: TargetingSpec) -> None:
-        """Raise a :class:`TargetingError` subclass if ``spec`` is invalid."""
+    def _check_fields(self, spec: TargetingSpec) -> None:
+        """Raise if a spec sets a field this interface does not offer."""
         if spec.country != "US":
             raise TargetingError(
                 f"{self.name} simulation only models the US audience, "
@@ -201,11 +229,9 @@ class AdPlatformInterface(ABC):
             raise ExclusionNotAllowedError(
                 f"{self.name} does not allow excluding attribute holders"
             )
-        # A rule already in the resolution memo passed the option and
-        # composition checks when it was first resolved; demographic
-        # slices of it only need the field checks above.
-        if spec.rule in self._rule_memo:
-            return
+
+    def _check_options(self, spec: TargetingSpec) -> None:
+        """Raise if a spec names an unknown option or composes illegally."""
         for option_id in spec.option_ids:
             if option_id in self._audience_vectors:
                 continue
@@ -226,24 +252,42 @@ class AdPlatformInterface(ABC):
             return self.population.index.demographic(entry.demographic_value)
         return self.population.index.attribute(option_id)
 
-    def _rule_vector(self, spec: TargetingSpec) -> BitVector:
-        """Memoised resolution of a spec's clauses and exclusions.
+    def _split(
+        self, spec: TargetingSpec
+    ) -> tuple[tuple[object, ...], tuple[object, ...]]:
+        """A spec's rule-memo key and its demographic slice.
+
+        The key is ``(clauses, exclusions)``; the slice is ``(genders,
+        ages, facet clauses)``.  A clause whose options are all
+        demographic facets ANDs a demographic union into the audience,
+        exactly as the gender and age fields do, so it joins the slice
+        instead of the rule: every slice of one rule then shares one
+        memo entry.  A clause mixing facets with other options, and a
+        facet among the exclusions, stay in the rule.
+        """
+        _, genders, ages, clauses, exclusions = spec
+        facet_ids = self._facet_ids
+        if facet_ids:
+            facets = tuple([c for c in clauses if c <= facet_ids])
+            if facets:
+                rule = tuple([c for c in clauses if not c <= facet_ids])
+                return (rule, exclusions), (genders, ages, facets)
+        return (clauses, exclusions), (genders, ages, ())
+
+    def _rule_vector(self, key: tuple[object, ...]) -> BitVector:
+        """Resolve a rule-memo key (clauses, exclusions) and memoise it.
 
         Eviction is FIFO rather than LRU: audits sweep through rules
         rather than revisiting old ones, so recency tracking would cost
         a ``move_to_end`` on the hot hit path for nothing.
         """
-        key = spec.rule
-        cached = self._rule_memo.get(key)
-        if cached is not None:
-            self.resolution_hits += 1
-            return cached
+        clauses, exclusions = key
         self.resolution_misses += 1
         # Fold clauses without touching the all-ones vector: ANDing with
         # ``everyone`` is the identity, and most audited rules are one or
         # two single-option clauses where every saved AND matters.
         audience: BitVector | None = None
-        for clause in spec.clauses:
+        for clause in clauses:
             clause_union = None
             for option_id in clause.options:
                 vec = self._option_vector(option_id)
@@ -253,43 +297,35 @@ class AdPlatformInterface(ABC):
             )
         if audience is None:
             audience = self.population.index.everyone
-        if spec.exclusions:
-            for option_id in sorted(spec.exclusions):
+        if exclusions:
+            for option_id in sorted(exclusions):
                 audience = audience.difference(self._option_vector(option_id))
         self._rule_memo[key] = audience
         if len(self._rule_memo) > self._rule_memo_entries:
             self._rule_memo.popitem(last=False)
         return audience
 
-    def _demographic_union(self, kind: str, values, lookup) -> BitVector:
-        """Memoised union of gender/age vectors for a demographic field."""
-        key = (kind, values)
-        cached = self._demographic_memo.get(key)
-        if cached is None:
-            cached = self._demographic_memo[key] = union_all(
-                lookup(v) for v in values
-            )
-        return cached
+    def _slice_mask(self, key: tuple[object, ...]) -> BitVector | None:
+        """Memoised mask of a ``(genders, ages, facet clauses)`` slice.
 
-    def audience_vector(self, spec: TargetingSpec) -> BitVector:
-        """Resolve a *validated* spec to its audience bit vector.
-
-        The clause/exclusion part resolves through a memo shared by all
-        demographic slices of the same rule, so an audit's per-gender
-        and per-age queries cost one AND each instead of a full
-        re-resolution.
+        ``None`` is everyone.  An audit meets a few dozen slices, so the
+        memo starts over at :data:`_MASK_MEMO_ENTRIES` rather than grow
+        with a stream of unusual facet clauses.
         """
+        memo = self._mask_memo
+        if key in memo:
+            return memo[key]
+        genders, ages, facets = key
         index = self.population.index
-        audience = self._rule_vector(spec)
-        if spec.genders is not None:
-            audience = audience & self._demographic_union(
-                "gender", spec.genders, index.gender
-            )
-        if spec.age_ranges is not None:
-            audience = audience & self._demographic_union(
-                "age", spec.age_ranges, index.age
-            )
-        return audience
+        parts = [union_all(map(self._option_vector, c)) for c in facets]
+        if genders is not None:
+            parts.append(union_all(map(index.gender, genders)))
+        if ages is not None:
+            parts.append(union_all(map(index.age, ages)))
+        if len(memo) >= _MASK_MEMO_ENTRIES:
+            memo.clear()
+        mask = memo[key] = intersect_all(parts) if parts else None
+        return mask
 
     def resolution_stats(self) -> dict[str, int]:
         """Hit/miss counters of the rule-resolution memo."""
@@ -299,144 +335,129 @@ class AdPlatformInterface(ABC):
             "entries": len(self._rule_memo),
         }
 
-    def prime_counts(self, specs: Iterable[TargetingSpec]) -> None:
-        """Vectorise the audience popcounts an incoming batch will need.
+    def prime_counts(
+        self, specs: Sequence[TargetingSpec]
+    ) -> list[int | PlatformError]:
+        """Validate, resolve and popcount specs, one result per spec.
 
-        Batch endpoints call this with every decodable spec in a
-        request: valid specs resolve to rule vectors, group by their
-        demographic slice, and popcount in one 2-D numpy pass per
-        group.  The per-item estimate path then consumes the counts
-        from a memo instead of paying per-spec numpy dispatch.  Invalid
-        specs are skipped here so the per-item path reports their
-        errors exactly as a single call would.
+        Each spec passes the field checks, then resolves its rule
+        through the memo; only a memo miss runs the option and
+        composition checks, which every memoised rule already passed.
+        Valid specs group by demographic slice, and each group
+        popcounts in one 2-D numpy pass.  An invalid spec gets the
+        error a lone call would raise, in its place.
         """
-        groups: dict[
-            tuple[object, object], tuple[list[TargetingSpec], list[BitVector]]
-        ] = {}
-        memo = self._count_memo
+        results: list[int | PlatformError] = [0] * len(specs)
+        groups: dict[tuple[object, ...], tuple[list[int], list[BitVector]]] = {}
         rule_memo = self._rule_memo
-        caps = self.capabilities
-        for spec in specs:
-            rule = rule_memo.get(spec.rule)
-            if rule is not None:
-                self.resolution_hits += 1
-                # A memoised rule already passed option and composition
-                # checks; re-check only the per-spec fields (and leave
-                # rejects unprimed so the per-item path raises).
-                if (
-                    spec.country != "US"
-                    or (spec.genders is not None and not caps.gender_targeting)
-                    or (spec.age_ranges is not None and not caps.age_targeting)
-                    or (spec.exclusions and not caps.exclusions)
-                ):
-                    continue
-            else:
-                try:
-                    self.validate(spec)
-                    rule = self._rule_vector(spec)
-                except TargetingError:
-                    continue
-            bucket = groups.get((spec.genders, spec.age_ranges))
-            if bucket is None:
-                bucket = groups[(spec.genders, spec.age_ranges)] = ([], [])
-            bucket[0].append(spec)
-            bucket[1].append(rule)
-        index = self.population.index
-        for (genders, ages), (group_specs, rules) in groups.items():
-            mask = None
-            if genders is not None:
-                mask = self._demographic_union("gender", genders, index.gender)
-            if ages is not None:
-                age_mask = self._demographic_union("age", ages, index.age)
-                mask = age_mask if mask is None else mask & age_mask
-            memo.update(zip(group_specs, intersect_counts(rules, mask)))
-
-    def _audience_count(self, spec: TargetingSpec) -> int:
-        """Popcount of a validated spec's audience.
-
-        Slicing a memoised rule vector by one demographic union is the
-        single hottest operation of an audit; ``intersect_count`` folds
-        the AND and the popcount into one pass without materialising a
-        :class:`BitVector` for the result.
-        """
-        index = self.population.index
-        audience = self._rule_vector(spec)
-        genders, ages = spec.genders, spec.age_ranges
-        if genders is not None and ages is not None:
-            audience = audience & self._demographic_union(
-                "gender", genders, index.gender
-            )
-            return audience.intersect_count(
-                self._demographic_union("age", ages, index.age)
-            )
-        if genders is not None:
-            return audience.intersect_count(
-                self._demographic_union("gender", genders, index.gender)
-            )
-        if ages is not None:
-            return audience.intersect_count(
-                self._demographic_union("age", ages, index.age)
-            )
-        return audience.count()
+        for position, spec in enumerate(specs):
+            try:
+                self._check_fields(spec)
+                key, demographic = self._split(spec)
+                rule = rule_memo.get(key)
+                if rule is None:
+                    self._check_options(spec)
+                    rule = self._rule_vector(key)
+                else:
+                    self.resolution_hits += 1
+            except PlatformError as exc:
+                results[position] = exc
+                continue
+            members = groups.get(demographic)
+            if members is None:
+                members = groups[demographic] = ([], [])
+            members[0].append(position)
+            members[1].append(rule)
+        for demographic, (positions, rules) in groups.items():
+            counts = intersect_counts(rules, self._slice_mask(demographic))
+            for position, count in zip(positions, counts):
+                results[position] = count
+        return results
 
     def exact_users(self, spec: TargetingSpec) -> float:
         """Exact (scaled) user count -- internal; the audit never sees it."""
-        # A primed count means the spec was already validated and
-        # popcounted by :meth:`prime_counts` for this batch request.
-        primed = self._count_memo.pop(spec, None)
-        if primed is not None:
-            return primed * self.population.scale
-        self.validate(spec)
-        return self._audience_count(spec) * self.population.scale
+        [count] = self.prime_counts([spec])
+        if isinstance(count, PlatformError):
+            raise count
+        return count * self.population.scale
 
     # -- the advertiser-visible estimate ------------------------------------
 
-    def _estimate_value(self, exact_users: float, objective: str) -> float:
+    def _reported_value(
+        self, exact_users: float, objective: str | None = None
+    ) -> float:
         """Convert exact users into the quantity the UI estimates.
 
         Default: the estimate counts users ("the size of the audience
         that's eligible to see your ad").  Google overrides this to
-        report impressions.
+        report impressions; its extra keyword arguments are the
+        interface's own estimate options.
         """
         return exact_users
 
-    def estimate_value(
-        self, spec: TargetingSpec, objective: str | None = None
-    ) -> int:
-        """Rounded estimate alone, without the :class:`ReachEstimate`
-        packaging.
+    def estimate_batch(self, items: Sequence[BatchItem]) -> list[int | PlatformError]:
+        """Rounded estimates for a batch, one result per item.
 
-        The batch endpoints size dozens of audiences per request and
-        only ever read the number; this shares every semantic step with
-        :meth:`estimate_reach` (validation, resolution, rounding, query
-        accounting) minus the per-item record object.
+        One pass: each item's objective is checked, the specs that pass
+        are validated, resolved and popcounted together
+        (:meth:`prime_counts`), and each count is converted and rounded.
+        An item that fails gets the error a lone :meth:`estimate_reach`
+        call would raise, in its place; an item that failed to decode
+        passes through unchanged.  Only successes count as queries.
         """
-        objective = objective or self.default_objective
-        if objective not in self.objectives:
-            raise CampaignConfigError(
-                f"{self.name} does not offer objective {objective!r}; "
-                f"available: {', '.join(self.objectives)}"
-            )
-        exact = self.exact_users(spec)
-        value = self._estimate_value(exact, objective)
-        self.query_count += 1
-        return self.rounding.round(value)
+        results: list[int | PlatformError] = list(items)
+        positions: list[int] = []
+        specs: list[TargetingSpec] = []
+        options: list[Mapping[str, Any]] = []
+        for position, item in enumerate(items):
+            if isinstance(item, PlatformError):
+                continue
+            spec, item_options = item
+            objective = item_options.get("objective") or self.default_objective
+            if objective not in self.objectives:
+                results[position] = CampaignConfigError(
+                    f"{self.name} does not offer objective {objective!r}; "
+                    f"available: {', '.join(self.objectives)}"
+                )
+                continue
+            positions.append(position)
+            specs.append(spec)
+            options.append(item_options)
+        scale = self.population.scale
+        value, round_value = self._reported_value, self.rounding.round
+        estimated = 0
+        for position, item_options, count in zip(
+            positions, options, self.prime_counts(specs)
+        ):
+            if not isinstance(count, PlatformError):
+                try:
+                    count = round_value(value(count * scale, **item_options))
+                except PlatformError as exc:
+                    count = exc
+                else:
+                    estimated += 1
+            results[position] = count
+        self.query_count += estimated
+        return results
 
     def estimate_reach(
-        self, spec: TargetingSpec, objective: str | None = None
+        self, spec: TargetingSpec, objective: str | None = None, **options: Any
     ) -> ReachEstimate:
         """Rounded audience-size estimate for a targeting spec.
 
         This is the only measurement channel the audit has, mirroring
         the paper's methodology of reading the size estimates shown by
-        the targeting UIs.
+        the targeting UIs.  It is a batch of one; ``options`` are the
+        interface's own estimate settings (Google: ``frequency_cap``).
         """
-        objective = objective or self.default_objective
+        [estimate] = self.estimate_batch([(spec, dict(options, objective=objective))])
+        if isinstance(estimate, PlatformError):
+            raise estimate
         return ReachEstimate(
-            estimate=self.estimate_value(spec, objective),
+            estimate=estimate,
             unit=self.capabilities.estimate_unit,
             spec=spec,
-            objective=objective,
+            objective=objective or self.default_objective,
         )
 
     def __repr__(self) -> str:

@@ -21,11 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.platforms.base import (
-    AdPlatformInterface,
-    InterfaceCapabilities,
-    ReachEstimate,
-)
+from repro.platforms.base import AdPlatformInterface, InterfaceCapabilities
 from repro.platforms.catalog import UniverseBuild, build_google_universe
 from repro.platforms.errors import (
     NoSizeEstimateError,
@@ -132,48 +128,20 @@ class GoogleDisplayInterface(AdPlatformInterface):
                 )
             seen_features.add(feature)
 
-    def estimate_reach(
+    def _reported_value(
         self,
-        spec: TargetingSpec,
+        exact_users: float,
         objective: str | None = None,
         frequency_cap: FrequencyCap | None = None,
-    ) -> ReachEstimate:
+    ) -> float:
         """Impressions estimate, sensitive to the frequency cap.
 
         Without a cap the estimate is roughly 6.4x the user count; with
         the most restrictive cap (1/user/month) it approximates users.
         """
-        self._frequency_cap = frequency_cap
-        try:
-            return super().estimate_reach(spec, objective)
-        finally:
-            self._frequency_cap = None
-
-    def estimate_value(
-        self,
-        spec: TargetingSpec,
-        objective: str | None = None,
-        frequency_cap: FrequencyCap | None = None,
-    ) -> int:
-        """Rounded impressions estimate (batch endpoints' fast path).
-
-        Leaves an already-installed cap alone so the estimate_reach
-        path, which sets ``_frequency_cap`` before delegating here, is
-        not clobbered.
-        """
-        if frequency_cap is not None:
-            self._frequency_cap = frequency_cap
-        try:
-            return super().estimate_value(spec, objective)
-        finally:
-            if frequency_cap is not None:
-                self._frequency_cap = None
-
-    def _estimate_value(self, exact_users: float, objective: str) -> float:
-        cap = getattr(self, "_frequency_cap", None)
         per_user = (
-            min(cap.monthly_equivalent, _TYPICAL_MONTHLY_IMPRESSIONS)
-            if cap is not None
+            min(frequency_cap.monthly_equivalent, _TYPICAL_MONTHLY_IMPRESSIONS)
+            if frequency_cap is not None
             else _TYPICAL_MONTHLY_IMPRESSIONS
         )
         return exact_users * per_user
@@ -213,20 +181,13 @@ class GoogleSearchCampaign(AdPlatformInterface):
             default_objective="Sales",
         )
 
-    def estimate_reach(
-        self, spec: TargetingSpec, objective: str | None = None
-    ) -> ReachEstimate:
-        self.validate(spec)
+    def _reported_value(
+        self, exact_users: float, objective: str | None = None
+    ) -> float:
         raise NoSizeEstimateError(
             "Google shows no audience size statistics for boolean "
             "combinations of user attributes on search-product campaigns"
         )
-
-    def estimate_value(
-        self, spec: TargetingSpec, objective: str | None = None
-    ) -> int:
-        self.estimate_reach(spec, objective)
-        raise AssertionError("unreachable")
 
 
 class GooglePlatform:

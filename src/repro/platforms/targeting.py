@@ -166,9 +166,10 @@ class TargetingSpec(tuple):
     exclusions = property(itemgetter(4), doc="Excluded option ids.")
     rule = property(
         itemgetter(slice(3, None)),
-        doc="""``(clauses, exclusions)``: the demographic-free part of the
-        spec, which resolves to the same audience under every
-        demographic slice (the key of the server's resolution memo).""",
+        doc="""``(clauses, exclusions)``: the part of the spec outside its
+        demographic fields, which resolves to the same audience under
+        every gender and age slice (the key of the server's resolution
+        memo, once any demographic facet clauses are folded out).""",
     )
 
     def __getnewargs__(self) -> tuple:

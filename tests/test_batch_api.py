@@ -5,23 +5,35 @@ endpoints (per-item results and errors, envelope limits, rate-limit
 cost accounting), the clients' ``estimate_many`` (chunking, 429
 back-off, typed per-item errors), and the audit core's query planner
 (dedup, and bit-identical parity with direct per-composition audits).
+Below the routes, the platforms' one count path: ``estimate_batch``
+gives every item the result a lone ``estimate_reach`` would, and
+LinkedIn's demographic facet clauses fold into the slice mask without
+changing a count.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import FakeTransport, build_clients, mount_suite_routes
+from repro.api.client import FacebookReachClient, GoogleReachClient
+from repro.api.routes import _error_parts
+from repro.api.transport import HttpRequest
 from repro.api.wire import MAX_BATCH_SIZE, BatchEnvelope
 from repro.core.audit import build_audit_targets
 from repro.platforms.errors import (
     BadRequestError,
+    CampaignConfigError,
     DisallowedTargetingError,
     PlatformError,
     UnsupportedCompositionError,
 )
+from repro.platforms.linkedin import LinkedInInterface
 from repro.platforms.targeting import TargetingSpec
-from repro.population.demographics import SENSITIVE_ATTRIBUTES, Gender
+from repro.population.demographics import SENSITIVE_ATTRIBUTES, AgeRange, Gender
 
 
 @pytest.fixture(scope="module")
@@ -220,43 +232,256 @@ class TestQueryPlanner:
         assert str(batched.value) == str(direct.value)
 
 
+def _linkedin_facets(interface) -> dict[str, object]:
+    """LinkedIn's demographic facet ids and the value each one is."""
+    return {
+        entry.option_id: entry.demographic_value
+        for entry in interface.catalog
+        if entry.demographic_value is not None
+    }
+
+
+def _direct_count(interface, spec) -> int:
+    """Popcount of a spec's audience straight from the population index."""
+    index = interface.population.index
+    facets = _linkedin_facets(interface)
+
+    def members(option_id):
+        if option_id in facets:
+            return index.demographic(facets[option_id]).to_bool()
+        return index.attribute(option_id).to_bool()
+
+    audience = index.everyone.to_bool()
+    for clause in spec.clauses:
+        audience &= np.logical_or.reduce([members(o) for o in clause])
+    for option_id in spec.exclusions:
+        audience &= ~members(option_id)
+    return int(audience.sum())
+
+
+@st.composite
+def _linkedin_batches(draw, attributes, facets):
+    """Batches of LinkedIn and-of-or specs with 0-2 facet clauses.
+
+    Facet clauses cover a gender, an age, a multi-age complement and a
+    gender AND an age; a mixed facet+attribute clause and a facet among
+    the exclusions must stay in the rule.
+    """
+    genders = [f for f in facets if "gender" in f]
+    ages = [f for f in facets if "age" in f]
+    facet_clause = st.one_of(
+        st.sampled_from(genders).map(lambda f: [f]),
+        st.sampled_from(ages).map(lambda f: [f]),
+        st.sampled_from(ages).map(lambda f: [a for a in ages if a != f]),
+    )
+    attribute_clause = st.lists(
+        st.sampled_from(attributes), min_size=1, max_size=2, unique=True
+    )
+    mixed_clause = st.tuples(
+        st.sampled_from(facets), st.sampled_from(attributes)
+    ).map(list)
+    spec = st.builds(
+        lambda rule, demo, mixed, excluded: TargetingSpec.and_of_ors(
+            rule + demo + mixed
+        ).excluding(*excluded),
+        st.lists(attribute_clause, max_size=2),
+        st.lists(facet_clause, max_size=2),
+        st.lists(mixed_clause, max_size=1),
+        st.lists(st.sampled_from(facets + attributes), max_size=1),
+    )
+    return draw(st.lists(spec, min_size=1, max_size=6))
+
+
 class TestServerPriming:
-    def test_primed_estimates_match_unprimed(self, session_small, study_ids):
-        """prime_counts changes nothing about the returned estimates."""
-        interface = session_small.suite.facebook.normal
-        specs = [
-            TargetingSpec.of(i).with_gender(Gender.MALE)
-            for i in study_ids["facebook"][:4]
+    """The batch's validate-resolve-popcount step and its rule memo."""
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_fold_matches_direct_popcount(self, linkedin_platform, data):
+        """Folding facet clauses into the slice mask changes no count."""
+        interface = linkedin_platform.interface
+        facets = sorted(_linkedin_facets(interface))
+        specs = data.draw(
+            _linkedin_batches(interface.study_option_ids()[:8], facets)
+        )
+        direct = [_direct_count(interface, spec) for spec in specs]
+        assert interface.prime_counts(specs) == direct
+        scale = interface.population.scale
+        assert interface.estimate_batch([(spec, {}) for spec in specs]) == [
+            interface.rounding.round(count * scale) for count in direct
         ]
-        unprimed = [interface.estimate_value(s) for s in specs]
-        interface.prime_counts(specs)
-        assert [interface.estimate_value(s) for s in specs] == unprimed
-        assert not interface._count_memo  # consumed on use
 
-    def test_prime_skips_invalid_specs(self, session_small, study_ids):
-        """Invalid specs stay unprimed so the per-item path raises."""
-        interface = session_small.suite.linkedin.interface
-        bad = TargetingSpec.of(study_ids["linkedin"][0]).with_gender(Gender.MALE)
-        unknown = TargetingSpec.of("nope:no-such-option")
-        interface.prime_counts([bad, unknown])
-        assert not interface._count_memo
-        with pytest.raises(DisallowedTargetingError):
-            interface.estimate_value(bad)
-        with pytest.raises(PlatformError):
-            interface.estimate_value(unknown)
+    def test_resolution_memo_shared_across_slices(
+        self, linkedin_platform, google_platform
+    ):
+        """Demographic slices of one rule resolve the rule once.
 
-    def test_resolution_memo_shared_across_slices(self, session_small, study_ids):
-        """Demographic slices of one rule resolve the rule once."""
-        interface = session_small.suite.google.display
-        spec = TargetingSpec.of(study_ids["google"][7])
+        Google slices by its gender field; LinkedIn ANDs a gender facet
+        clause into the rule, which folds into the slice's mask.  A
+        clause mixing a facet with an attribute, and an excluded facet,
+        stay part of the rule.
+        """
+        interface = LinkedInInterface(
+            linkedin_platform.population, linkedin_platform.build
+        )
+        study = interface.study_option_ids()
+        rule = TargetingSpec.of(study[7])
+        male = interface.demographic_option_id(Gender.MALE)
+        for gender in (Gender.MALE, Gender.FEMALE):
+            interface.estimate_reach(
+                rule.and_option(interface.demographic_option_id(gender))
+            )
+        assert interface.resolution_stats() == {
+            "hits": 1, "misses": 1, "entries": 1,
+        }
+        interface.estimate_reach(rule.and_clause([male, study[8]]))
+        interface.estimate_reach(rule.excluding(male))
+        assert interface.resolution_stats() == {
+            "hits": 1, "misses": 3, "entries": 3,
+        }
+
+        interface = google_platform.display
+        spec = TargetingSpec.of(interface.study_option_ids()[7])
         before = interface.resolution_stats()
-        interface.estimate_value(spec.with_gender(Gender.MALE))
+        interface.estimate_reach(spec.with_gender(Gender.MALE))
         mid = interface.resolution_stats()
-        interface.estimate_value(spec.with_gender(Gender.FEMALE))
+        interface.estimate_reach(spec.with_gender(Gender.FEMALE))
         after = interface.resolution_stats()
         assert mid["misses"] == before["misses"] + 1
         assert after["misses"] == mid["misses"]
         assert after["hits"] == mid["hits"] + 1
+
+
+def _same_feature_pair(interface, ids):
+    feature = interface.option_entry(ids[0]).feature
+    return [i for i in ids if interface.option_entry(i).feature == feature][:2]
+
+
+#: One invalid item per kind: (interface key, spec builder, objective).
+INVALID = {
+    "unknown_option": (
+        "facebook", lambda i, ids: TargetingSpec.of(ids[0], "fb:no-such-option"),
+        None,
+    ),
+    "non_us_country": (
+        "facebook", lambda i, ids: TargetingSpec.of(ids[0], country="FR"), None,
+    ),
+    "gender_on_linkedin": (
+        "linkedin",
+        lambda i, ids: TargetingSpec.of(ids[0]).with_gender(Gender.MALE),
+        None,
+    ),
+    "age_on_restricted": (
+        "facebook_restricted",
+        lambda i, ids: TargetingSpec.of(ids[0]).with_age(AgeRange.AGE_25_34),
+        None,
+    ),
+    "exclusion_on_restricted": (
+        "facebook_restricted",
+        lambda i, ids: TargetingSpec.of(ids[0]).excluding(ids[1]),
+        None,
+    ),
+    "same_feature_and_on_google": (
+        "google",
+        lambda i, ids: TargetingSpec.of(*_same_feature_pair(i, ids)),
+        None,
+    ),
+    "rejected_objective": (
+        "facebook", lambda i, ids: TargetingSpec.of(ids[0]), "No such goal",
+    ),
+    "rejected_objective_and_spec": (
+        "facebook", lambda i, ids: TargetingSpec.of(ids[0], country="FR"),
+        "No such goal",
+    ),
+}
+
+#: Single-estimate route of each interface (the batch route is the
+#: client's ``_batch_path``).
+SINGLE_PATHS = {
+    "facebook": "/facebook/delivery_estimate",
+    "facebook_restricted": "/facebook/special/delivery_estimate",
+    "google": "/google/reach_estimate",
+}
+
+
+class TestPerItemErrorParity:
+    """An invalid item fails alike alone and among valid batch-mates."""
+
+    @pytest.mark.parametrize("kind", list(INVALID))
+    def test_platform_batch_matches_single_calls(
+        self, session_small, study_ids, kind
+    ):
+        key, build, objective = INVALID[kind]
+        interface = session_small.suite.interfaces[key]
+        ids = study_ids[key]
+        bad = build(interface, ids)
+        options = {} if objective is None else {"objective": objective}
+        neighbours = [TargetingSpec.of(o) for o in ids[2:4]]
+
+        before = interface.query_count
+        with pytest.raises(PlatformError) as alone:
+            interface.estimate_reach(bad, **options)
+        singles = [interface.estimate_reach(s).estimate for s in neighbours]
+        single_queries = interface.query_count - before
+
+        before = interface.query_count
+        batch = interface.estimate_batch(
+            [(neighbours[0], {}), (bad, options), (neighbours[1], {})]
+        )
+        assert interface.query_count - before == single_queries == 2
+        assert [batch[0], batch[2]] == singles
+        assert isinstance(batch[1], PlatformError)
+        assert _error_parts(batch[1]) == _error_parts(alone.value)
+        if objective is not None:
+            assert isinstance(batch[1], CampaignConfigError)
+
+    @pytest.mark.parametrize(
+        "kind", [k for k, (key, _, _) in INVALID.items() if key in SINGLE_PATHS]
+    )
+    def test_routes_answer_alike(self, session_small, study_ids, kind):
+        """Same status, kind and message from the single and batch routes."""
+        key, build, objective = INVALID[kind]
+        interface = session_small.suite.interfaces[key]
+        ids = study_ids[key]
+        transport = FakeTransport(rate=None)
+        mount_suite_routes(transport, session_small.suite)
+        if key == "google":
+            client = GoogleReachClient(transport)
+            bad_client = GoogleReachClient(transport, objective=objective)
+        else:
+            restricted = key == "facebook_restricted"
+            client = FacebookReachClient(transport, restricted=restricted)
+            bad_client = FacebookReachClient(
+                transport, restricted=restricted, objective=objective or "Reach"
+            )
+        if objective is None:
+            bad_client = client
+        bad = bad_client._encode_item(build(interface, ids))
+        neighbours = [client._encode_item(TargetingSpec.of(o)) for o in ids[2:4]]
+
+        def post(path, body):
+            return transport.request(HttpRequest("POST", path, body, "audit"))
+
+        before = interface.query_count
+        alone = post(SINGLE_PATHS[key], bad)
+        singles = [post(SINGLE_PATHS[key], body).body for body in neighbours]
+        single_queries = interface.query_count - before
+
+        before = interface.query_count
+        response = post(
+            client._batch_path,
+            client._encode_batch([neighbours[0], bad, neighbours[1]]),
+        )
+        assert response.status == 200
+        entries = client._batch_entries(response.body, 3)
+        assert interface.query_count - before == single_queries == 2
+        assert [entries[0][0], entries[2][0]] == singles
+        assert entries[1][0] is None
+        assert entries[1][1] == (
+            alone.status, alone.body["error"], alone.body.get("kind")
+        )
+        if objective is not None:
+            assert alone.body["kind"] == "CampaignConfigError"
 
 
 class TestBatchEnvelope:

@@ -1,7 +1,9 @@
 """Memory bounds of the server-side caches and the audit's state.
 
 The rule-resolution memo of every interface is bounded in bit-vector
-words, so its footprint does not grow with the population; one-option
+words, so its footprint does not grow with the population, and keyed
+without LinkedIn's demographic facet clauses, so the slices of one rule
+share one entry; one-option
 clauses are interned, so the specs of an audit share them instead of
 each holding its own.  Specs and clauses are plain tuples and
 frozensets without a per-instance dict, and every audit record of a
@@ -11,6 +13,8 @@ change a single estimate.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import os
 import pickle
 import subprocess
@@ -19,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.api import FakeTransport, build_clients, mount_suite_routes
 from repro.api.obfuscation import GoogleWireCodec
 from repro.api.wire import FacebookWireCodec, LinkedInWireCodec
 from repro.core.audit import build_audit_targets
@@ -27,6 +32,7 @@ from repro.experiments import ExperimentConfig, ExperimentContext
 from repro.experiments.runner import run_all
 from repro.platforms import base
 from repro.platforms.facebook import FacebookRestrictedInterface
+from repro.platforms.linkedin import LinkedInInterface
 from repro.platforms.targeting import Clause, TargetingSpec
 from repro.population.demographics import SENSITIVE_ATTRIBUTES, AgeRange, Gender
 
@@ -51,16 +57,17 @@ class TestRuleMemoBound:
         pairs = [TargetingSpec.of(a, b) for a in ids for b in ids if a < b]
         for start in range(0, len(pairs), 16):
             batch = pairs[start:start + 16]
-            interface.prime_counts(batch)
+            estimates = interface.estimate_batch([(spec, {}) for spec in batch])
             assert _retained_words(interface) <= bound
-            for spec in batch:
-                assert interface.estimate_value(spec) == reference.estimate_value(
-                    spec
-                )
-                assert _retained_words(interface) <= bound
+            assert estimates == [
+                reference.estimate_reach(spec).estimate for spec in batch
+            ]
         for option_id in ids:
             spec = TargetingSpec.of(option_id)
-            assert interface.estimate_value(spec) == reference.estimate_value(spec)
+            assert (
+                interface.estimate_reach(spec).estimate
+                == reference.estimate_reach(spec).estimate
+            )
             assert _retained_words(interface) <= bound
         stats = interface.resolution_stats()
         assert stats["entries"] == 5
@@ -77,6 +84,36 @@ class TestRuleMemoBound:
             assert interface.resolution_stats()["entries"] <= 1
         for name in ("fig1", "fig3"):
             assert bounded.results[name].render() == default.results[name].render()
+
+
+class TestFacetFold:
+    def test_linkedin_slices_share_their_rule(self, session_small):
+        """One rule-memo entry per LinkedIn rule, not one per slice.
+
+        The audit ANDs a gender or age facet clause into each rule; the
+        clause folds into the slice's mask, so every slice of a rule,
+        and its unsliced total, resolves the same memo entry.
+        """
+        linkedin = copy.copy(session_small.suite.linkedin)
+        linkedin.interface = interface = LinkedInInterface(
+            linkedin.population, linkedin.build
+        )
+        transport = FakeTransport(rate=None)
+        mount_suite_routes(
+            transport, dataclasses.replace(session_small.suite, linkedin=linkedin)
+        )
+        target = build_audit_targets(build_clients(transport))["linkedin"]
+        ids = target.study_option_ids()
+        compositions = [(a,) for a in ids[:6]] + [
+            (a, b) for a in ids[:6] for b in ids[6:12]
+        ]
+        for name in ("gender", "age"):
+            target.audit_many(compositions, SENSITIVE_ATTRIBUTES[name])
+        stats = interface.resolution_stats()
+        # Every distinct rule plus the base (everyone) resolves once.
+        assert stats["misses"] == len(set(compositions)) + 1
+        assert stats["entries"] == stats["misses"]
+        assert stats["hits"] + stats["misses"] == interface.query_count
 
 
 OPTIONS = ["fb:a", "fb:b", "fb:c"]
