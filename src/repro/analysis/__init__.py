@@ -3,8 +3,8 @@
 A pluggable static-analysis framework guarding the conventions the
 reproduction's guarantees rest on.  Per-module rule families:
 
-* ``determinism/*`` -- no wall-clock reads, no unseeded randomness,
-  no iteration over hash/OS-ordered collections without ``sorted``;
+* ``determinism/unordered-iteration`` -- no iteration over
+  hash/OS-ordered collections without ``sorted``;
 * ``layering/*`` -- the package import DAG ``population -> platforms
   -> api -> core -> reporting/experiments`` stays one-directional;
 * ``errors/*`` -- no broad excepts, no ``print`` in library code;
@@ -19,8 +19,11 @@ graph (:mod:`repro.analysis.graph`) with fixpoint dataflow summaries
   measurement seam;
 * ``errors/transport-escape`` -- only ``platforms.errors`` types can
   escape transport request paths, proven interprocedurally;
-* ``determinism/transitive-ambient`` -- public functions transitively
-  reaching ambient entropy are flagged with the call chain.
+* ``determinism/transitive-ambient`` -- no code reaches ambient
+  entropy (wall clock, OS entropy, global or unseeded RNGs, salted
+  ``hash()`` seeds): a direct read is flagged at the call, a public
+  function reaching one through calls at its definition with the
+  call chain.
 
 Every entry point runs one pipeline: a per-file pass (parse, module
 rules, summary) over each file, then one link of the whole program

@@ -176,7 +176,8 @@ def project_rule(
 
 def all_project_rules() -> tuple[ProjectRule, ...]:
     """Every registered project rule, sorted by id."""
-    from repro.analysis import flows  # noqa: F401  (registration side effects)
+    # Imported for their registration side effects only.
+    from repro.analysis import determinism, flows  # noqa: F401
 
     return tuple(_PROJECT_REGISTRY[key] for key in sorted(_PROJECT_REGISTRY))
 

@@ -1,6 +1,7 @@
 """Worklist fixpoint engine for interprocedural summaries.
 
-The interprocedural rules in :mod:`repro.analysis.flows` all follow
+The interprocedural rules (:mod:`repro.analysis.flows`, and the
+ambient rule in :mod:`repro.analysis.determinism`) all follow
 the same shape: each function gets a *summary* value drawn from a
 finite lattice (a frozenset of escaping exception types, a record of
 taint bits, a set of reachable ambient-entropy sources), computed from

@@ -1,96 +1,107 @@
-"""Determinism rules: wall clocks, unseeded RNGs, unordered iteration.
+"""Determinism rules: ambient entropy and unordered iteration.
 
 The reproduction's guarantees are stated in terms of bit-identical
 audit records: the same seed must yield the same figures whether the
-run was batched, chaos-injected, or resumed from a checkpoint.  Three
-classes of construct silently break that:
+run was batched, chaos-injected, or resumed from a checkpoint.  Two
+properties guard that:
 
-* reading the wall clock (all simulated time flows through the
-  transport's :class:`~repro.api.transport.VirtualClock`);
-* drawing entropy from outside the seed tree (module-level ``random``
-  functions, ``default_rng()`` with no seed, ``os.urandom``,
-  ``uuid.uuid4``, or a seed built from the builtin ``hash()``, which
-  is salted per process for strings);
-* iterating a hash-ordered collection (``set``/``frozenset``) or an
-  OS-ordered listing (``os.listdir``) so the order can leak into
-  serialized output.
+``determinism/transitive-ambient``
+    No code reaches ambient entropy: the wall clock (all simulated
+    time flows through the transport's
+    :class:`~repro.api.transport.VirtualClock`), OS entropy, a hidden
+    global RNG, an RNG constructor given no seed, or a seed built from
+    the builtin ``hash()``, which is salted per process for strings.
+    :data:`AMBIENT_SOURCES` is the one table of such calls and
+    :func:`ambient_source` the one classifier.  A direct read is
+    flagged at the call -- a chain of length 1 -- anywhere in a
+    module; a public function reaching one through calls is flagged
+    at its definition with the call chain as witness.  A suppressed
+    direct read is neither reported nor propagated.
+
+``determinism/unordered-iteration``
+    Iterating a hash-ordered collection (``set``/``frozenset``) or an
+    OS-ordered listing (``os.listdir``) requires ``sorted(...)``, so
+    the order cannot leak into serialized output.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-from repro.analysis.core import Finding, ModuleContext, rule
+from repro.analysis.core import Finding, ModuleContext, project_rule, rule
+from repro.analysis.dataflow import SummaryProblem, fixpoint, reachable
 
-__all__ = ["WALL_CLOCK_CALLS", "RANDOM_MODULE_FUNCTIONS", "NUMPY_GLOBAL_FUNCTIONS"]
+if TYPE_CHECKING:
+    from repro.analysis.graph import Project
 
-#: Callables that read the host's wall clock.
-WALL_CLOCK_CALLS = frozenset(
-    {
-        "time.time",
-        "time.time_ns",
-        "datetime.datetime.now",
-        "datetime.datetime.utcnow",
-        "datetime.datetime.today",
-        "datetime.date.today",
-    }
-)
+__all__ = ["AMBIENT_SOURCES", "ambient_source", "ambient_sites"]
 
-#: Module-level ``random`` functions drawing from the hidden global RNG.
-RANDOM_MODULE_FUNCTIONS = frozenset(
-    {
-        "betavariate",
-        "choice",
-        "choices",
-        "expovariate",
-        "gammavariate",
-        "gauss",
-        "getrandbits",
-        "lognormvariate",
-        "normalvariate",
-        "paretovariate",
-        "randbytes",
-        "randint",
+AMBIENT = "determinism/transitive-ambient"
+
+#: Remedy message per source kind; ``{name}`` is the resolved callee.
+_REMEDIES = {
+    "clock": "{name}() reads the wall clock; use the transport's "
+    "VirtualClock or pass timestamps explicitly",
+    "entropy": "{name}() draws OS entropy that no seed controls; derive "
+    "ids/values from the experiment's seed tree instead",
+    "unseeded": "{name}() without an explicit seed falls back to OS "
+    "entropy; pass a seed derived from the experiment config",
+    "random": "module-level {name}() uses the hidden global RNG; use a "
+    "random.Random(seed) instance",
+    "numpy": "{name}() uses numpy's hidden global state; use a "
+    "default_rng(seed) Generator",
+    "hash": "builtin hash() in an RNG seed is salted per process "
+    "(PYTHONHASHSEED); derive the seed with zlib.crc32 instead",
+}
+
+
+def _table(kind: str, names: str, prefix: str = "", arg: int | None = None):
+    return {f"{prefix}{name}": (kind, arg) for name in names.split()}
+
+
+#: Every ambient-entropy call: resolved callee -> (kind, argument).
+#: With an argument index the call is ambient only when that argument
+#: (or ``seed=``) is missing or a literal ``None``: ``time.localtime(ts)``
+#: converts a timestamp it was given, ``default_rng(seed)`` is seeded.
+AMBIENT_SOURCES: dict[str, tuple[str, int | None]] = {
+    **_table("clock", "time time_ns", "time."),
+    **_table("clock", "now utcnow today", "datetime.datetime."),
+    **_table("clock", "today", "datetime.date."),
+    **_table("clock", "gmtime localtime ctime asctime", "time.", arg=0),
+    **_table("clock", "strftime", "time.", arg=1),
+    **_table(
+        "entropy",
+        "os.urandom os.getrandom uuid.uuid1 uuid.uuid4 random.SystemRandom",
+    ),
+    # Every secrets function but compare_digest, which draws nothing.
+    **_table(
+        "entropy",
+        "choice randbelow randbits token_bytes token_hex token_urlsafe "
+        "SystemRandom",
+        "secrets.",
+    ),
+    **_table(
+        "unseeded",
+        "numpy.random.default_rng numpy.random.RandomState random.Random",
+        arg=0,
+    ),
+    **_table(
         "random",
-        "randrange",
-        "sample",
-        "seed",
-        "shuffle",
-        "triangular",
+        "betavariate choice choices expovariate gammavariate gauss "
+        "getrandbits lognormvariate normalvariate paretovariate randbytes "
+        "randint random randrange sample seed shuffle triangular uniform "
+        "vonmisesvariate weibullvariate",
+        "random.",
+    ),
+    **_table(
+        "numpy",
+        "binomial bytes choice exponential normal permutation poisson rand "
+        "randint randn random random_sample seed shuffle standard_normal "
         "uniform",
-        "vonmisesvariate",
-        "weibullvariate",
-    }
-)
-
-#: ``numpy.random`` module-level functions using the hidden global state.
-NUMPY_GLOBAL_FUNCTIONS = frozenset(
-    {
-        "binomial",
-        "bytes",
-        "choice",
-        "exponential",
-        "normal",
-        "permutation",
-        "poisson",
-        "rand",
-        "randint",
-        "randn",
-        "random",
-        "random_sample",
-        "seed",
-        "shuffle",
-        "standard_normal",
-        "uniform",
-    }
-)
-
-#: RNG constructors that must be handed an explicit seed.
-_SEED_REQUIRED = frozenset({"numpy.random.default_rng", "numpy.random.RandomState"})
-
-#: Pure entropy sources with no seeded equivalent.
-_ENTROPY_SOURCES = frozenset({"os.urandom", "uuid.uuid4"})
+        "numpy.random.",
+    ),
+}
 
 #: RNG constructors whose arguments are seed material.
 _SEED_CONSUMERS = frozenset(
@@ -98,42 +109,19 @@ _SEED_CONSUMERS = frozenset(
 )
 
 
-def _calls(tree: ast.Module) -> Iterator[ast.Call]:
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            yield node
-
-
-@rule(
-    "determinism/wall-clock",
-    "no wall-clock reads in src/ (simulated time lives on the VirtualClock)",
-)
-def check_wall_clock(ctx: ModuleContext) -> Iterator[Finding]:
-    for call in _calls(ctx.tree):
-        name = ctx.resolve(call.func)
-        if name in WALL_CLOCK_CALLS:
-            yield ctx.finding(
-                "determinism/wall-clock",
-                call,
-                f"{name}() reads the wall clock; use the transport's "
-                "VirtualClock or pass timestamps explicitly",
-            )
-
-
-def _is_unseeded(call: ast.Call) -> bool:
-    """True when an RNG constructor got no usable seed argument."""
+def _absent(call: ast.Call, index: int) -> bool:
+    """True when argument ``index`` (or ``seed=``) is missing or ``None``."""
     for keyword in call.keywords:
-        if keyword.arg == "seed":
-            return (
-                isinstance(keyword.value, ast.Constant)
-                and keyword.value.value is None
-            )
-        if keyword.arg is None:  # **kwargs: assume the caller seeded it
+        if keyword.arg is None:  # **kwargs: assume the caller passed it
             return False
-    if call.args:
-        first = call.args[0]
-        return isinstance(first, ast.Constant) and first.value is None
-    return True
+        if keyword.arg == "seed":
+            value = keyword.value
+            break
+    else:
+        if len(call.args) <= index:
+            return True
+        value = call.args[index]
+    return isinstance(value, ast.Constant) and value.value is None
 
 
 def _is_builtin_hash(ctx: ModuleContext, func: ast.AST) -> bool:
@@ -142,84 +130,120 @@ def _is_builtin_hash(ctx: ModuleContext, func: ast.AST) -> bool:
     return ctx.resolve(func) == "builtins.hash"
 
 
-def _salted_hashes(
-    ctx: ModuleContext, name: str, call: ast.Call, seen: set[int]
-) -> Iterator[ast.Call]:
-    """Builtin ``hash(...)`` calls inside the seed of an RNG constructor.
+def ambient_source(
+    ctx: ModuleContext, call: ast.Call, name: str | None, in_seed: bool
+) -> tuple[str, str] | None:
+    """``(source name, remedy message)`` when ``call`` reads ambient entropy.
 
-    ``hash`` of a ``str`` or ``bytes`` is salted per process
-    (``PYTHONHASHSEED``), so such a seed changes from run to run; use a
-    stable digest such as ``zlib.crc32`` instead.  ``name`` is the
-    resolved callee of ``call``; ``seen`` holds the ids of ``hash``
-    calls already reported, so nested constructors report each once.
+    ``name`` is the call's resolved callee (``ctx.resolve(call.func)``);
+    ``in_seed`` says the call sits in the arguments of an RNG
+    constructor, where a builtin ``hash()`` makes the seed vary with
+    ``PYTHONHASHSEED``.
     """
-    if name not in _SEED_CONSUMERS:
-        return
-    for arg in [*call.args, *(keyword.value for keyword in call.keywords)]:
-        for node in ast.walk(arg):
-            if (
-                isinstance(node, ast.Call)
-                and id(node) not in seen
-                and _is_builtin_hash(ctx, node.func)
-            ):
-                seen.add(id(node))
-                yield node
+    if in_seed and _is_builtin_hash(ctx, call.func):
+        return "builtins.hash", _REMEDIES["hash"]
+    kind, arg = AMBIENT_SOURCES.get(name, (None, None))
+    if kind is None or (arg is not None and not _absent(call, arg)):
+        return None
+    return name, _REMEDIES[kind].format(name=name)
 
 
-@rule(
-    "determinism/unseeded-rng",
-    "every RNG must descend from an explicit seed; no ambient entropy",
-)
-def check_unseeded_rng(ctx: ModuleContext) -> Iterator[Finding]:
-    seen: set[int] = set()
-    for call in _calls(ctx.tree):
-        name = ctx.resolve(call.func)
-        if name is None:
+def ambient_sites(
+    ctx: ModuleContext,
+) -> Iterator[tuple[Finding, str, ast.AST | None]]:
+    """Every direct ambient read in a module, in one walk.
+
+    Yields ``(finding, source name, scope)``, where ``scope`` is the
+    innermost ``def`` whose call runs the read (``None`` for module
+    and class-body code).  Decorators run in the enclosing scope; a
+    ``def``'s defaults and annotations are counted as its own.
+    """
+    stack: list[tuple[ast.AST, ast.AST | None, bool]] = [(ctx.tree, None, False)]
+    while stack:
+        node, scope, in_seed = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend((d, scope, in_seed) for d in node.decorator_list)
+            own = [node.args, *node.body, *filter(None, [node.returns])]
+            stack.extend((child, node, in_seed) for child in own)
             continue
-        for node in _salted_hashes(ctx, name, call, seen):
-            yield ctx.finding(
-                "determinism/unseeded-rng",
-                node,
-                "builtin hash() in an RNG seed is salted per process "
-                "(PYTHONHASHSEED); derive the seed with zlib.crc32 instead",
-            )
-        if name in _ENTROPY_SOURCES or name == "random.SystemRandom":
-            yield ctx.finding(
-                "determinism/unseeded-rng",
-                call,
-                f"{name}() draws OS entropy that no seed controls; derive "
-                "ids/values from the experiment's seed tree instead",
-            )
-        elif name in _SEED_REQUIRED or name == "random.Random":
-            if _is_unseeded(call):
-                yield ctx.finding(
-                    "determinism/unseeded-rng",
-                    call,
-                    f"{name}() without an explicit seed falls back to OS "
-                    "entropy; pass a seed derived from the experiment config",
-                )
-        elif (
-            name.startswith("random.")
-            and name.rpartition(".")[2] in RANDOM_MODULE_FUNCTIONS
-            and name.count(".") == 1
-        ):
-            yield ctx.finding(
-                "determinism/unseeded-rng",
-                call,
-                f"module-level {name}() uses the hidden global RNG; use a "
-                "random.Random(seed) instance",
-            )
-        elif (
-            name.startswith("numpy.random.")
-            and name.rpartition(".")[2] in NUMPY_GLOBAL_FUNCTIONS
-            and name.count(".") == 2
-        ):
-            yield ctx.finding(
-                "determinism/unseeded-rng",
-                call,
-                f"{name}() uses numpy's hidden global state; use a "
-                "default_rng(seed) Generator",
-            )
+        if isinstance(node, ast.Call):
+            name = ctx.resolve(node.func)
+            hit = ambient_source(ctx, node, name, in_seed)
+            if hit is not None:
+                yield ctx.finding(AMBIENT, node, hit[1]), hit[0], scope
+            in_seed = in_seed or name in _SEED_CONSUMERS
+        stack.extend((child, scope, in_seed) for child in ast.iter_child_nodes(node))
+
+
+class _AmbientProblem(SummaryProblem):
+    """Summary: frozenset of ambient source names reachable."""
+
+    def __init__(self, project: Project, nodes: set):
+        self.project = project
+        self.nodes = nodes
+
+    def bottom(self):
+        return frozenset()
+
+    def transfer(self, qname, summaries):
+        reach = set(self.project.functions[qname].summary.ambient)
+        for _, targets in self.project.callees(qname):
+            for target in targets:
+                if target in self.nodes:
+                    reach |= summaries[target]
+        return frozenset(reach)
+
+
+@project_rule(
+    AMBIENT,
+    "no ambient entropy (wall clock, OS entropy, global or unseeded RNG, "
+    "salted hash() seed): direct reads are flagged at the call, public "
+    "functions reaching one through calls at their definition",
+)
+def check_ambient(project: Project) -> Iterator[Finding]:
+    for module in project.summaries:
+        yield from module.ambient
+    nodes = project.repro_functions()
+    node_set = set(nodes)
+    summaries = fixpoint(
+        nodes, project.callers(nodes), _AmbientProblem(project, node_set)
+    )
+
+    def successors(qname):
+        for _, targets in project.callees(qname):
+            for target in targets:
+                if target in node_set and summaries[target]:
+                    yield target
+
+    for qname in nodes:
+        node = project.functions[qname]
+        if not node.summary.is_public:
+            continue
+        reach = set().union(*(summaries[t] for t in successors(qname)))
+        if not reach:
+            continue
+        witness = reachable(
+            qname,
+            successors,
+            lambda q: q != qname and bool(project.functions[q].summary.ambient),
+        )
+        chain = (
+            " -> ".join(step.rsplit(".", 1)[-1] + "()" for step in witness)
+            if witness
+            else node.summary.name + "()"
+        )
+        yield Finding(
+            path=node.path,
+            line=node.summary.line,
+            col=node.summary.col,
+            rule=AMBIENT,
+            message=(
+                f"public function {node.summary.name}() transitively "
+                f"reaches ambient entropy source {sorted(reach)[0]}() via "
+                f"{chain}; thread a seeded RNG or the VirtualClock through "
+                "instead"
+            ),
+        )
 
 
 # -- unordered iteration --------------------------------------------------

@@ -1,4 +1,4 @@
-"""Interprocedural rule families: taint, exception flow, determinism.
+"""Interprocedural rule families: taint and exception flow.
 
 These are the whole-program checks the per-file rules cannot express.
 Each runs over the linked :class:`~repro.analysis.graph.Project` with
@@ -27,12 +27,8 @@ a summary computed to fixpoint by :mod:`repro.analysis.dataflow`:
     per-module rules police them), and :class:`FakeTransport` itself
     is the enforcement boundary, not a subject.
 
-``determinism/transitive-ambient``
-    A public function that *transitively* calls an unseeded RNG or
-    wall-clock read is flagged at its definition, with the call chain
-    as witness -- ambient nondeterminism cannot hide one call deep.
-    Suppressed direct sources (someone took responsibility at the
-    site) do not propagate.
+The third whole-program rule, ``determinism/transitive-ambient``,
+lives with the rest of its property in :mod:`repro.analysis.determinism`.
 """
 
 from __future__ import annotations
@@ -41,7 +37,7 @@ from typing import Iterator, Mapping
 
 from repro.analysis.contracts import TRANSPORT_MODULES
 from repro.analysis.core import Finding, project_rule
-from repro.analysis.dataflow import SummaryProblem, fixpoint, reachable
+from repro.analysis.dataflow import SummaryProblem, fixpoint
 from repro.analysis.graph import CallSite, FunctionNode, Project
 
 __all__ = [
@@ -88,25 +84,6 @@ TRANSPORT_EXEMPT_CLASSES = frozenset({"repro.api.transport.FakeTransport"})
 #: Token marking a genuinely tainted value (vs an int token ``i``
 #: marking "tainted iff the function's i-th parameter is").
 _TAINTED = "T"
-
-
-def _repro_functions(project: Project) -> list[str]:
-    return sorted(
-        qname
-        for qname, node in project.functions.items()
-        if node.module.startswith("repro")
-    )
-
-
-def _caller_map(project: Project, nodes: list[str]) -> dict[str, set[str]]:
-    wanted = set(nodes)
-    callers: dict[str, set[str]] = {}
-    for qname in nodes:
-        for _, targets in project.callees(qname):
-            for target in targets:
-                if target in wanted:
-                    callers.setdefault(target, set()).add(qname)
-    return callers
 
 
 # -- taint ----------------------------------------------------------------
@@ -287,9 +264,8 @@ class _TaintProblem(SummaryProblem):
     "call outside the audited core.audit measurement seam",
 )
 def check_restricted_flow(project: Project) -> Iterator[Finding]:
-    nodes = _repro_functions(project)
-    callers = _caller_map(project, nodes)
-    summaries = fixpoint(nodes, callers, _TaintProblem(project))
+    nodes = project.repro_functions()
+    summaries = fixpoint(nodes, project.callers(nodes), _TaintProblem(project))
     for qname in nodes:
         node = project.functions[qname]
         state = _TaintState(project, node, summaries)
@@ -394,8 +370,7 @@ def _is_platform_error(project: Project, canonical: str) -> bool:
 )
 def check_transport_escape(project: Project) -> Iterator[Finding]:
     domain = _escape_domain(project)
-    callers = _caller_map(project, domain)
-    summaries = fixpoint(domain, callers, _EscapeProblem(project))
+    summaries = fixpoint(domain, project.callers(domain), _EscapeProblem(project))
     reported: set = set()
     for qname in domain:
         node = project.functions[qname]
@@ -420,87 +395,3 @@ def check_transport_escape(project: Project) -> Iterator[Finding]:
                     "type so clients see a typed, retryable failure"
                 ),
             )
-
-
-# -- determinism propagation ----------------------------------------------
-
-
-class _AmbientProblem(SummaryProblem):
-    """Summary: frozenset of ambient source names reachable."""
-
-    def __init__(self, project: Project, nodes: set):
-        self.project = project
-        self.nodes = nodes
-
-    def bottom(self):
-        return frozenset()
-
-    def transfer(self, qname, summaries):
-        node = self.project.functions[qname]
-        reach: set = {
-            source
-            for source, _, _, suppressed in node.summary.ambient
-            if not suppressed
-        }
-        for index in range(len(node.summary.calls)):
-            for target in self.project.callees_at(qname, index):
-                if target in self.nodes:
-                    reach |= summaries.get(target, frozenset())
-        return frozenset(reach)
-
-
-@project_rule(
-    "determinism/transitive-ambient",
-    "public functions transitively reaching an unseeded RNG or wall "
-    "clock are flagged at their definition with the call chain",
-)
-def check_transitive_ambient(project: Project) -> Iterator[Finding]:
-    nodes = _repro_functions(project)
-    node_set = set(nodes)
-    callers = _caller_map(project, nodes)
-    summaries = fixpoint(nodes, callers, _AmbientProblem(project, node_set))
-
-    def successors(qname):
-        for index in range(len(project.functions[qname].summary.calls)):
-            for target in project.callees_at(qname, index):
-                if target in node_set and summaries[target]:
-                    yield target
-
-    for qname in nodes:
-        node = project.functions[qname]
-        if not node.summary.is_public:
-            continue
-        direct = {
-            source
-            for source, _, _, suppressed in node.summary.ambient
-            if not suppressed
-        }
-        reach = summaries[qname]
-        if not reach or direct:
-            continue  # direct sources are the per-file rules' findings
-        witness = reachable(
-            qname,
-            successors,
-            lambda q: any(
-                not suppressed
-                for _, _, _, suppressed in project.functions[q].summary.ambient
-            ),
-        )
-        chain = (
-            " -> ".join(step.rsplit(".", 2)[-1].split(".")[-1] + "()"
-                        for step in witness)
-            if witness
-            else node.summary.name + "()"
-        )
-        source = sorted(reach)[0]
-        yield Finding(
-            path=node.path,
-            line=node.summary.line,
-            col=node.summary.col,
-            rule="determinism/transitive-ambient",
-            message=(
-                f"public function {node.summary.name}() transitively "
-                f"reaches ambient entropy source {source}() via {chain}; "
-                "thread a seeded RNG or the VirtualClock through instead"
-            ),
-        )

@@ -1,7 +1,8 @@
 """Whole-program symbol table and call graph for ``repro-lint``.
 
 The per-file rules see one module at a time; the interprocedural
-rules (:mod:`repro.analysis.flows`) need to know *who calls whom*
+rules (:mod:`repro.analysis.flows`, and the ambient rule in
+:mod:`repro.analysis.determinism`) need to know *who calls whom*
 across the whole ``population -> platforms -> api -> core ->
 reporting/experiments`` DAG.  This module provides that in two
 stages, the first per file and the second over the whole program:
@@ -33,9 +34,10 @@ from __future__ import annotations
 import ast
 import builtins
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from repro.analysis.core import ModuleContext, dotted_name
+from repro.analysis.core import Finding, ModuleContext, dotted_name
+from repro.analysis.determinism import ambient_sites
 
 __all__ = [
     "CallSite",
@@ -116,9 +118,9 @@ class FunctionSummary:
     #: Ordered assignments ``(target name, value ref, line)``.
     assigns: list[tuple[str, ValueRef]] = field(default_factory=list)
     returns: list[ValueRef] = field(default_factory=list)
-    #: Direct ambient-entropy reads ``(source dotted, line, col,
-    #: suppressed)`` -- wall clocks and unseeded/global RNGs.
-    ambient: list[tuple[str, int, int, bool]] = field(default_factory=list)
+    #: Ambient-entropy sources the body reads directly at an
+    #: unsuppressed site (see :mod:`repro.analysis.determinism`).
+    ambient: list[str] = field(default_factory=list)
 
     @property
     def is_public(self) -> bool:
@@ -150,6 +152,9 @@ class ModuleSummary:
     aliases: dict[str, str] = field(default_factory=dict)
     functions: dict[str, FunctionSummary] = field(default_factory=dict)
     classes: dict[str, ClassSummary] = field(default_factory=dict)
+    #: Every direct ambient-entropy read in the module, as the finding
+    #: at its call (suppressed ones included).
+    ambient: list[Finding] = field(default_factory=list)
 
 
 # -- extraction -----------------------------------------------------------
@@ -164,62 +169,6 @@ SENSITIVE_NAMES = frozenset(
         "repro.population.demographics.SENSITIVE_ATTRIBUTES",
     }
 )
-
-
-def _ambient_sources(ctx: ModuleContext) -> "dict[int, list[tuple[str, int, int]]]":
-    """Direct ambient-entropy call sites, keyed by line.
-
-    Reuses the determinism family's source tables so the per-file and
-    interprocedural views of "ambient" can never drift apart.
-    """
-    from repro.analysis.determinism import (
-        NUMPY_GLOBAL_FUNCTIONS,
-        RANDOM_MODULE_FUNCTIONS,
-        WALL_CLOCK_CALLS,
-        _ENTROPY_SOURCES,
-        _SEED_REQUIRED,
-        _is_unseeded,
-        _salted_hashes,
-    )
-
-    sites: dict[int, list[tuple[str, int, int]]] = {}
-    seen: set[int] = set()
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        name = ctx.resolve(node.func)
-        if name is None:
-            continue
-        for salted in _salted_hashes(ctx, name, node, seen):
-            sites.setdefault(salted.lineno, []).append(
-                ("builtins.hash", salted.lineno, salted.col_offset)
-            )
-        hit = False
-        if name in WALL_CLOCK_CALLS or name in _ENTROPY_SOURCES:
-            hit = True
-        elif name == "random.SystemRandom":
-            hit = True
-        elif (name in _SEED_REQUIRED or name == "random.Random") and _is_unseeded(
-            node
-        ):
-            hit = True
-        elif (
-            name.startswith("random.")
-            and name.rpartition(".")[2] in RANDOM_MODULE_FUNCTIONS
-            and name.count(".") == 1
-        ):
-            hit = True
-        elif (
-            name.startswith("numpy.random.")
-            and name.rpartition(".")[2] in NUMPY_GLOBAL_FUNCTIONS
-            and name.count(".") == 2
-        ):
-            hit = True
-        if hit:
-            sites.setdefault(node.lineno, []).append(
-                (name, node.lineno, node.col_offset)
-            )
-    return sites
 
 
 def _annotation_ref(node: ast.expr | None, ctx: ModuleContext) -> CalleeRef | None:
@@ -247,12 +196,10 @@ class _FunctionExtractor(ast.NodeVisitor):
         ctx: ModuleContext,
         summary: FunctionSummary,
         class_name: str | None,
-        ambient: Mapping[int, list[tuple[str, int, int]]],
     ):
         self.ctx = ctx
         self.summary = summary
         self.class_name = class_name
-        self.ambient = ambient
         #: Stack of handler-type lists for enclosing try bodies.
         self._catch_stack: list[list[CalleeRef]] = []
         #: Names bound by ``except ... as name`` currently in scope.
@@ -464,31 +411,6 @@ class _FunctionExtractor(ast.NodeVisitor):
         self._call_index: dict[int, int] = {}
         for statement in body:
             self.visit(statement)
-        for line, entries in self.ambient.items():
-            del line
-            for name, lineno, col in entries:
-                if self._covers(lineno):
-                    finding_suppressed = self._source_suppressed(name, lineno)
-                    self.summary.ambient.append(
-                        (name, lineno, col, finding_suppressed)
-                    )
-
-    def _covers(self, line: int) -> bool:
-        return self._body_start <= line <= self._body_end
-
-    def _source_suppressed(self, name: str, line: int) -> bool:
-        del name
-        selectors = set(self.ctx.line_suppressions.get(line, set()))
-        selectors |= set(self.ctx.file_suppressions)
-        for selector in sorted(selectors):
-            if selector in ("all", "*", "determinism", "determinism/*"):
-                return True
-            if selector in (
-                "determinism/wall-clock",
-                "determinism/unseeded-rng",
-            ):
-                return True
-        return False
 
 
 def _function_summary(
@@ -496,7 +418,6 @@ def _function_summary(
     local_qname: str,
     ctx: ModuleContext,
     class_name: str | None,
-    ambient_by_line: Mapping[int, list[tuple[str, int, int]]],
 ) -> FunctionSummary:
     params = [
         a.arg
@@ -528,25 +449,7 @@ def _function_summary(
         annotations=annotations,
         request_path=request_path,
     )
-    # Restrict the module-wide ambient map to this function's span so
-    # nested functions (summarised separately) do not double-count.
-    nested_spans = [
-        (n.lineno, getattr(n, "end_lineno", n.lineno))
-        for n in ast.walk(node)
-        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)) and n is not node
-    ]
-    start = node.lineno
-    end = getattr(node, "end_lineno", node.lineno) or node.lineno
-    own_ambient = {
-        line: entries
-        for line, entries in ambient_by_line.items()
-        if start <= line <= end
-        and not any(ns <= line <= ne for ns, ne in nested_spans)
-    }
-    extractor = _FunctionExtractor(ctx, summary, class_name, own_ambient)
-    extractor._body_start = start
-    extractor._body_end = end
-    extractor.run(node.body)
+    _FunctionExtractor(ctx, summary, class_name).run(node.body)
     return summary
 
 
@@ -603,7 +506,8 @@ def extract_summary(ctx: ModuleContext) -> ModuleSummary:
         path=ctx.path, module=ctx.module, is_package=ctx.is_package
     )
     summary.aliases = dict(ctx.bindings)
-    ambient_by_line = _ambient_sources(ctx)
+    # ``def`` node -> its summary, to credit ambient reads to.
+    owners: dict[ast.AST, FunctionSummary] = {}
 
     def walk_body(
         body: Sequence[ast.stmt], prefix: str, class_name: str | None
@@ -611,8 +515,8 @@ def extract_summary(ctx: ModuleContext) -> ModuleSummary:
         for statement in body:
             if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 local_qname = f"{prefix}{statement.name}"
-                summary.functions[local_qname] = _function_summary(
-                    statement, local_qname, ctx, class_name, ambient_by_line
+                summary.functions[local_qname] = owners[statement] = (
+                    _function_summary(statement, local_qname, ctx, class_name)
                 )
                 walk_body(
                     statement.body, f"{local_qname}.<locals>.", class_name
@@ -642,8 +546,8 @@ def extract_summary(ctx: ModuleContext) -> ModuleSummary:
                 for s in statement.body:
                     if isinstance(s, (ast.FunctionDef, ast.AsyncFunctionDef)):
                         method_qname = f"{class_qname}.{s.name}"
-                        summary.functions[method_qname] = _function_summary(
-                            s, method_qname, ctx, class_qname, ambient_by_line
+                        summary.functions[method_qname] = owners[s] = (
+                            _function_summary(s, method_qname, ctx, class_qname)
                         )
                         walk_body(
                             s.body, f"{method_qname}.<locals>.", class_qname
@@ -665,6 +569,11 @@ def extract_summary(ctx: ModuleContext) -> ModuleSummary:
                             summary.aliases[target.id] = dotted
 
     walk_body(ctx.tree.body, "", None)
+    for finding, source, scope in ambient_sites(ctx):
+        summary.ambient.append(finding)
+        owner = owners.get(scope)
+        if owner is not None and not ctx.is_suppressed(finding):
+            owner.ambient.append(source)
     return summary
 
 
@@ -702,6 +611,9 @@ class Project:
     """Whole-program view: symbol table, class hierarchy, call graph."""
 
     def __init__(self, summaries: Iterable[ModuleSummary]):
+        #: Every linked summary, including any whose module name another
+        #: file shadows in :attr:`modules`.
+        self.summaries: list[ModuleSummary] = list(summaries)
         self.modules: dict[str, ModuleSummary] = {}
         self.functions: dict[str, FunctionNode] = {}
         self.classes: dict[str, ClassNode] = {}
@@ -710,7 +622,7 @@ class Project:
         self._subclasses: dict[str, list[str]] = {}
         self._resolution_cache: dict[str, str | None] = {}
         self._edge_cache: dict[tuple[str, int], tuple[str, ...]] = {}
-        for summary in summaries:
+        for summary in self.summaries:
             self._add_module(summary)
         self._link_classes()
 
@@ -1015,11 +927,21 @@ class Project:
         for index, site in enumerate(node.summary.calls):
             yield site, self.callees_at(qname, index)
 
-    def callers(self) -> dict[str, set[str]]:
-        """Reverse call graph: callee qname -> caller qnames."""
+    def repro_functions(self) -> list[str]:
+        """Sorted qnames of the functions in ``repro`` modules."""
+        return sorted(
+            qname
+            for qname, node in self.functions.items()
+            if node.module.startswith("repro")
+        )
+
+    def callers(self, nodes: Sequence[str]) -> dict[str, set[str]]:
+        """Reverse call graph restricted to ``nodes``: callee -> callers."""
+        wanted = set(nodes)
         reverse: dict[str, set[str]] = {}
-        for qname in self.functions:
+        for qname in nodes:
             for _, targets in self.callees(qname):
                 for target in targets:
-                    reverse.setdefault(target, set()).add(qname)
+                    if target in wanted:
+                        reverse.setdefault(target, set()).add(qname)
         return reverse

@@ -40,11 +40,19 @@ def rule_ids(findings) -> list[str]:
     return [finding.rule for finding in findings]
 
 
-# -- determinism/wall-clock ----------------------------------------------
+AMBIENT = "determinism/transitive-ambient"
+
+
+def ambient(source: str):
+    """Lint one fixture module through the whole-program pipeline."""
+    return link_files(("src/repro/core/example.py", "repro.core.example", source))
+
+
+# -- determinism/transitive-ambient: direct reads ---------------------------
 
 
 def test_wall_clock_positive():
-    findings, _ = lint(
+    findings, _ = ambient(
         """
         import time
         from datetime import datetime
@@ -53,12 +61,12 @@ def test_wall_clock_positive():
             return time.time(), datetime.utcnow(), datetime.now()
         """
     )
-    assert rule_ids(findings) == ["determinism/wall-clock"] * 3
+    assert rule_ids(findings) == [AMBIENT] * 3
     assert findings[0].line == 6
 
 
 def test_wall_clock_import_datetime_module_form():
-    findings, _ = lint(
+    findings, _ = ambient(
         """
         import datetime
 
@@ -66,11 +74,11 @@ def test_wall_clock_import_datetime_module_form():
             return datetime.datetime.now()
         """
     )
-    assert rule_ids(findings) == ["determinism/wall-clock"]
+    assert rule_ids(findings) == [AMBIENT]
 
 
 def test_wall_clock_negative():
-    findings, _ = lint(
+    findings, _ = ambient(
         """
         import time
 
@@ -83,7 +91,7 @@ def test_wall_clock_negative():
 
 
 def test_wall_clock_local_name_is_not_resolved():
-    findings, _ = lint(
+    findings, _ = ambient(
         """
         def run(time):
             return time.time()
@@ -93,23 +101,23 @@ def test_wall_clock_local_name_is_not_resolved():
 
 
 def test_wall_clock_suppressed_inline():
-    findings, suppressed = lint(
+    findings, suppressed = ambient(
         """
         import time
 
         def stamp():
-            return time.time()  # repro-lint: disable=determinism/wall-clock
+            return time.time()  # repro-lint: disable=determinism/transitive-ambient
         """
     )
     assert findings == []
-    assert rule_ids(suppressed) == ["determinism/wall-clock"]
+    assert rule_ids(suppressed) == [AMBIENT]
 
 
-# -- determinism/unseeded-rng --------------------------------------------
+# -- unseeded and global RNGs, salted seeds ---------------------------------
 
 
 def test_unseeded_rng_positive():
-    findings, _ = lint(
+    findings, _ = ambient(
         """
         import os
         import random
@@ -128,11 +136,11 @@ def test_unseeded_rng_positive():
             )
         """
     )
-    assert rule_ids(findings) == ["determinism/unseeded-rng"] * 7
+    assert rule_ids(findings) == [AMBIENT] * 7
 
 
 def test_unseeded_rng_none_seed_is_unseeded():
-    findings, _ = lint(
+    findings, _ = ambient(
         """
         import numpy as np
 
@@ -140,11 +148,11 @@ def test_unseeded_rng_none_seed_is_unseeded():
         other = np.random.default_rng(seed=None)
         """
     )
-    assert rule_ids(findings) == ["determinism/unseeded-rng"] * 2
+    assert rule_ids(findings) == [AMBIENT] * 2
 
 
 def test_seeded_rng_negative():
-    findings, _ = lint(
+    findings, _ = ambient(
         """
         import random
         import numpy as np
@@ -162,7 +170,7 @@ def test_seeded_rng_negative():
 
 
 def test_seeded_rng_keyword_seed_is_not_a_false_positive():
-    findings, _ = lint(
+    findings, _ = ambient(
         """
         import numpy as np
 
@@ -174,7 +182,7 @@ def test_seeded_rng_keyword_seed_is_not_a_false_positive():
 
 
 def test_unseeded_rng_from_import_form():
-    findings, _ = lint(
+    findings, _ = ambient(
         """
         from numpy.random import default_rng
         from random import shuffle
@@ -184,11 +192,11 @@ def test_unseeded_rng_from_import_form():
             return default_rng()
         """
     )
-    assert rule_ids(findings) == ["determinism/unseeded-rng"] * 2
+    assert rule_ids(findings) == [AMBIENT] * 2
 
 
 def test_salted_hash_in_seed_positive():
-    findings, _ = lint(
+    findings, _ = ambient(
         """
         import random
         import builtins
@@ -205,12 +213,13 @@ def test_salted_hash_in_seed_positive():
         """
     )
     # The nested constructors share one hash() call: one finding.
-    assert rule_ids(findings) == ["determinism/unseeded-rng"] * 5
+    assert rule_ids(findings) == [AMBIENT] * 5
     assert [f.line for f in findings] == [8, 9, 10, 11, 12]
+    assert all("zlib.crc32" in f.message for f in findings)
 
 
 def test_salted_hash_in_seed_negative():
-    findings, _ = lint(
+    findings, _ = ambient(
         """
         import zlib
         import numpy as np
@@ -222,6 +231,78 @@ def test_salted_hash_in_seed_negative():
                 np.random.default_rng(seed),
                 table[key],
             )
+        """
+    )
+    assert findings == []
+
+
+def test_clock_reads_without_a_time_argument_positive():
+    findings, _ = ambient(
+        """
+        import time
+
+        def stamps(fmt):
+            return (
+                time.gmtime(),
+                time.localtime(),
+                time.ctime(None),
+                time.asctime(),
+                time.strftime(fmt),
+            )
+        """
+    )
+    assert rule_ids(findings) == [AMBIENT] * 5
+    assert [f.line for f in findings] == [6, 7, 8, 9, 10]
+    assert "time.strftime() reads the wall clock" in findings[-1].message
+
+
+def test_clock_functions_given_a_time_are_negative():
+    findings, _ = ambient(
+        """
+        import time
+
+        def render(fmt, ts, t):
+            return (
+                time.gmtime(ts),
+                time.localtime(ts),
+                time.ctime(ts),
+                time.asctime(t),
+                time.strftime(fmt, t),
+                time.strftime(fmt, time.localtime(ts)),
+            )
+        """
+    )
+    assert findings == []
+
+
+def test_os_entropy_sources_positive():
+    findings, _ = ambient(
+        """
+        import os
+        import secrets
+        import uuid
+
+        def ids():
+            return (
+                uuid.uuid1(),
+                os.getrandom(8),
+                secrets.token_hex(8),
+                secrets.choice("ab"),
+                secrets.SystemRandom(),
+            )
+        """
+    )
+    assert rule_ids(findings) == [AMBIENT] * 5
+    assert all("draws OS entropy" in f.message for f in findings)
+
+
+def test_secrets_compare_digest_is_negative():
+    findings, _ = ambient(
+        """
+        import secrets
+
+        def same(a, b):
+            return secrets.compare_digest(a, b)
         """
     )
     assert findings == []
@@ -644,21 +725,21 @@ def test_print_allowed_in_reporting_runner_and_cli():
 
 
 def test_directive_inside_string_literal_is_inert():
-    findings, _ = lint(
+    findings, _ = ambient(
         """
         import time
 
-        MARKER = "# repro-lint: disable=determinism/wall-clock"
+        MARKER = "# repro-lint: disable=determinism/transitive-ambient"
 
         def stamp():
             return time.time()
         """
     )
-    assert rule_ids(findings) == ["determinism/wall-clock"]
+    assert rule_ids(findings) == [AMBIENT]
 
 
 def test_family_and_all_selectors():
-    findings, suppressed = lint(
+    findings, suppressed = ambient(
         """
         # repro-lint: disable=determinism
         import time
@@ -669,7 +750,7 @@ def test_family_and_all_selectors():
     )
     assert findings == []
     assert len(suppressed) == 1
-    findings, suppressed = lint(
+    findings, suppressed = ambient(
         """
         import time
 
@@ -682,7 +763,7 @@ def test_family_and_all_selectors():
 
 
 def test_unrelated_suppression_does_not_hide_finding():
-    findings, _ = lint(
+    findings, _ = ambient(
         """
         import time
 
@@ -690,14 +771,14 @@ def test_unrelated_suppression_does_not_hide_finding():
             return time.time()  # repro-lint: disable=errors/print
         """
     )
-    assert rule_ids(findings) == ["determinism/wall-clock"]
+    assert rule_ids(findings) == [AMBIENT]
 
 
 def test_duplicate_rule_registration_rejected():
     with pytest.raises(ValueError):
         register(
             Rule(
-                id="determinism/wall-clock",
+                id="determinism/unordered-iteration",
                 summary="dup",
                 check=lambda ctx: [],
             )
@@ -706,12 +787,12 @@ def test_duplicate_rule_registration_rejected():
 
 def test_rules_are_filterable():
     source = """
-        import time
-
-        def run():
+        def run(names):
             print('x')
-            return time.time()
+            return [name for name in set(names)]
         """
+    findings, _ = lint(source)
+    assert rule_ids(findings) == ["errors/print", "determinism/unordered-iteration"]
     only_prints = [r for r in all_rules() if r.id == "errors/print"]
     findings, _ = lint(source, rules=only_prints)
     assert rule_ids(findings) == ["errors/print"]
@@ -733,9 +814,9 @@ def test_analyze_paths_reports_rule_and_location(tmp_path):
     victim.write_text("import time\nstamp = time.time()\n", encoding="utf-8")
     report = analyze_paths([tmp_path], root=tmp_path)
     assert report.files == 1
-    assert [f.rule for f in report.findings] == ["determinism/wall-clock"]
+    assert [f.rule for f in report.findings] == [AMBIENT]
     assert report.findings[0].location() == "audit.py:2:8"
-    assert "determinism/wall-clock" in report.findings[0].render()
+    assert AMBIENT in report.findings[0].render()
 
 
 def test_analyze_paths_collects_parse_errors(tmp_path):
@@ -1033,13 +1114,14 @@ def test_transitive_ambient_flags_public_function_with_chain():
             """,
         )
     )
-    assert rule_ids(findings) == ["determinism/transitive-ambient"]
-    assert findings[0].line == 7
-    assert "snapshot() -> _stamp()" in findings[0].message
-    assert "time.time" in findings[0].message
+    # The read itself at the call, then the public caller at its def.
+    assert rule_ids(findings) == [AMBIENT] * 2
+    assert [(f.line, f.col) for f in findings] == [(5, 11), (7, 0)]
+    assert "snapshot() -> _stamp()" in findings[1].message
+    assert "time.time" in findings[1].message
 
 
-def test_transitive_ambient_direct_source_is_the_per_file_rules_job():
+def test_transitive_ambient_direct_source_is_a_chain_of_length_one():
     findings, _ = link_files(
         (
             "src/repro/core/clocky.py",
@@ -1052,12 +1134,36 @@ def test_transitive_ambient_direct_source_is_the_per_file_rules_job():
             """,
         )
     )
-    # With module rules disabled, the direct read yields nothing: the
-    # transitive rule refuses to duplicate determinism/wall-clock.
-    assert findings == []
+    # One finding at the call, with the wall-clock remedy; none at the
+    # definition, since snapshot() reaches nothing through calls.
+    assert [(f.rule, f.line, f.col) for f in findings] == [(AMBIENT, 5, 11)]
+    assert "time.time() reads the wall clock" in findings[0].message
 
 
-def test_transitive_ambient_suppressed_source_does_not_propagate():
+def test_transitive_ambient_reports_direct_reads_in_every_scope():
+    findings, _ = link_files(
+        (
+            "src/repro/core/clocky.py",
+            "repro.core.clocky",
+            """
+            import random
+            import time
+
+            STAMP = time.time()
+
+            class Holder:
+                rng = random.Random()
+
+                def _private(self):
+                    return random.random()
+            """,
+        )
+    )
+    assert [(f.line, f.col) for f in findings] == [(5, 8), (8, 10), (11, 15)]
+    assert rule_ids(findings) == [AMBIENT] * 3
+
+
+def test_transitive_ambient_direct_and_transitive_reads_both_reported():
     findings, _ = link_files(
         (
             "src/repro/core/clocky.py",
@@ -1066,7 +1172,27 @@ def test_transitive_ambient_suppressed_source_does_not_propagate():
             import time
 
             def _stamp():
-                return time.time()  # repro-lint: disable=determinism/wall-clock
+                return time.time()
+
+            def snapshot():
+                return time.time(), _stamp()
+            """,
+        )
+    )
+    assert [(f.line, f.col) for f in findings] == [(5, 11), (7, 0), (8, 11)]
+    assert "snapshot() -> _stamp()" in findings[1].message
+
+
+def test_transitive_ambient_suppressed_source_does_not_propagate():
+    findings, suppressed = link_files(
+        (
+            "src/repro/core/clocky.py",
+            "repro.core.clocky",
+            """
+            import time
+
+            def _stamp():
+                return time.time()  # repro-lint: disable=determinism/transitive-ambient
 
             def snapshot():
                 return _stamp()
@@ -1074,6 +1200,7 @@ def test_transitive_ambient_suppressed_source_does_not_propagate():
         )
     )
     assert findings == []
+    assert [(f.rule, f.line) for f in suppressed] == [(AMBIENT, 5)]
 
 
 def test_transitive_ambient_unseeded_rng_two_hops():
@@ -1095,9 +1222,9 @@ def test_transitive_ambient_unseeded_rng_two_hops():
             """,
         )
     )
-    rules = rule_ids(findings)
-    assert rules == ["determinism/transitive-ambient"]
-    assert "sample() -> _middle() -> _fresh()" in findings[0].message
+    assert rule_ids(findings) == [AMBIENT] * 2
+    assert findings[0].line == 5
+    assert "sample() -> _middle() -> _fresh()" in findings[1].message
 
 
 def test_project_rule_registry_is_loaded():
@@ -1113,23 +1240,23 @@ def test_project_rule_registry_is_loaded():
 
 
 def test_directive_on_first_line_covers_whole_multiline_statement():
-    findings, suppressed = lint(
+    findings, suppressed = ambient(
         """
         import time
 
         def stamp():
-            return min(  # repro-lint: disable=determinism/wall-clock
+            return min(  # repro-lint: disable=determinism/transitive-ambient
                 time.time(),
                 1.0,
             )
         """
     )
     assert findings == []
-    assert rule_ids(suppressed) == ["determinism/wall-clock"]
+    assert rule_ids(suppressed) == [AMBIENT]
 
 
 def test_directive_on_continuation_line_covers_whole_statement():
-    findings, suppressed = lint(
+    findings, suppressed = ambient(
         """
         import time
 
@@ -1137,15 +1264,15 @@ def test_directive_on_continuation_line_covers_whole_statement():
             return min(
                 1.0,
                 time.time(),
-            )  # repro-lint: disable=determinism/wall-clock
+            )  # repro-lint: disable=determinism/transitive-ambient
         """
     )
     assert findings == []
-    assert rule_ids(suppressed) == ["determinism/wall-clock"]
+    assert rule_ids(suppressed) == [AMBIENT]
 
 
 def test_family_wildcard_selector_matches_family_only():
-    findings, suppressed = lint(
+    findings, suppressed = ambient(
         """
         import time
 
@@ -1154,8 +1281,8 @@ def test_family_wildcard_selector_matches_family_only():
         """
     )
     assert findings == []
-    assert rule_ids(suppressed) == ["determinism/wall-clock"]
-    findings, _ = lint(
+    assert rule_ids(suppressed) == [AMBIENT]
+    findings, _ = ambient(
         """
         import time
 
@@ -1163,4 +1290,4 @@ def test_family_wildcard_selector_matches_family_only():
             return time.time()  # repro-lint: disable=errors/*
         """
     )
-    assert rule_ids(findings) == ["determinism/wall-clock"]
+    assert rule_ids(findings) == [AMBIENT]
