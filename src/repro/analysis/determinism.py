@@ -56,15 +56,23 @@ _REMEDIES = {
 }
 
 
-def _table(kind: str, names: str, prefix: str = "", arg: int | None = None):
-    return {f"{prefix}{name}": (kind, arg) for name in names.split()}
+def _table(
+    kind: str,
+    names: str,
+    prefix: str = "",
+    arg: int | None = None,
+    keywords: tuple[str, ...] = ("seed",),
+):
+    return {f"{prefix}{name}": (kind, arg, keywords) for name in names.split()}
 
 
-#: Every ambient-entropy call: resolved callee -> (kind, argument).
-#: With an argument index the call is ambient only when that argument
-#: (or ``seed=``) is missing or a literal ``None``: ``time.localtime(ts)``
-#: converts a timestamp it was given, ``default_rng(seed)`` is seeded.
-AMBIENT_SOURCES: dict[str, tuple[str, int | None]] = {
+#: Every ambient-entropy call: resolved callee -> (kind, argument,
+#: keywords).  With an argument index the call is ambient only when that
+#: argument, passed by position or by one of the keywords, is missing or
+#: a literal ``None``: ``time.localtime(ts)`` converts a timestamp it was
+#: given, ``default_rng(seed)`` and ``SeedSequence(entropy=x)`` are
+#: seeded, and so is ``Philox(key=k)``.
+AMBIENT_SOURCES: dict[str, tuple[str, int | None, tuple[str, ...]]] = {
     **_table("clock", "time time_ns", "time."),
     **_table("clock", "now utcnow today", "datetime.datetime."),
     **_table("clock", "today", "datetime.date."),
@@ -83,9 +91,13 @@ AMBIENT_SOURCES: dict[str, tuple[str, int | None]] = {
     ),
     **_table(
         "unseeded",
-        "numpy.random.default_rng numpy.random.RandomState random.Random",
+        "default_rng RandomState PCG64 PCG64DXSM MT19937 SFC64",
+        "numpy.random.",
         arg=0,
     ),
+    **_table("unseeded", "Philox", "numpy.random.", 0, ("seed", "key")),
+    **_table("unseeded", "SeedSequence", "numpy.random.", 0, ("entropy",)),
+    **_table("unseeded", "Random", "random.", 0, ("x",)),
     **_table(
         "random",
         "betavariate choice choices expovariate gammavariate gauss "
@@ -105,23 +117,20 @@ AMBIENT_SOURCES: dict[str, tuple[str, int | None]] = {
 
 #: RNG constructors whose arguments are seed material.
 _SEED_CONSUMERS = frozenset(
-    {"numpy.random.SeedSequence", "numpy.random.default_rng", "random.Random"}
+    name for name, (kind, _, _) in AMBIENT_SOURCES.items() if kind == "unseeded"
 )
 
 
-def _absent(call: ast.Call, index: int) -> bool:
-    """True when argument ``index`` (or ``seed=``) is missing or ``None``."""
+def _absent(call: ast.Call, index: int, keywords: tuple[str, ...]) -> bool:
+    """True when argument ``index`` and every one of ``keywords`` is
+    missing or a literal ``None``."""
+    given = call.args[index : index + 1]
     for keyword in call.keywords:
         if keyword.arg is None:  # **kwargs: assume the caller passed it
             return False
-        if keyword.arg == "seed":
-            value = keyword.value
-            break
-    else:
-        if len(call.args) <= index:
-            return True
-        value = call.args[index]
-    return isinstance(value, ast.Constant) and value.value is None
+        if keyword.arg in keywords:
+            given.append(keyword.value)
+    return all(isinstance(v, ast.Constant) and v.value is None for v in given)
 
 
 def _is_builtin_hash(ctx: ModuleContext, func: ast.AST) -> bool:
@@ -142,8 +151,8 @@ def ambient_source(
     """
     if in_seed and _is_builtin_hash(ctx, call.func):
         return "builtins.hash", _REMEDIES["hash"]
-    kind, arg = AMBIENT_SOURCES.get(name, (None, None))
-    if kind is None or (arg is not None and not _absent(call, arg)):
+    kind, arg, keywords = AMBIENT_SOURCES.get(name, (None, None, ()))
+    if kind is None or (arg is not None and not _absent(call, arg, keywords)):
         return None
     return name, _REMEDIES[kind].format(name=name)
 

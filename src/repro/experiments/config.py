@@ -3,8 +3,9 @@
 The ``full`` preset approximates the paper's parameters (1,000
 compositions per set, top-100 overlap analysis, 100-repeat consistency
 study).  The ``small`` preset keeps every experiment structurally
-identical but cheap enough for CI and benchmarks; ``tiny`` exists for
-unit tests.
+identical but about ten times cheaper: it is the CLI default, and the
+tier-1 shape checks that need more compositions than ``tiny`` run on
+it.  ``tiny`` is what most tier-1 tests run on.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ class ExperimentConfig:
 
     @classmethod
     def small(cls) -> "ExperimentConfig":
-        """Benchmark-scale: same structure, ~10x cheaper."""
+        """CLI default: same structure, ~10x cheaper."""
         return cls(
             n_records=40_000,
             n_compositions=150,

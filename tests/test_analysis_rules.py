@@ -133,10 +133,16 @@ def test_unseeded_rng_positive():
                 np.random.rand(3),
                 os.urandom(8),
                 uuid.uuid4(),
+                np.random.SeedSequence(),
+                np.random.PCG64(),
+                np.random.PCG64DXSM(),
+                np.random.MT19937(),
+                np.random.Philox(),
+                np.random.SFC64(),
             )
         """
     )
-    assert rule_ids(findings) == [AMBIENT] * 7
+    assert rule_ids(findings) == [AMBIENT] * 13
 
 
 def test_unseeded_rng_none_seed_is_unseeded():
@@ -146,9 +152,11 @@ def test_unseeded_rng_none_seed_is_unseeded():
 
         rng = np.random.default_rng(None)
         other = np.random.default_rng(seed=None)
+        sequence = np.random.SeedSequence(entropy=None)
+        bits = np.random.PCG64(seed=None)
         """
     )
-    assert rule_ids(findings) == [AMBIENT] * 2
+    assert rule_ids(findings) == [AMBIENT] * 4
 
 
 def test_seeded_rng_negative():
@@ -163,6 +171,10 @@ def test_seeded_rng_negative():
                 np.random.default_rng(0),
                 np.random.default_rng(np.random.SeedSequence([1, 2])),
                 np.random.Generator(np.random.PCG64(3)),
+                np.random.SeedSequence(entropy=config.seed),
+                np.random.MT19937(seed=config.seed),
+                np.random.Philox(key=config.seed),
+                random.Random(x=config.seed),
             )
         """
     )
@@ -209,12 +221,13 @@ def test_salted_hash_in_seed_positive():
                 np.random.default_rng(seed=builtins.hash(name)),
                 random.Random(hash(name)),
                 np.random.default_rng(np.random.SeedSequence(hash(name))),
+                np.random.Generator(np.random.PCG64(hash(name))),
             )
         """
     )
     # The nested constructors share one hash() call: one finding.
-    assert rule_ids(findings) == [AMBIENT] * 5
-    assert [f.line for f in findings] == [8, 9, 10, 11, 12]
+    assert rule_ids(findings) == [AMBIENT] * 6
+    assert [f.line for f in findings] == [8, 9, 10, 11, 12, 13]
     assert all("zlib.crc32" in f.message for f in findings)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from itertools import combinations
 
@@ -15,7 +16,10 @@ from repro.core.discovery import (
     skewed_compositions,
     smallest_k_for_combinations,
 )
+from repro.core.stats import BoxStats, fraction_outside_four_fifths
+from repro.platforms import ExactRounding
 from repro.population.demographics import SENSITIVE_ATTRIBUTES, Gender
+from repro.population.model import default_model
 
 GENDER = SENSITIVE_ATTRIBUTES["gender"]
 
@@ -185,19 +189,37 @@ class TestSkewedCompositions:
             assert max(three_ratios) >= max(two_ratios) * 0.8
 
 
+# -- ablations (DESIGN.md section 5) ----------------------------------------
+
+ABLATION_RECORDS = 15_000
+ABLATION_SEED = 9
+
+
+@pytest.fixture(scope="module")
+def ablation_session():
+    """The default arm every ablation compares against."""
+    return build_audit_session(n_records=ABLATION_RECORDS, seed=ABLATION_SEED)
+
+
+def top_pairs(target, individual):
+    """Top 2-way compositions towards males, filtered like the paper."""
+    return skewed_compositions(
+        target, GENDER, individual, Gender.MALE, "top", n=100, seed=0
+    ).filtered(10_000)
+
+
 class TestGreedyAblation:
     """Greedy vs exhaustive discovery on a catalog slice small enough to
-    crawl every pair (DESIGN.md section 5)."""
+    crawl every pair."""
 
     CATALOG_SLICE = 60  # C(60, 2) = 1,770 pairs
     TOP_K = 50
 
-    def test_greedy_captures_exhaustive_top(self):
+    def test_greedy_captures_exhaustive_top(self, ablation_session):
         """The paper accepts greedy discovery as an approximate lower
         bound (Section 3); it must still capture over 30% of the true
         top-50 compositions to be usable."""
-        session = build_audit_session(n_records=15_000, seed=9)
-        target = session.targets["facebook"]
+        target = ablation_session.targets["facebook"]
         options = target.study_option_ids()[: self.CATALOG_SLICE]
         individual = audit_individuals(target, GENDER, option_ids=options)
 
@@ -212,3 +234,64 @@ class TestGreedyAblation:
             )
         )
         assert len(true_top & greedy) / len(true_top) > 0.3
+
+
+class TestLatentFactorAblation:
+    """Composition amplifies skew with or without the factors'
+    demographic tilts; the tilts mainly drive audience overlap."""
+
+    @staticmethod
+    def amplification(session) -> tuple[float, float]:
+        """(Individual p90, Top 2-way median) of FB-restricted male ratios."""
+        target = session.targets["facebook_restricted"]
+        individual = audit_individuals(target, GENDER).filtered(10_000)
+        top = top_pairs(target, individual)
+        return (
+            BoxStats.from_values(individual.ratios(Gender.MALE)).p90,
+            BoxStats.from_values(top.ratios(Gender.MALE)).median,
+        )
+
+    def test_amplification_survives_neutral_factors(self, ablation_session):
+        base = default_model()
+        neutral = dataclasses.replace(
+            base,
+            factor_gender_shift=tuple(0.0 for _ in base.factor_gender_shift),
+            factor_age_shift=tuple((0.0,) * 4 for _ in base.factor_age_shift),
+        )
+        tilted_ind, tilted_top = self.amplification(ablation_session)
+        neutral_ind, neutral_top = self.amplification(
+            build_audit_session(
+                n_records=ABLATION_RECORDS, seed=ABLATION_SEED, model=neutral
+            )
+        )
+        assert tilted_top > tilted_ind
+        assert neutral_top > neutral_ind
+
+
+class TestRoundingAblation:
+    """The platforms' estimate rounding does not drive the conclusions
+    (paper Section 3)."""
+
+    @staticmethod
+    def conclusions(session) -> tuple[float, float]:
+        """(Fraction of Facebook options outside four-fifths, Top 2-way
+        median male ratio)."""
+        target = session.targets["facebook"]
+        individual = audit_individuals(target, GENDER).filtered(10_000)
+        top = top_pairs(target, individual)
+        return (
+            fraction_outside_four_fifths(individual.ratios(Gender.MALE)),
+            BoxStats.from_values(top.ratios(Gender.MALE)).median,
+        )
+
+    def test_rounding_leaves_skew_intact(self, ablation_session):
+        rounded_frac, rounded_top = self.conclusions(ablation_session)
+        exact_frac, exact_top = self.conclusions(
+            build_audit_session(
+                n_records=ABLATION_RECORDS,
+                seed=ABLATION_SEED,
+                rounding=ExactRounding(),
+            )
+        )
+        assert abs(rounded_frac - exact_frac) < 0.10
+        assert rounded_top > 1.25 and exact_top > 1.25
