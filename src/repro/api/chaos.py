@@ -33,10 +33,14 @@ from repro.api.transport import (
     HttpResponse,
     VirtualClock,
 )
-from repro.api.wire import BatchEnvelope
+from repro.api.wire import PLAIN_ENVELOPE
 from repro.platforms.errors import ConnectionLostError, RequestTimeoutError
 
 __all__ = ["FaultProfile", "FAULT_PROFILES", "ChaosTransport"]
+
+#: Every batch envelope a route answers in; a response is a batch
+#: response when one of these finds its entry list under its key.
+_ENVELOPES = (PLAIN_ENVELOPE, GoogleWireCodec.envelope)
 
 
 @dataclass(frozen=True)
@@ -244,20 +248,18 @@ class ChaosTransport:
         """Apply truncation / per-item faults to a batch response."""
         profile = self.profile
         body = response.body
-        if "results" in body and isinstance(body["results"], list):
-            envelope_key, item_error = "results", BatchEnvelope.item_error
-        elif isinstance(body.get(GoogleWireCodec.BATCH_FIELD), list):
-            envelope_key = GoogleWireCodec.BATCH_FIELD
-            item_error = GoogleWireCodec.batch_item_error
+        for envelope in _ENVELOPES:
+            if isinstance(body.get(envelope.response_key), list):
+                break
         else:
             return response
 
-        entries = list(body[envelope_key])
+        entries = list(body[envelope.response_key])
         mutated = False
         if profile.item_failure_prob:
             for index in range(len(entries)):
                 if self._rng.random() < profile.item_failure_prob:
-                    entries[index] = item_error(
+                    entries[index] = envelope.item_error(
                         503, "injected per-item failure"
                     )
                     mutated = True
@@ -273,7 +275,7 @@ class ChaosTransport:
             self._log("truncate")
         if not mutated:
             return response
-        return HttpResponse(response.status, {**body, envelope_key: entries})
+        return HttpResponse(response.status, {**body, envelope.response_key: entries})
 
     # -- dispatch -----------------------------------------------------------
 

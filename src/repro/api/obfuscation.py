@@ -12,7 +12,9 @@ of numeric-string keys, targeting options are numeric criterion ids
 criterion-id space), and the reach estimate comes back under an equally
 opaque key path.  The audit client encodes through
 :class:`GoogleWireCodec`; the server-side route decodes with the same
-codec plus a reverse criterion-id table built from the catalog.
+codec plus a reverse criterion-id table built from the catalog.  Batch
+requests travel in the shared :class:`~repro.api.wire.BatchEnvelope`
+under Google's own numeric field map, :attr:`GoogleWireCodec.envelope`.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from collections.abc import Mapping
 from functools import lru_cache
 from typing import Any, Iterable
 
-from repro.api.wire import MAX_BATCH_SIZE
+from repro.api.wire import BatchEnvelope
 from repro.platforms.errors import BadRequestError
 from repro.platforms.google import FrequencyCap
 from repro.platforms.targeting import Clause, TargetingSpec
@@ -40,14 +42,6 @@ _F_FREQ_CAP = "5"
 _F_OBJECTIVE = "6"
 _F_ESTIMATE_WRAPPER = "1"
 _F_ESTIMATE_VALUE = "2"
-# Batch envelope: requests and responses nest per-item payloads under
-# another opaque numeric key, mirroring the single-call obfuscation.
-_F_BATCH = "7"
-_F_ITEM_OK = "1"
-_F_ITEM_ERROR = "2"
-_F_ERR_STATUS = "1"
-_F_ERR_MESSAGE = "2"
-_F_ERR_KIND = "3"
 
 _COUNTRY_CODES = {"US": 840}  # ISO 3166-1 numeric, as Google uses
 _COUNTRY_DECODE = {v: k for k, v in _COUNTRY_CODES.items()}
@@ -86,9 +80,16 @@ class GoogleWireCodec:
     by varying options systematically, as the paper describes).
     """
 
-    #: Obfuscated field under which batch payloads travel (the server's
-    #: rate-limit cost accounting inspects it without decoding items).
-    BATCH_FIELD = _F_BATCH
+    #: The batch envelope under Google's field map: requests and
+    #: responses nest per-item payloads under another opaque numeric
+    #: key, mirroring the single-call obfuscation.
+    envelope = BatchEnvelope(
+        request_key="7", response_key="7", ok_key="1", error_key="2",
+        status_key="1", message_key="2", kind_key="3",
+    )
+
+    #: Obfuscated field under which batch payloads travel.
+    BATCH_FIELD = envelope.request_key
 
     def __init__(self, option_ids: Iterable[str] = ()):
         self._reverse: dict[int, str] = {}
@@ -279,82 +280,3 @@ class GoogleWireCodec:
             return int(body[_F_ESTIMATE_WRAPPER][_F_ESTIMATE_VALUE])
         except (KeyError, TypeError, ValueError):
             raise BadRequestError("malformed Google response") from None
-
-    # -- batch envelope ----------------------------------------------------
-
-    @staticmethod
-    def encode_batch_request(items: list[dict[str, Any]]) -> dict[str, Any]:
-        """Wrap per-item request bodies under the opaque batch key."""
-        return {_F_BATCH: list(items)}
-
-    @staticmethod
-    def decode_batch_request(body: Mapping[str, Any]) -> list[Mapping[str, Any]]:
-        items = body.get(_F_BATCH)
-        if not isinstance(items, list) or not items:
-            raise BadRequestError("missing or empty batch payload")
-        if len(items) > MAX_BATCH_SIZE:
-            raise BadRequestError(
-                f"batch size {len(items)} exceeds maximum {MAX_BATCH_SIZE}"
-            )
-        return items
-
-    @staticmethod
-    def batch_item_ok(result: Mapping[str, Any]) -> dict[str, Any]:
-        return {_F_ITEM_OK: dict(result)}
-
-    @staticmethod
-    def batch_item_error(
-        status: int, message: str, kind: str | None = None
-    ) -> dict[str, Any]:
-        error: dict[str, Any] = {
-            _F_ERR_STATUS: int(status),
-            _F_ERR_MESSAGE: str(message),
-        }
-        if kind is not None:
-            error[_F_ERR_KIND] = kind
-        return {_F_ITEM_ERROR: error}
-
-    @staticmethod
-    def encode_batch_response(results: list[dict[str, Any]]) -> dict[str, Any]:
-        return {_F_BATCH: results}
-
-    @staticmethod
-    def decode_batch_response(
-        body: Mapping[str, Any], expected: int, allow_truncated: bool = False
-    ) -> list[tuple[Mapping[str, Any] | None, tuple[int, str, str | None] | None]]:
-        """Per-item ``(result, error)`` pairs, exactly one side set.
-
-        ``error`` is a ``(status, message, kind)`` triple the client
-        maps back onto its exception taxonomy.  ``allow_truncated``
-        accepts a shorter entry list (dropped tail); longer is always
-        malformed.
-        """
-        entries = body.get(_F_BATCH)
-        if not isinstance(entries, list) or len(entries) > expected:
-            raise BadRequestError("malformed Google batch response")
-        if len(entries) != expected and not allow_truncated:
-            raise BadRequestError("malformed Google batch response")
-        out: list[
-            tuple[Mapping[str, Any] | None, tuple[int, str, str | None] | None]
-        ] = []
-        for entry in entries:
-            if not isinstance(entry, Mapping):
-                raise BadRequestError("malformed Google batch entry")
-            if _F_ITEM_ERROR in entry:
-                raw = entry[_F_ITEM_ERROR]
-                try:
-                    triple = (
-                        int(raw[_F_ERR_STATUS]),
-                        str(raw[_F_ERR_MESSAGE]),
-                        raw.get(_F_ERR_KIND),
-                    )
-                except (KeyError, TypeError, ValueError):
-                    raise BadRequestError(
-                        "malformed Google batch error entry"
-                    ) from None
-                out.append((None, triple))
-            elif _F_ITEM_OK in entry:
-                out.append((entry[_F_ITEM_OK], None))
-            else:
-                raise BadRequestError("malformed Google batch entry")
-        return out

@@ -1,15 +1,23 @@
-"""Plain-JSON wire formats for Facebook and LinkedIn.
+"""Plain-JSON wire formats for Facebook and LinkedIn, and the batch envelope.
 
 Unlike Google's obfuscated payloads, "the API calls made by Facebook
 and LinkedIn are unobfuscated" (Section 3); their wire formats below
 mirror the real endpoints' shapes: Facebook's delivery-estimate payload
 with ``flexible_spec`` and-of-ors, and LinkedIn's facet-URN targeting
 criteria.
+
+The batch envelope is this repository's own protocol on top of those
+formats, one protocol under two field maps: :class:`BatchEnvelope`
+encodes and parses it, :data:`PLAIN_ENVELOPE` holds the plain-JSON keys
+Facebook and LinkedIn use, and
+:attr:`repro.api.obfuscation.GoogleWireCodec.envelope` Google's
+obfuscated ones.  Each codec exposes its map as ``envelope``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
+from dataclasses import dataclass
 from typing import Any
 
 from repro.platforms.errors import BadRequestError
@@ -18,7 +26,9 @@ from repro.population.demographics import AGE_RANGES, Gender
 
 __all__ = [
     "MAX_BATCH_SIZE",
+    "PLAIN_ENVELOPE",
     "BatchEnvelope",
+    "BatchEntry",
     "FacebookWireCodec",
     "LinkedInWireCodec",
 ]
@@ -26,6 +36,10 @@ __all__ = [
 #: Maximum targeting specs one batch request may carry; the server-side
 #: batch endpoints reject larger payloads and the clients chunk to it.
 MAX_BATCH_SIZE = 64
+
+#: One decoded batch-response entry: ``(result, None)`` or
+#: ``(None, (status, message, kind))``.
+BatchEntry = tuple[Mapping[str, Any] | None, tuple[int, str, str | None] | None]
 
 _FB_GENDER_CODES = {Gender.MALE: 1, Gender.FEMALE: 2}
 _FB_GENDER_DECODE = {v: k for k, v in _FB_GENDER_CODES.items()}
@@ -76,91 +90,116 @@ def _option_ids(raw: Any, key: str, field: str) -> list[str]:
     return ids
 
 
+@dataclass(frozen=True)
 class BatchEnvelope:
-    """Plain-JSON batch envelope shared by Facebook and LinkedIn.
+    """The batch protocol under one field map.
 
     A batch request wraps up to :data:`MAX_BATCH_SIZE` single-estimate
-    bodies under ``batch``; the response carries one entry per item,
-    either ``{"result": <single response>}`` or ``{"error": {"status",
-    "error", "kind"}}`` so one bad spec never fails the whole batch.
+    bodies under ``request_key``; the response carries one entry per
+    item under ``response_key``, either ``{ok_key: <single response>}``
+    or ``{error_key: {status_key, message_key, kind_key}}`` so one bad
+    spec never fails the whole batch.  :data:`PLAIN_ENVELOPE` is the
+    Facebook and LinkedIn map; ``GoogleWireCodec.envelope`` is Google's
+    obfuscated one.
     """
 
-    @staticmethod
-    def encode_request(items: list[dict[str, Any]]) -> dict[str, Any]:
-        return {"batch": list(items)}
+    request_key: str
+    response_key: str
+    ok_key: str
+    error_key: str
+    status_key: str
+    message_key: str
+    kind_key: str
 
-    @staticmethod
-    def decode_request(body: Mapping[str, Any]) -> list[Mapping[str, Any]]:
-        items = body.get("batch")
+    def encode_request(self, items: list[dict[str, Any]]) -> dict[str, Any]:
+        return {self.request_key: list(items)}
+
+    def decode_request(self, body: Mapping[str, Any]) -> list[Mapping[str, Any]]:
+        items = body.get(self.request_key)
         if not isinstance(items, list) or not items:
-            raise BadRequestError("missing or empty 'batch' list")
+            raise BadRequestError(f"missing or empty {self.request_key!r} list")
         if len(items) > MAX_BATCH_SIZE:
             raise BadRequestError(
                 f"batch size {len(items)} exceeds maximum {MAX_BATCH_SIZE}"
             )
         return items
 
-    @staticmethod
-    def item_ok(result: Mapping[str, Any]) -> dict[str, Any]:
-        return {"result": dict(result)}
+    def size(self, body: Mapping[str, Any] | None) -> int:
+        """Items in a batch request body (1 for any other body), the
+        rate limiter's price of the request."""
+        items = body.get(self.request_key) if body else None
+        return len(items) if isinstance(items, list) else 1
 
-    @staticmethod
+    def item_ok(self, result: Mapping[str, Any]) -> dict[str, Any]:
+        return {self.ok_key: dict(result)}
+
     def item_error(
-        status: int, message: str, kind: str | None = None
+        self, status: int, message: str, kind: str | None = None
     ) -> dict[str, Any]:
-        error: dict[str, Any] = {"status": int(status), "error": str(message)}
+        error: dict[str, Any] = {
+            self.status_key: int(status),
+            self.message_key: str(message),
+        }
         if kind is not None:
-            error["kind"] = kind
-        return {"error": error}
+            error[self.kind_key] = kind
+        return {self.error_key: error}
 
-    @staticmethod
-    def encode_response(results: list[dict[str, Any]]) -> dict[str, Any]:
-        return {"results": results}
+    def encode_response(self, results: list[dict[str, Any]]) -> dict[str, Any]:
+        return {self.response_key: results}
 
-    @staticmethod
     def decode_response(
-        body: Mapping[str, Any], expected: int, allow_truncated: bool = False
-    ) -> list[Mapping[str, Any]]:
-        """The per-item entries, validated against the request length.
+        self, body: Mapping[str, Any], expected: int, allow_truncated: bool = False
+    ) -> list[BatchEntry]:
+        """Per-item ``(result, error)`` pairs, exactly one side set.
 
-        ``allow_truncated`` accepts a *shorter* results list (a fault
-        or proxy dropped the tail); resilient clients treat the missing
+        ``error`` is a ``(status, message, kind)`` triple the client
+        maps back onto its exception taxonomy; an error entry without
+        an integer status or without a message is malformed.
+        ``allow_truncated`` accepts a *shorter* entry list (a fault or
+        proxy dropped the tail); resilient clients treat the missing
         entries as retryable.  A longer list is always malformed.
         """
-        results = body.get("results")
-        if not isinstance(results, list) or len(results) > expected:
+        entries = body.get(self.response_key)
+        if not isinstance(entries, list) or len(entries) > expected:
             raise BadRequestError("malformed batch response")
-        if len(results) != expected and not allow_truncated:
+        if len(entries) != expected and not allow_truncated:
             raise BadRequestError("malformed batch response")
-        return results
+        out: list[BatchEntry] = []
+        for entry in entries:
+            if not isinstance(entry, Mapping):
+                raise BadRequestError("malformed batch entry")
+            if self.error_key in entry:
+                raw = entry[self.error_key]
+                if (
+                    not isinstance(raw, Mapping)
+                    or type(raw.get(self.status_key)) is not int
+                    or self.message_key not in raw
+                ):
+                    raise BadRequestError("malformed batch error entry")
+                error = (
+                    raw[self.status_key],
+                    str(raw[self.message_key]),
+                    raw.get(self.kind_key),
+                )
+                out.append((None, error))
+            elif self.ok_key in entry:
+                out.append((entry[self.ok_key], None))
+            else:
+                raise BadRequestError("malformed batch entry")
+        return out
 
 
-class _PlainBatchCodec:
-    """The batch half of the route codec protocol for the plain-JSON
-    codecs: :class:`BatchEnvelope` under the method names
-    :class:`~repro.api.obfuscation.GoogleWireCodec` defines."""
-
-    @staticmethod
-    def decode_batch_request(body: Mapping[str, Any]) -> list[Mapping[str, Any]]:
-        return BatchEnvelope.decode_request(body)
-
-    @staticmethod
-    def batch_item_ok(result: Mapping[str, Any]) -> dict[str, Any]:
-        return BatchEnvelope.item_ok(result)
-
-    @staticmethod
-    def batch_item_error(
-        status: int, message: str, kind: str | None = None
-    ) -> dict[str, Any]:
-        return BatchEnvelope.item_error(status, message, kind)
-
-    @staticmethod
-    def encode_batch_response(results: list[dict[str, Any]]) -> dict[str, Any]:
-        return BatchEnvelope.encode_response(results)
+#: The Facebook and LinkedIn batch envelope.
+PLAIN_ENVELOPE = BatchEnvelope(
+    request_key="batch", response_key="results", ok_key="result",
+    error_key="error", status_key="status", message_key="error", kind_key="kind",
+)
 
 
-class FacebookWireCodec(_PlainBatchCodec):
+class FacebookWireCodec:
     """Facebook delivery-estimate request/response codec."""
+
+    envelope = PLAIN_ENVELOPE
 
     @staticmethod
     def encode_request(
@@ -266,8 +305,10 @@ class FacebookWireCodec(_PlainBatchCodec):
             raise BadRequestError("malformed Facebook response") from None
 
 
-class LinkedInWireCodec(_PlainBatchCodec):
+class LinkedInWireCodec:
     """LinkedIn audience-count request/response codec."""
+
+    envelope = PLAIN_ENVELOPE
 
     @staticmethod
     def _facet(option_id: str) -> str:

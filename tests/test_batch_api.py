@@ -22,7 +22,8 @@ from repro.api import FakeTransport, build_clients, mount_suite_routes
 from repro.api.client import FacebookReachClient, GoogleReachClient
 from repro.api.routes import _error_parts
 from repro.api.transport import HttpRequest
-from repro.api.wire import MAX_BATCH_SIZE, BatchEnvelope
+from repro.api.obfuscation import GoogleWireCodec
+from repro.api.wire import MAX_BATCH_SIZE, PLAIN_ENVELOPE
 from repro.core.audit import build_audit_targets
 from repro.platforms.errors import (
     BadRequestError,
@@ -98,7 +99,7 @@ class TestBatchEndpoints:
             HttpRequest(
                 method="POST",
                 path="/facebook/delivery_estimates",
-                body=BatchEnvelope.encode_request(items),
+                body=PLAIN_ENVELOPE.encode_request(items),
             )
         )
         assert response.status == 400
@@ -484,24 +485,88 @@ class TestPerItemErrorParity:
             assert alone.body["kind"] == "CampaignConfigError"
 
 
-class TestBatchEnvelope:
-    def test_round_trip(self):
-        items = [{"a": 1}, {"b": 2}]
-        assert BatchEnvelope.decode_request(
-            BatchEnvelope.encode_request(items)
-        ) == items
-        results = [
-            BatchEnvelope.item_ok({"x": 1}),
-            BatchEnvelope.item_error(400, "nope", "TargetingError"),
-        ]
-        entries = BatchEnvelope.decode_response(
-            BatchEnvelope.encode_response(results), expected=2
-        )
-        assert entries[0] == {"result": {"x": 1}}
-        assert entries[1]["error"]["kind"] == "TargetingError"
+#: Both field maps of the one batch protocol.
+ENVELOPES = [
+    pytest.param(PLAIN_ENVELOPE, id="plain"),
+    pytest.param(GoogleWireCodec.envelope, id="google"),
+]
 
-    def test_empty_and_mismatched_envelopes_rejected(self):
-        with pytest.raises(BadRequestError):
-            BatchEnvelope.decode_request({"batch": []})
-        with pytest.raises(BadRequestError):
-            BatchEnvelope.decode_response({"results": [{}]}, expected=2)
+
+@pytest.mark.parametrize("envelope", ENVELOPES)
+class TestBatchEnvelope:
+    def test_round_trip(self, envelope):
+        items = [{"a": 1}, {"b": 2}]
+        request = envelope.encode_request(items)
+        assert envelope.decode_request(request) == items
+        assert envelope.size(request) == 2
+        results = [
+            envelope.item_ok({"x": 1}),
+            envelope.item_error(400, "nope", "TargetingError"),
+            envelope.item_error(422, "too small"),
+        ]
+        assert envelope.decode_response(
+            envelope.encode_response(results), expected=3
+        ) == [
+            ({"x": 1}, None),
+            (None, (400, "nope", "TargetingError")),
+            (None, (422, "too small", None)),
+        ]
+
+    def test_empty_batch_rejected(self, envelope):
+        with pytest.raises(BadRequestError, match="missing or empty"):
+            envelope.decode_request(envelope.encode_request([]))
+        with pytest.raises(BadRequestError, match="missing or empty"):
+            envelope.decode_request({})
+
+    def test_oversized_batch_rejected(self, envelope):
+        request = envelope.encode_request([{}] * (MAX_BATCH_SIZE + 1))
+        with pytest.raises(BadRequestError, match=str(MAX_BATCH_SIZE)):
+            envelope.decode_request(request)
+
+    def test_size_prices_non_batch_bodies_as_one(self, envelope):
+        assert envelope.size(None) == envelope.size({}) == 1
+        assert envelope.size({envelope.request_key: "abc"}) == 1
+
+    @pytest.mark.parametrize("allow_truncated", [False, True])
+    def test_longer_response_rejected(self, envelope, allow_truncated):
+        body = envelope.encode_response([envelope.item_ok({})] * 3)
+        with pytest.raises(BadRequestError, match="malformed batch response"):
+            envelope.decode_response(body, 2, allow_truncated=allow_truncated)
+
+    def test_truncated_response_needs_allow_truncated(self, envelope):
+        body = envelope.encode_response([envelope.item_ok({"x": 1})])
+        with pytest.raises(BadRequestError, match="malformed batch response"):
+            envelope.decode_response(body, 2)
+        assert envelope.decode_response(body, 2, allow_truncated=True) == [
+            ({"x": 1}, None)
+        ]
+
+    @pytest.mark.parametrize("entry", [5, "x", None, [1], {"other": 1}])
+    def test_non_entry_rejected(self, envelope, entry):
+        body = envelope.encode_response([entry])
+        with pytest.raises(BadRequestError, match="malformed batch entry"):
+            envelope.decode_response(body, 1)
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            {"message": "boom"},
+            {"status": 503},
+            {"status": "503", "message": "boom"},
+            {"status": 503.0, "message": "boom"},
+            {"status": True, "message": "boom"},
+            "boom",
+        ],
+        ids=[
+            "no-status", "no-message", "str-status", "float-status",
+            "bool-status", "non-mapping",
+        ],
+    )
+    def test_malformed_error_entry_rejected(self, envelope, error):
+        """No retryable 500 is invented for an incomplete error entry."""
+        if isinstance(error, dict):
+            keys = {"status": envelope.status_key, "message": envelope.message_key}
+            error = {keys[field]: value for field, value in error.items()}
+        body = envelope.encode_response([{envelope.error_key: error}])
+        with pytest.raises(BadRequestError, match="malformed batch error entry"):
+            envelope.decode_response(body, 1)

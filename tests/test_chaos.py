@@ -164,12 +164,22 @@ class TestSeededReplay:
         assert ta.fault_log != tb.fault_log
 
 
+def _comparable(results):
+    """Estimates as they are, error items as ``(type, message)``:
+    exception instances never compare equal."""
+    return [
+        (type(r), str(r)) if isinstance(r, PlatformError) else r for r in results
+    ]
+
+
 class TestPartialBatchRetry:
-    def test_estimate_many_parity_across_chunks(self, session_small):
-        """~2 chunks of per-item faults + truncation, values unchanged."""
+    @pytest.mark.parametrize("platform", ["facebook", "google", "linkedin"])
+    def test_estimate_many_parity_across_chunks(self, session_small, platform):
+        """~2 chunks of per-item faults + truncation, values unchanged,
+        in each platform's batch envelope."""
         suite = session_small.suite
         _, clients, _ = _build_stack(suite)
-        calm_client = clients["facebook"]
+        calm_client = clients[platform]
         ids = [o.option_id for o in calm_client.catalog()][:40]
         specs = [TargetingSpec.of(a) for a in ids]
         specs += [TargetingSpec.of(a, b) for a, b in zip(ids, ids[1:])]
@@ -179,9 +189,11 @@ class TestPartialBatchRetry:
         profile = FAULT_PROFILES["truncation"].with_overrides(
             item_failure_prob=0.15
         )
-        _, chaos_clients, _ = _build_stack(suite, profile, chaos_seed=5)
-        chaotic = chaos_clients["facebook"].estimate_many(specs)
-        assert chaotic == expected
+        transport, chaos_clients, _ = _build_stack(suite, profile, chaos_seed=5)
+        chaotic = chaos_clients[platform].estimate_many(specs)
+        assert _comparable(chaotic) == _comparable(expected)
+        assert transport.faults["truncate"] > 0
+        assert transport.faults["item_failure"] > 0
 
     def test_streaming_callback_sees_every_item_once(self, session_small):
         _, clients, _ = _build_stack(
