@@ -106,11 +106,6 @@ class AuditSession:
         """The tracer threaded through the stack (no-op by default)."""
         return self.transport.tracer
 
-    @property
-    def metrics(self):
-        """The metrics registry threaded through the stack."""
-        return self.transport.metrics
-
     def total_api_requests(self) -> int:
         """Requests observed by the transport across the session."""
         return self.transport.total_requests
@@ -125,7 +120,6 @@ def build_audit_session(
     chaos: FaultProfile | str | None = None,
     chaos_seed: int = 1031,
     tracer=None,
-    metrics=None,
 ) -> AuditSession:
     """Construct the full simulation + audit stack.
 
@@ -155,11 +149,11 @@ def build_audit_session(
     chaos_seed:
         Seed of the fault sequence; the same seed replays the same
         faults.
-    tracer / metrics:
-        Observability sinks (see :mod:`repro.obs`), injected into the
-        transport -- the single point from which clients, breakers, and
-        audit targets pick them up.  Defaults are the no-op singletons;
-        enabling them never changes what a session computes.
+    tracer:
+        The observability sink (see :mod:`repro.obs`), injected into
+        the transport -- the single point from which clients, breakers,
+        and audit targets pick it up.  The default is the no-op
+        singleton; enabling it never changes what a session computes.
     """
     suite = build_platform_suite(
         n_records=n_records,
@@ -168,7 +162,7 @@ def build_audit_session(
         rounding=rounding,
     )
     transport: FakeTransport | ChaosTransport = FakeTransport(
-        clock=VirtualClock(), rate=rate_limit, tracer=tracer, metrics=metrics
+        clock=VirtualClock(), rate=rate_limit, tracer=tracer
     )
     mount_suite_routes(transport, suite)
     if chaos is not None:

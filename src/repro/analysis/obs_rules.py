@@ -1,16 +1,15 @@
 """Observability-injection rule.
 
 The tracing contract (DESIGN.md §10) hangs on a single injection
-point: :func:`repro.build_audit_session` hands the tracer and metrics
-registry to the transport, and every other layer picks them up from
-there.  Library code that constructs its own
-:class:`~repro.obs.Tracer` or :class:`~repro.obs.MetricsRegistry`
-ambiently breaks that contract twice over -- its spans land in a
-tracer nobody exports, and the "no-op by default, injected when
-wanted" guarantee silently stops being true.
+point: :func:`repro.build_audit_session` hands the tracer to the
+transport, and every other layer picks it up from there.  Library
+code that constructs its own :class:`~repro.obs.Tracer` ambiently
+breaks that contract twice over -- its spans land in a tracer nobody
+exports, and the "no-op by default, injected when wanted" guarantee
+silently stops being true.
 
-Only composition roots -- the CLI entry points -- may instantiate the
-sinks.  Those few sites carry explicit
+Only composition roots -- the CLI entry points -- may instantiate a
+tracer.  Those few sites carry explicit
 ``# repro-lint: disable=obs/ambient-instrumentation`` suppressions;
 tests and benchmarks live outside ``repro.*`` and are never flagged.
 """
@@ -31,8 +30,6 @@ OBS_CONSTRUCTORS = frozenset(
     {
         "repro.obs.Tracer",
         "repro.obs.trace.Tracer",
-        "repro.obs.MetricsRegistry",
-        "repro.obs.metrics.MetricsRegistry",
     }
 )
 
@@ -43,8 +40,8 @@ def _in_obs_package(module: str) -> bool:
 
 @rule(
     "obs/ambient-instrumentation",
-    "library code receives Tracer/MetricsRegistry by injection (via "
-    "build_audit_session); only composition roots construct them",
+    "library code receives its Tracer by injection (via "
+    "build_audit_session); only composition roots construct one",
 )
 def check_ambient_instrumentation(ctx: ModuleContext) -> Iterator[Finding]:
     if not ctx.module.startswith("repro"):
@@ -61,8 +58,8 @@ def check_ambient_instrumentation(ctx: ModuleContext) -> Iterator[Finding]:
         yield ctx.finding(
             "obs/ambient-instrumentation",
             node,
-            f"{short}() constructed inside library code: observability "
-            "sinks are injected through build_audit_session and read "
-            "from the transport; only composition roots (CLI entry "
-            "points) may build their own",
+            f"{short}() constructed inside library code: the tracer is "
+            "injected through build_audit_session and read from the "
+            "transport; only composition roots (CLI entry points) may "
+            "build their own",
         )

@@ -20,7 +20,6 @@ whole fault matrix.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Any
 
@@ -113,7 +112,7 @@ class ChaosTransport:
     """A fault-injecting proxy in front of a :class:`FakeTransport`.
 
     Quacks like the wrapped transport (``register`` / ``routes`` /
-    ``stats`` / ``clock`` / ``request``), so clients and route mounting
+    ``clock`` / ``tracer`` / ``request``), so clients and route mounting
     are oblivious to it.  Pre-dispatch faults (throttles, 5xx, resets,
     timeouts) deny the request before it reaches the inner transport's
     handlers; post-dispatch faults corrupt successful *batch* envelopes
@@ -138,7 +137,6 @@ class ChaosTransport:
         self._rng = random.Random(self.seed)
         #: Injected faults in order, e.g. ``["throttle", "http_503", ...]``.
         self.fault_log: list[str] = []
-        self.faults: Counter[str] = Counter()
         #: Requests seen at the chaos edge (inner counts dispatched only).
         self.total_requests = 0
         self._burst_kind: str | None = None
@@ -158,10 +156,6 @@ class ChaosTransport:
     def tracer(self) -> Any:
         return self.inner.tracer
 
-    @property
-    def metrics(self) -> Any:
-        return self.inner.metrics
-
     def register(
         self,
         method: str,
@@ -174,19 +168,12 @@ class ChaosTransport:
     def routes(self) -> list[tuple[str, str]]:
         return self.inner.routes()
 
-    def stats(self) -> dict[str, dict[str, int]]:
-        """Per-route counters of requests that *reached* the platform."""
-        return self.inner.stats()
-
     # -- fault machinery ----------------------------------------------------
 
     def _log(self, kind: str) -> None:
         self.fault_log.append(kind)
-        self.faults[kind] += 1
         if self.inner.tracer.enabled:
             self.inner.tracer.event("chaos.fault", kind=kind)
-        if self.inner.metrics.enabled:
-            self.inner.metrics.inc("chaos.faults", kind=kind)
 
     def _observe_denied(self, request: HttpRequest, status: int) -> None:
         """Account for a request the chaos layer denied.
@@ -198,26 +185,16 @@ class ChaosTransport:
         :attr:`total_requests`.
         """
         tracer = self.inner.tracer
-        metrics = self.inner.metrics
-        if not (tracer.enabled or metrics.enabled):
+        if not tracer.enabled:
             return
         platform, _, endpoint = request.path.strip("/").partition("/")
-        if tracer.enabled:
-            tracer.event(
-                "transport.request",
-                platform=platform,
-                endpoint=endpoint,
-                status=status,
-                injected=True,
-            )
-        if metrics.enabled:
-            metrics.inc(
-                "transport.requests",
-                platform=platform,
-                endpoint=endpoint,
-                status=status,
-                injected=True,
-            )
+        tracer.event(
+            "transport.request",
+            platform=platform,
+            endpoint=endpoint,
+            status=status,
+            injected=True,
+        )
 
     def _draw_fault(self) -> str | None:
         """The fault kind for this request, if any (one RNG draw)."""
@@ -337,5 +314,5 @@ class ChaosTransport:
     def __repr__(self) -> str:
         return (
             f"<ChaosTransport profile={self.profile.name!r} seed={self.seed} "
-            f"faults={sum(self.faults.values())}>"
+            f"faults={len(self.fault_log)}>"
         )

@@ -33,7 +33,7 @@ from typing import Any, Callable, Iterable
 from repro.api.obfuscation import GoogleWireCodec
 from repro.api.resilience import CircuitBreaker, RetryPolicy
 from repro.api.transport import FakeTransport, HttpRequest
-from repro.obs import COUNT_BUCKETS, NULL_METRICS, NULL_TRACER
+from repro.obs import NULL_TRACER
 from repro.api.wire import (
     MAX_BATCH_SIZE,
     BatchEntry,
@@ -162,12 +162,36 @@ class ReachClient(ABC):
         # Observability flows from the transport (the stack's single
         # injection point); clients never construct their own sinks.
         self.tracer = getattr(transport, "tracer", NULL_TRACER)
-        self.metrics = getattr(transport, "metrics", NULL_METRICS)
-        if self.metrics.enabled:
-            self.metrics.register_buckets("client.batch_size", COUNT_BUCKETS)
 
     def _give_up(self, attempts: int) -> bool:
         return attempts > self.max_retries
+
+    def _retry(
+        self,
+        attempts: int,
+        exhausted: str,
+        event: str,
+        hint: float | None = None,
+        cause: BaseException | None = None,
+        **attrs: Any,
+    ) -> None:
+        """One retry step of :meth:`_call` after a transient failure.
+
+        Raises :class:`ApiError` with the ``exhausted`` message once
+        ``attempts`` passes the budget; otherwise records the ``event``
+        (``attempt``, then ``attrs``, then ``interface``) and sleeps the
+        retry policy's back-off, honoring a platform ``retry_after``
+        ``hint``.
+        """
+        if self._give_up(attempts):
+            raise ApiError(exhausted) from cause
+        if self.tracer.enabled:
+            self.tracer.event(
+                event, attempt=attempts, **attrs, interface=self.interface_key
+            )
+        self.transport.clock.sleep(
+            self.retry_policy.backoff(attempts, retry_after=hint)
+        )
 
     def _call(
         self, method: str, path: str, body: Mapping[str, Any] | None = None
@@ -186,7 +210,6 @@ class ReachClient(ABC):
             method=method, path=path, body=body, account=self.account
         )
         clock = self.transport.clock
-        policy = self.retry_policy
         breaker = self.breaker
         attempts = 0
         while True:
@@ -205,10 +228,6 @@ class ReachClient(ABC):
                             interface=self.interface_key,
                             seconds=wait,
                         )
-                    if self.metrics.enabled:
-                        self.metrics.inc(
-                            "client.breaker_waits", interface=self.interface_key
-                        )
                     clock.sleep(wait + 1e-6)
                     continue
             self.request_count += 1
@@ -218,73 +237,38 @@ class ReachClient(ABC):
                 if breaker is not None:
                     breaker.record_failure()
                 attempts += 1
-                if self._give_up(attempts):
-                    raise ApiError(f"transport retries exhausted: {exc}") from exc
-                if self.tracer.enabled:
-                    self.tracer.event(
-                        "retry.backoff",
-                        attempt=attempts,
-                        kind=type(exc).__name__,
-                        interface=self.interface_key,
-                    )
-                if self.metrics.enabled:
-                    self.metrics.inc(
-                        "client.retries",
-                        kind=type(exc).__name__,
-                        interface=self.interface_key,
-                    )
-                clock.sleep(policy.backoff(attempts))
+                self._retry(
+                    attempts,
+                    f"transport retries exhausted: {exc}",
+                    "retry.backoff",
+                    cause=exc,
+                    kind=type(exc).__name__,
+                )
                 continue
             status = response.status
             if status == 429:
                 # Polite rate-limit back-off; the platform answered, so
                 # this is not a breaker failure.
                 attempts += 1
-                if self._give_up(attempts):
-                    raise ApiError("rate limit retries exhausted")
                 retry_after = float(response.body.get("retry_after", 1.0))
-                if self.tracer.enabled:
-                    self.tracer.event(
-                        "retry.after",
-                        attempt=attempts,
-                        retry_after=retry_after,
-                        interface=self.interface_key,
-                    )
-                if self.metrics.enabled:
-                    self.metrics.inc(
-                        "client.retries",
-                        kind="429",
-                        interface=self.interface_key,
-                    )
-                clock.sleep(policy.backoff(attempts, retry_after=retry_after))
+                self._retry(
+                    attempts,
+                    "rate limit retries exhausted",
+                    "retry.after",
+                    hint=retry_after,
+                    retry_after=retry_after,
+                )
                 continue
             if status in RETRYABLE_STATUSES:
                 if breaker is not None:
                     breaker.record_failure()
                 attempts += 1
-                if self._give_up(attempts):
-                    raise ApiError(f"HTTP {status} retries exhausted")
-                retry_after = response.body.get("retry_after")
-                if self.tracer.enabled:
-                    self.tracer.event(
-                        "retry.backoff",
-                        attempt=attempts,
-                        kind=str(status),
-                        interface=self.interface_key,
-                    )
-                if self.metrics.enabled:
-                    self.metrics.inc(
-                        "client.retries",
-                        kind=str(status),
-                        interface=self.interface_key,
-                    )
-                clock.sleep(
-                    policy.backoff(
-                        attempts,
-                        retry_after=(
-                            float(retry_after) if retry_after is not None else None
-                        ),
-                    )
+                self._retry(
+                    attempts,
+                    f"HTTP {status} retries exhausted",
+                    "retry.backoff",
+                    hint=response.body.get("retry_after"),
+                    kind=str(status),
                 )
                 continue
             if breaker is not None:
@@ -359,10 +343,6 @@ class ReachClient(ABC):
         """
         pending = list(range(len(chunk)))
         rounds = 0
-        if self.metrics.enabled:
-            self.metrics.observe(
-                "client.batch_size", len(chunk), interface=self.interface_key
-            )
         while pending:
             body = self._encode_batch([self._encode_item(chunk[i]) for i in pending])
             response = self._call("POST", self._batch_path, body)
@@ -392,12 +372,6 @@ class ReachClient(ABC):
                         attempt=rounds,
                         kind="batch_partial",
                         pending=len(retry),
-                        interface=self.interface_key,
-                    )
-                if self.metrics.enabled:
-                    self.metrics.inc(
-                        "client.retries",
-                        kind="batch_partial",
                         interface=self.interface_key,
                     )
                 self.transport.clock.sleep(self.retry_policy.backoff(rounds))

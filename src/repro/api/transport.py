@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
 from repro.api.ratelimit import TokenBucket
-from repro.obs import NULL_METRICS, NULL_TRACER
+from repro.obs import NULL_TRACER
 from repro.platforms.errors import (
     ApiError,
     NoSizeEstimateError,
@@ -81,13 +81,6 @@ Handler = Callable[[HttpRequest], Mapping[str, Any]]
 CostSpec = float | Callable[[HttpRequest], float]
 
 
-@dataclass
-class _RouteStats:
-    requests: int = 0
-    errors: int = 0
-    rate_limited: int = 0
-
-
 class FakeTransport:
     """Routes requests to handlers with latency and rate limiting.
 
@@ -102,13 +95,15 @@ class FakeTransport:
         defaults allow sustained polite querying (the paper limited
         both the count and rate of its queries); pass ``rate=None`` to
         disable limiting.
-    tracer / metrics:
-        Observability sinks (no-op singletons by default).  The
+    tracer:
+        The observability sink (the no-op singleton by default).  The
         transport is the stack's injection point: clients, breakers,
-        and audit targets all read ``transport.tracer`` /
-        ``transport.metrics`` rather than taking their own parameters.
-        One ``transport.request`` span event is emitted per dispatched
-        request, so a trace accounts for :attr:`total_requests` exactly.
+        and audit targets all read ``transport.tracer`` rather than
+        taking their own parameter.  One ``transport.request`` span
+        event is emitted per dispatched request, carrying its platform,
+        endpoint and status, so a trace accounts for
+        :attr:`total_requests` exactly and its events are the per-route
+        request, error and 429 counts.
     """
 
     def __init__(
@@ -118,18 +113,15 @@ class FakeTransport:
         rate: float | None = 10.0,
         burst: int = 20,
         tracer: Any = None,
-        metrics: Any = None,
     ):
         self.clock = clock or VirtualClock()
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics if metrics is not None else NULL_METRICS
         self.latency = float(latency)
         self._rate = rate
         self._burst = burst
         self._routes: dict[tuple[str, str], Handler] = {}
         self._costs: dict[tuple[str, str], CostSpec] = {}
         self._buckets: dict[str, TokenBucket] = {}
-        self._stats: dict[tuple[str, str], _RouteStats] = {}
         self.total_requests = 0
 
     # -- wiring -----------------------------------------------------------
@@ -153,7 +145,6 @@ class FakeTransport:
         self._routes[key] = handler
         if cost is not None:
             self._costs[key] = cost
-        self._stats[key] = _RouteStats()
 
     def routes(self) -> list[tuple[str, str]]:
         """Registered (method, path) pairs."""
@@ -191,67 +182,41 @@ class FakeTransport:
         with a ``retry_after`` hint, unknown routes to 404.
         """
         response = self._dispatch(request)
-        if self.tracer.enabled or self.metrics.enabled:
+        if self.tracer.enabled:
             platform, _, endpoint = request.path.strip("/").partition("/")
-            if self.tracer.enabled:
-                self.tracer.event(
-                    "transport.request",
-                    platform=platform,
-                    endpoint=endpoint,
-                    status=response.status,
-                )
-            if self.metrics.enabled:
-                self.metrics.inc(
-                    "transport.requests",
-                    platform=platform,
-                    endpoint=endpoint,
-                    status=response.status,
-                )
+            self.tracer.event(
+                "transport.request",
+                platform=platform,
+                endpoint=endpoint,
+                status=response.status,
+            )
         return response
 
     def _dispatch(self, request: HttpRequest) -> HttpResponse:
         self.clock.advance(self.latency)
         self.total_requests += 1
         key = (request.method.upper(), request.path)
-        stats = self._stats.get(key)
-        if stats is None:
+        handler = self._routes.get(key)
+        if handler is None:
             return HttpResponse(404, {"error": f"no such endpoint {request.path}"})
-        stats.requests += 1
 
         bucket = self._bucket(request.account)
         if bucket is not None:
             retry_after = bucket.try_acquire(self._cost(key, request), clamp=True)
             if retry_after > 0:
-                stats.rate_limited += 1
                 return HttpResponse(
                     429,
                     {"error": "rate limit exceeded", "retry_after": retry_after},
                 )
 
-        handler = self._routes[key]
         try:
             body = handler(request)
         except NoSizeEstimateError as exc:
-            stats.errors += 1
             return HttpResponse(422, {"error": str(exc)})
         except TargetingError as exc:
-            stats.errors += 1
             return HttpResponse(400, {"error": str(exc), "kind": type(exc).__name__})
         except ApiError as exc:
-            stats.errors += 1
             return HttpResponse(exc.status, {"error": str(exc)})
         except PlatformError as exc:
-            stats.errors += 1
             return HttpResponse(400, {"error": str(exc), "kind": type(exc).__name__})
         return HttpResponse(200, dict(body))
-
-    def stats(self) -> dict[str, dict[str, int]]:
-        """Per-route request/error/rate-limit counters."""
-        return {
-            f"{method} {path}": {
-                "requests": s.requests,
-                "errors": s.errors,
-                "rate_limited": s.rate_limited,
-            }
-            for (method, path), s in sorted(self._stats.items())
-        }

@@ -39,7 +39,7 @@ from repro.core.results import (
     SensitiveValue,
     TargetingAudit,
 )
-from repro.obs import NULL_METRICS, NULL_TRACER
+from repro.obs import NULL_TRACER
 from repro.platforms.errors import UnsupportedCompositionError
 from repro.platforms.targeting import TargetingSpec, spec_intersection
 from repro.population.demographics import (
@@ -95,7 +95,6 @@ class AuditTarget:
         # Observability rides in on the clients (and ultimately the
         # transport); targets never construct their own sinks.
         self.tracer = getattr(client, "tracer", NULL_TRACER)
-        self.metrics = getattr(client, "metrics", NULL_METRICS)
         # Estimate cache, sharded per interface key: specs are hashed
         # on every lookup of the audit's hot loop, so the shard layout
         # avoids allocating and hashing a (key, spec) tuple per lookup.
@@ -494,7 +493,7 @@ class AuditTarget:
             )
 
     def _note_cache_activity(self, hits_before: int, misses_before: int) -> None:
-        """Emit coalesced cache events/metrics for one audit batch.
+        """Emit coalesced cache events for one audit batch.
 
         A coalesced event carries a ``count`` attribute (N lookups in
         this batch); summarizers weight events by it, so the reported
@@ -507,18 +506,6 @@ class AuditTarget:
                 self.tracer.event("cache.hit", target=self.key, count=hits)
             if misses:
                 self.tracer.event("cache.miss", target=self.key, count=misses)
-        if self.metrics.enabled:
-            if hits:
-                self.metrics.inc(
-                    "audit.cache", value=float(hits), kind="hit", target=self.key
-                )
-            if misses:
-                self.metrics.inc(
-                    "audit.cache",
-                    value=float(misses),
-                    kind="miss",
-                    target=self.key,
-                )
 
     # -- boolean combinations (overlap / union analyses) ----------------------
 

@@ -37,11 +37,6 @@ class RemovalPoint:
     n_compositions: int
     box: BoxStats
 
-    @property
-    def headline_ratio(self) -> float:
-        """The statistic the paper plots: p90 for 'top' curves."""
-        return self.box.p90
-
 
 @dataclass
 class RemovalCurve:

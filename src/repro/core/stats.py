@@ -65,10 +65,6 @@ class BoxStats:
         """True when no finite values were summarised."""
         return self.n == 0
 
-    def whisker_span(self) -> float:
-        """p90 / p10 span -- the paper quotes these whisker values."""
-        return self.p90 / self.p10 if self.p10 else float("inf")
-
     def format_row(self, label: str) -> str:
         """One aligned text row for report tables."""
         if self.is_empty:

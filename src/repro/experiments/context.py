@@ -82,10 +82,6 @@ class ExperimentContext:
             )
         return self._individuals[cache_key]
 
-    def individuals_for(self, key: str, value: SensitiveValue) -> CompositionSet:
-        """Individual audits against the attribute of ``value``."""
-        return self.individuals(key, _attribute_of(value).name)
-
     def random_set(
         self, key: str, attribute_name: str, arity: int = 2
     ) -> CompositionSet:

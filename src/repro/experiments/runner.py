@@ -9,7 +9,9 @@ fault profile (throttle storms, 5xx bursts, resets, timeouts,
 truncated batches) which the clients' resilience layer absorbs, and
 ``--checkpoint PATH`` persists every completed size estimate so a
 killed run resumes without re-querying -- output stays bit-identical
-either way.
+either way.  ``--trace PATH`` records what the run did as a JSONL
+trace (one span per experiment, one event per platform query, retry,
+fault and cache hit), which ``repro-trace`` summarizes.
 
 CLI usage::
 
@@ -17,6 +19,7 @@ CLI usage::
     repro-audit --scale full --out results.txt
     repro-audit --only fig1 table1 --records 60000
     repro-audit --chaos storm --checkpoint run.ckpt.json
+    repro-audit --only fig2 --trace run.jsonl
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from repro.experiments import (
 )
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.context import ExperimentContext
-from repro.obs import NULL_METRICS, NULL_TRACER, MetricsRegistry, Tracer
+from repro.obs import NULL_TRACER, Tracer
 
 __all__ = ["EXPERIMENTS", "RunReport", "run_all", "main"]
 
@@ -144,16 +147,17 @@ def run_all(
     chaos_seed: int = 1031,
     checkpoint: EstimateCheckpoint | str | Path | None = None,
     tracer=None,
-    metrics=None,
 ) -> RunReport:
     """Run the selected experiments over one shared context.
 
-    ``tracer`` / ``metrics`` (see :mod:`repro.obs`) are threaded into
-    the session build and wrap each experiment in a span / metrics
-    scope.  When an explicit ``context`` is supplied they default to
-    its session's sinks, so a caller who built a traced session gets
-    experiment spans without passing the tracer twice.  Observability
-    never changes what a run computes.
+    ``tracer`` (see :mod:`repro.obs`) is threaded into the session
+    build and wraps each experiment in an ``experiment.<name>`` span,
+    so every event the run records -- one ``transport.request`` per
+    platform query among them -- nests under the experiment that
+    caused it.  When an explicit ``context`` is supplied it defaults to
+    its session's tracer, so a caller who built a traced session gets
+    experiment spans without passing the tracer twice.  Tracing never
+    changes what a run computes.
 
     ``chaos`` builds the session over a fault-injecting transport (by
     profile or name from :data:`FAULT_PROFILES`); ignored when an
@@ -175,26 +179,19 @@ def run_all(
     unknown = [n for n in names if n not in EXPERIMENTS]
     if unknown:
         raise KeyError(f"unknown experiments: {unknown}")
-    if context is not None:
-        if tracer is None:
-            tracer = context.session.tracer
-        if metrics is None:
-            metrics = context.session.metrics
+    if context is not None and tracer is None:
+        tracer = context.session.tracer
     tracer = tracer if tracer is not None else NULL_TRACER
-    metrics = metrics if metrics is not None else NULL_METRICS
 
     with _collect_at_boundaries(tracer) as boundary:
         started_wall = time.perf_counter()
-        if context is None and (
-            chaos is not None or tracer.enabled or metrics.enabled
-        ):
+        if context is None and (chaos is not None or tracer.enabled):
             session = build_audit_session(
                 n_records=config.n_records,
                 seed=config.seed,
                 chaos=chaos,
                 chaos_seed=chaos_seed,
                 tracer=tracer,
-                metrics=metrics,
             )
             context = ExperimentContext(config, session=session)
         ctx = context or ExperimentContext(config)
@@ -223,9 +220,7 @@ def run_all(
                     print(
                         f"running {name}: {title} ...", file=sys.stderr, flush=True
                     )
-                with tracer.span(f"experiment.{name}"), metrics.scope(
-                    experiment=name
-                ):
+                with tracer.span(f"experiment.{name}"):
                     if index == 0:
                         # Kept under an experiment span: the trace root
                         # holds experiment spans only.
@@ -348,11 +343,6 @@ def main(argv: list[str] | None = None) -> int:
             "here (summarize with repro-trace); results are unaffected"
         ),
     )
-    parser.add_argument(
-        "--metrics",
-        action="store_true",
-        help="aggregate counters/histograms and print them after the report",
-    )
     args = parser.parse_args(argv)
 
     config = getattr(ExperimentConfig, args.scale)()
@@ -369,15 +359,12 @@ def main(argv: list[str] | None = None) -> int:
         config = replace(config, **overrides)
 
     # The CLI is a composition root: the one place in the library
-    # allowed to construct observability sinks.
+    # allowed to construct a tracer.
     tracer = None
     if args.trace:
         tracer = Tracer(  # repro-lint: disable=obs/ambient-instrumentation
             "repro-audit", scale=args.scale
         )
-    metrics = None
-    if args.metrics:
-        metrics = MetricsRegistry()  # repro-lint: disable=obs/ambient-instrumentation
 
     report = run_all(
         config=config,
@@ -387,7 +374,6 @@ def main(argv: list[str] | None = None) -> int:
         chaos_seed=args.chaos_seed,
         checkpoint=args.checkpoint,
         tracer=tracer,
-        metrics=metrics,
     )
     text = report.render()
     print(text)
@@ -397,9 +383,6 @@ def main(argv: list[str] | None = None) -> int:
     if tracer is not None:
         path = tracer.write_jsonl(args.trace)
         print(f"trace written to {path}", file=sys.stderr, flush=True)
-    if metrics is not None:
-        print("", flush=True)
-        print(metrics.render())
     return 0
 
 

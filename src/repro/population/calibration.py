@@ -68,10 +68,6 @@ class SkewDistribution:
                 draws[is_outlier] = sign * magnitude
         return draws
 
-def approx_percentile_ratio(dist: SkewDistribution, z: float) -> float:
-    """Ratio ``exp(mu + z * sigma)`` implied by the normal component."""
-    return float(np.exp(dist.mu + z * dist.sigma))
-
 
 @dataclass(frozen=True)
 class PlatformCalibration:

@@ -847,10 +847,10 @@ def test_ambient_instrumentation_positive():
     findings, _ = lint(
         """
         from repro.obs import Tracer
-        from repro.obs.metrics import MetricsRegistry
+        from repro.obs.trace import Tracer as TraceTracer
 
         def build():
-            return Tracer("mine"), MetricsRegistry()
+            return Tracer("mine"), TraceTracer("other")
         """
     )
     assert rule_ids(findings) == ["obs/ambient-instrumentation"] * 2
@@ -860,12 +860,11 @@ def test_ambient_instrumentation_positive():
 def test_ambient_instrumentation_negative_injection_pattern():
     findings, _ = lint(
         """
-        from repro.obs import NULL_METRICS, NULL_TRACER
+        from repro.obs import NULL_TRACER
 
         class Client:
             def __init__(self, transport):
                 self.tracer = getattr(transport, "tracer", NULL_TRACER)
-                self.metrics = getattr(transport, "metrics", NULL_METRICS)
         """
     )
     assert findings == []

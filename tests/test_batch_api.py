@@ -25,6 +25,7 @@ from repro.api.transport import HttpRequest
 from repro.api.obfuscation import GoogleWireCodec
 from repro.api.wire import MAX_BATCH_SIZE, PLAIN_ENVELOPE
 from repro.core.audit import build_audit_targets
+from repro.obs import Tracer
 from repro.platforms.errors import (
     BadRequestError,
     CampaignConfigError,
@@ -119,23 +120,30 @@ class TestBatchEndpoints:
 
 
 class TestRateLimiting:
-    def _limited_session(self, session_small, rate, burst):
+    def _limited_session(self, session_small, rate, burst, tracer=None):
         """Clients on a fresh rate-limited transport over the same suite."""
-        transport = FakeTransport(rate=rate, burst=burst)
+        transport = FakeTransport(rate=rate, burst=burst, tracer=tracer)
         mount_suite_routes(transport, session_small.suite)
         return transport, build_clients(transport)
 
     def test_backs_off_on_429_between_batches(self, session_small, study_ids):
         """A mid-run 429 is absorbed by virtual-clock back-off."""
+        tracer = Tracer("rate-limited")
         transport, clients = self._limited_session(
-            session_small, rate=2.0, burst=8
+            session_small, rate=2.0, burst=8, tracer=tracer
         )
         client = clients["facebook"]
         specs = _specs(study_ids["facebook"]) * 26  # 130 specs -> 3 chunks
         results = client.estimate_many(specs)
         assert all(isinstance(r, int) for r in results)
-        stats = transport.stats()["POST /facebook/delivery_estimates"]
-        assert stats["rate_limited"] >= 1
+        (span,) = tracer.root.children  # client.estimate_many
+        throttled = [
+            attrs
+            for name, _t, attrs in span.events
+            if name == "transport.request" and attrs["status"] == 429
+        ]
+        assert len(throttled) >= 1
+        assert {attrs["endpoint"] for attrs in throttled} == {"delivery_estimates"}
         assert transport.clock.now() > transport.latency * 3
 
     def test_batch_cost_charged_per_item(self, session_small, study_ids):

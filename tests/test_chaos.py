@@ -192,8 +192,8 @@ class TestPartialBatchRetry:
         transport, chaos_clients, _ = _build_stack(suite, profile, chaos_seed=5)
         chaotic = chaos_clients[platform].estimate_many(specs)
         assert _comparable(chaotic) == _comparable(expected)
-        assert transport.faults["truncate"] > 0
-        assert transport.faults["item_failure"] > 0
+        assert transport.fault_log.count("truncate") > 0
+        assert transport.fault_log.count("item_failure") > 0
 
     def test_streaming_callback_sees_every_item_once(self, session_small):
         _, clients, _ = _build_stack(

@@ -1,8 +1,7 @@
 """Specs for the observability island (:mod:`repro.obs`).
 
 Unit tests pin the tracer's span-tree mechanics (nesting, events,
-JSONL export), the metrics registry's label and bucket semantics, and
-the ``repro-trace`` summarizer.  Hypothesis property tests replay
+JSONL export) and the ``repro-trace`` summarizer.  Hypothesis property tests replay
 arbitrary span programs and check the structural invariants the rest
 of the suite relies on: spans nest properly, every child interval lies
 within its parent's, and identical programs produce identical
@@ -17,17 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs import (
-    COUNT_BUCKETS,
-    DURATION_BUCKETS,
-    NULL_METRICS,
-    NULL_TRACER,
-    MetricsRegistry,
-    NullMetrics,
-    NullTracer,
-    Tracer,
-    structure,
-)
+from repro.obs import NULL_TRACER, NullTracer, Tracer, structure
 from repro.obs.report import load_trace, main, render, summarize
 
 
@@ -143,75 +132,6 @@ class TestNullSinks:
         assert NULL_TRACER.event("tick") is None
         assert NULL_TRACER.event_counts() == {}
         assert isinstance(NULL_TRACER, NullTracer)
-
-    def test_null_metrics_is_inert(self):
-        assert NULL_METRICS.enabled is False
-        with NULL_METRICS.scope(experiment="fig2") as scope:
-            assert scope is None
-        NULL_METRICS.inc("c")
-        NULL_METRICS.gauge("g", 1.0)
-        NULL_METRICS.observe("h", 2.0)
-        assert NULL_METRICS.counter_value("c") == 0.0
-        assert NULL_METRICS.counter_total("c") == 0.0
-        assert NULL_METRICS.render() == "(metrics disabled)"
-        assert isinstance(NULL_METRICS, NullMetrics)
-
-
-class TestMetricsRegistry:
-    def test_counters_key_on_sorted_stringified_labels(self):
-        metrics = MetricsRegistry()
-        metrics.inc("requests", platform="facebook", status=200)
-        metrics.inc("requests", status="200", platform="facebook")
-        metrics.inc("requests", platform="google", status=200)
-        assert metrics.counter_value(
-            "requests", platform="facebook", status=200
-        ) == 2.0
-        assert metrics.counter_total("requests") == 3.0
-
-    def test_scopes_stack_and_unwind(self):
-        metrics = MetricsRegistry()
-        with metrics.scope(experiment="fig2"):
-            metrics.inc("cache", kind="hit")
-            with metrics.scope(target="facebook"):
-                metrics.inc("cache", kind="hit")
-        metrics.inc("cache", kind="hit")
-        assert metrics.counter_value("cache", kind="hit") == 1.0
-        assert metrics.counter_value(
-            "cache", kind="hit", experiment="fig2"
-        ) == 1.0
-        assert metrics.counter_value(
-            "cache", kind="hit", experiment="fig2", target="facebook"
-        ) == 1.0
-
-    def test_histogram_buckets_are_fixed_and_half_open(self):
-        metrics = MetricsRegistry()
-        metrics.observe("latency", 0.005)  # below the first bound
-        metrics.observe("latency", 0.01)  # on a bound: falls right
-        metrics.observe("latency", 9999.0)  # beyond the last bound
-        series = metrics.export()["histograms"][0][2]
-        assert series["bounds"] == list(DURATION_BUCKETS)
-        assert series["buckets"][0] == 1
-        assert series["buckets"][1] == 1
-        assert series["buckets"][-1] == 1
-        assert series["count"] == 3
-        assert series["sum"] == pytest.approx(0.005 + 0.01 + 9999.0)
-
-    def test_register_buckets_overrides_the_duration_default(self):
-        metrics = MetricsRegistry()
-        metrics.register_buckets("batch", COUNT_BUCKETS)
-        assert metrics.bucket_bounds("batch") == COUNT_BUCKETS
-        assert metrics.bucket_bounds("other") == DURATION_BUCKETS
-
-    def test_render_lists_each_family(self):
-        metrics = MetricsRegistry()
-        assert metrics.render() == "(no metrics recorded)"
-        metrics.inc("requests", platform="facebook")
-        metrics.gauge("depth", 3.0)
-        metrics.observe("latency", 0.2)
-        text = metrics.render()
-        assert "requests{platform=facebook} = 1" in text
-        assert "depth = 3" in text
-        assert "latency count=1" in text
 
 
 # -- property tests -------------------------------------------------------

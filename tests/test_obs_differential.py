@@ -1,12 +1,11 @@
 """Differential specs: observability must never change what a run does.
 
-The contract under test (DESIGN.md section 10): enabling tracing and
-metrics is purely observational.  Experiment records render
-bit-identical and query counts match with tracing off vs on -- for the
-plain path, under a chaos profile, and across a checkpointed
-kill/resume -- and the trace must also *account* for the run: one
-``transport.request`` event per platform query, totalling exactly the
-transport's request counter.
+The contract under test (DESIGN.md section 10): enabling tracing is
+purely observational.  Experiment records render bit-identical and
+query counts match with tracing off vs on -- for the plain path, under
+a chaos profile, and across a checkpointed kill/resume -- and the trace
+must also *account* for the run: one ``transport.request`` event per
+platform query, totalling exactly the transport's request counter.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from repro.core import EstimateCheckpoint
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.context import ExperimentContext
 from repro.experiments.runner import main, run_all
-from repro.obs import MetricsRegistry, Tracer, structure
+from repro.obs import Tracer, structure
 from repro.obs.report import load_trace, summarize
 from repro.platforms.errors import PlatformError
 
@@ -65,19 +64,20 @@ class TestSequentialDifferential:
     def test_metrics_do_not_change_the_run_and_aggregate_per_experiment(
         self, baseline
     ):
-        metrics = MetricsRegistry()
-        report = run_all(config=CONFIG, only=["fig2"], metrics=metrics)
+        # The trace's counts aggregate per experiment by nesting: every
+        # platform query of a fig2-only run lies under its span.
+        report, tracer = _traced_run(["fig2"])
         assert report.results["fig2"].render() == baseline["render"]
-        assert (
-            metrics.counter_total("transport.requests")
-            == report.total_api_requests
-        )
-        assert metrics.counter_total("transport.requests") == sum(
-            value
-            for (name, labels), value in metrics._counters.items()
-            if name == "transport.requests"
-            and ("experiment", "fig2") in labels
-        )
+
+        def requests(span):
+            own = sum(name == "transport.request" for name, _t, _a in span.events)
+            return own + sum(requests(child) for child in span.children)
+
+        (fig2,) = tracer.root.children
+        assert fig2.name == "experiment.fig2"
+        total = tracer.event_counts()["transport.request"]
+        assert requests(fig2) == total == report.total_api_requests
+        assert total == baseline["api_requests"]
 
     def test_cli_trace_and_metrics(self, tmp_path, baseline, capsys):
         trace_path = tmp_path / "out.jsonl"
@@ -91,13 +91,11 @@ class TestSequentialDifferential:
                 "fig2",
                 "--trace",
                 str(trace_path),
-                "--metrics",
             ]
         )
         captured = capsys.readouterr()
         assert exit_code == 0
         assert "trace written to" in captured.err
-        assert "transport.requests" in captured.out
         meta, records = load_trace(trace_path)
         summary = summarize(meta, records)
         assert summary["queries"]["total"] == baseline["api_requests"]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.api.ratelimit import TokenBucket
@@ -11,6 +13,7 @@ from repro.api.transport import (
     HttpResponse,
     VirtualClock,
 )
+from repro.obs import Tracer
 from repro.platforms.errors import (
     BadRequestError,
     NoSizeEstimateError,
@@ -73,9 +76,21 @@ def request(path="/x", body=None, account="a"):
     return HttpRequest(method="POST", path=path, body=body, account=account)
 
 
+def request_statuses(tracer):
+    """``(route, status)`` counts of a trace's ``transport.request`` events."""
+    counts = Counter()
+    for span in tracer.export():
+        for event in span["events"]:
+            if event["name"] == "transport.request":
+                attrs = event["attrs"]
+                route = f"{attrs['platform']}/{attrs['endpoint']}"
+                counts[route, attrs["status"]] += 1
+    return counts
+
+
 class TestFakeTransport:
-    def make(self, rate=None):
-        transport = FakeTransport(rate=rate, latency=0.01)
+    def make(self, rate=None, tracer=None):
+        transport = FakeTransport(rate=rate, latency=0.01, tracer=tracer)
         transport.register("POST", "/x", lambda req: {"ok": True})
         return transport
 
@@ -143,12 +158,14 @@ class TestFakeTransport:
         assert transport.request(request(account="b")).ok
 
     def test_stats(self):
-        transport = self.make()
+        """Per-route counts are the trace's ``transport.request`` events."""
+        tracer = Tracer("transport")
+        transport = self.make(tracer=tracer)
         transport.request(request())
         transport.request(request())
-        stats = transport.stats()["POST /x"]
-        assert stats["requests"] == 2
-        assert transport.total_requests == 2
+        transport.request(request(path="/nope"))
+        assert request_statuses(tracer) == {("x/", 200): 2, ("nope/", 404): 1}
+        assert transport.total_requests == 3
 
     def test_response_ok_property(self):
         assert HttpResponse(204, {}).ok
@@ -185,7 +202,8 @@ class TestTokenBucketRefillDrift:
         """
         from repro.api.client import FacebookReachClient
 
-        transport = FakeTransport(rate=0.3, burst=1, latency=0.0)
+        tracer = Tracer("backoff")
+        transport = FakeTransport(rate=0.3, burst=1, latency=0.0, tracer=tracer)
         transport.register("POST", "/facebook/delivery_estimate", lambda req: {"ok": 1})
         client = FacebookReachClient(transport)
         for _ in range(5):
@@ -193,5 +211,5 @@ class TestTokenBucketRefillDrift:
         # First call rides the initial burst; each later call pays
         # exactly one 429 before its retry is admitted.
         assert client.request_count == 5 + 4
-        stats = transport.stats()["POST /facebook/delivery_estimate"]
-        assert stats["rate_limited"] == 4
+        statuses = request_statuses(tracer)
+        assert statuses[("facebook/delivery_estimate", 429)] == 4
