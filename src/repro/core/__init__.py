@@ -31,11 +31,6 @@ Layering:
 
 from repro.core.audit import AuditTarget, build_audit_targets
 from repro.core.checkpoint import EstimateCheckpoint
-from repro.core.budget import (
-    BudgetExceededError,
-    QueryBudget,
-    estimate_study_queries,
-)
 from repro.core.discovery import (
     DEFAULT_MIN_REACH,
     audit_individuals,
@@ -84,12 +79,9 @@ from repro.core.stats import BoxStats, fraction_outside_four_fifths
 __all__ = [
     "AdvertiserHistory",
     "AuditTarget",
-    "BudgetExceededError",
     "CampaignReview",
     "OutcomeMonitor",
-    "QueryBudget",
     "RemovalPolicy",
-    "estimate_study_queries",
     "BoxStats",
     "CompositionSet",
     "ConsistencyReport",

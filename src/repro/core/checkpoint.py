@@ -127,21 +127,32 @@ class EstimateCheckpoint:
         return target
 
     def load(self, path: str | Path | None = None) -> int:
-        """Merge a checkpoint file in; returns the records loaded."""
+        """Merge a checkpoint file in; returns the records loaded.
+
+        A file that is not JSON, has another version or has the wrong
+        shape raises :class:`ValueError` naming it, and merges nothing.
+        """
         source = Path(path) if path is not None else self.path
         if source is None:
             raise ValueError("no checkpoint path configured")
-        payload = json.loads(source.read_text())
-        if payload.get("version") != self._VERSION:
+        try:
+            payload = json.loads(source.read_text())
+            if payload.get("version") != self._VERSION:
+                raise ValueError(
+                    f"unsupported checkpoint version {payload.get('version')!r}"
+                )
+            shards = {
+                key: [(spec_from_wire(wire), int(n)) for wire, n in entries]
+                for key, entries in payload["interfaces"].items()
+            }
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ValueError(
-                f"unsupported checkpoint version {payload.get('version')!r}"
-            )
+                f"unreadable checkpoint {source}: {type(exc).__name__}: {exc}"
+            ) from exc
         loaded = 0
-        for key, entries in payload["interfaces"].items():
-            shard = self._shards.setdefault(key, {})
-            for wire, estimate in entries:
-                shard[spec_from_wire(wire)] = int(estimate)
-                loaded += 1
+        for key, entries in shards.items():
+            self._shards.setdefault(key, {}).update(entries)
+            loaded += len(entries)
         self.records_loaded += loaded
         return loaded
 

@@ -57,13 +57,6 @@ class CampaignReview:
     skewed: bool
     ratios: Mapping[str, float] = field(default_factory=dict)
 
-    @property
-    def skew_magnitude(self) -> float:
-        """|log(worst ratio)| -- distance from parity in log space."""
-        if self.worst_ratio <= 0 or math.isinf(self.worst_ratio):
-            return math.inf
-        return abs(math.log(self.worst_ratio))
-
 
 @dataclass
 class AdvertiserHistory:
@@ -93,26 +86,15 @@ class OutcomeMonitor:
         The interface's audit target (the monitor *is* the platform
         here, but it deliberately reviews through the same composed-
         outcome measurements an external auditor would use).
-    flag_fraction:
-        Advertisers are flagged once at least this fraction of their
-        reviewed campaigns (with ``min_campaigns`` history) is skewed.
     min_campaigns:
         Minimum history before an advertiser can be flagged, so a
         single unlucky composition does not trigger review.
     """
 
-    def __init__(
-        self,
-        target: AuditTarget,
-        flag_fraction: float = 0.5,
-        min_campaigns: int = 3,
-    ):
-        if not 0.0 < flag_fraction <= 1.0:
-            raise ValueError("flag_fraction must be in (0, 1]")
+    def __init__(self, target: AuditTarget, min_campaigns: int = 3):
         if min_campaigns < 1:
             raise ValueError("min_campaigns must be >= 1")
         self.target = target
-        self.flag_fraction = flag_fraction
         self.min_campaigns = min_campaigns
         self._history: dict[str, AdvertiserHistory] = {}
 
@@ -155,18 +137,6 @@ class OutcomeMonitor:
         return self._history.get(
             advertiser_id, AdvertiserHistory(advertiser_id)
         )
-
-    def is_flagged(self, advertiser_id: str) -> bool:
-        """Whether an advertiser's history crosses the flag threshold."""
-        history = self.history(advertiser_id)
-        return (
-            history.n_campaigns >= self.min_campaigns
-            and history.skewed_fraction >= self.flag_fraction
-        )
-
-    def flagged_advertisers(self) -> list[str]:
-        """All currently flagged advertiser ids."""
-        return sorted(a for a in self._history if self.is_flagged(a))
 
     # -- directional-consistency detection ---------------------------------
 
@@ -230,20 +200,6 @@ class OutcomeMonitor:
             if fraction >= min_fraction:
                 flagged[advertiser] = (label, direction, fraction)
         return flagged
-
-    # -- anomaly detection -------------------------------------------------
-
-    def mean_skew_magnitude(self, advertiser_id: str) -> float:
-        """Mean |log ratio| across an advertiser's reviewed campaigns."""
-        history = self.history(advertiser_id)
-        magnitudes = [
-            r.skew_magnitude
-            for r in history.reviews
-            if not math.isinf(r.skew_magnitude)
-        ]
-        if not magnitudes:
-            return math.nan
-        return sum(magnitudes) / len(magnitudes)
 
 
 class RemovalPolicy:

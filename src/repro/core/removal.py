@@ -58,19 +58,6 @@ class RemovalCurve:
             return [(p.percentile_removed, p.box.p90) for p in self.points]
         return [(p.percentile_removed, p.box.p10) for p in self.points]
 
-    def still_violates_at(self, percentile: float) -> bool:
-        """Whether the headline ratio still violates four-fifths after
-        removing ``percentile`` percent of skewed individuals."""
-        from repro.core.metrics import violates_four_fifths
-
-        for point in self.points:
-            if point.percentile_removed == percentile:
-                headline = (
-                    point.box.p90 if self.direction == "top" else point.box.p10
-                )
-                return violates_four_fifths(headline)
-        raise KeyError(f"no removal point at percentile {percentile}")
-
 
 def removal_sweep(
     target: AuditTarget,

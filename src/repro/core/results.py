@@ -28,8 +28,6 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.core.metrics import (
-    FOUR_FIFTHS_HIGH,
-    FOUR_FIFTHS_LOW,
     recall_excluding,
     recall_including,
     representation_ratio_from_sizes,
@@ -267,10 +265,6 @@ class CompositionSet:
         included = self.sizes[:, self._column(value)]
         return self.reach() - included if excluding else included
 
-    def _skewed(self, value: SensitiveValue) -> np.ndarray:
-        ratios = self.ratio_column(value)
-        return (ratios <= FOUR_FIFTHS_LOW) | (ratios >= FOUR_FIFTHS_HIGH)
-
     # -- statistics -----------------------------------------------------------
 
     def ratios(self, value: SensitiveValue) -> list[float]:
@@ -281,16 +275,6 @@ class CompositionSet:
     def filtered(self, min_reach: int) -> "CompositionSet":
         """Subset with total reach at least ``min_reach``."""
         return self.subset(self.reach() >= min_reach)
-
-    def skewed_subset(self, value: SensitiveValue) -> "CompositionSet":
-        """Subset violating the four-fifths rule toward ``value``."""
-        return self.subset(self._skewed(value), f"{self.label} (skewed)")
-
-    def fraction_skewed(self, value: SensitiveValue) -> float:
-        """Fraction of the set outside the four-fifths thresholds."""
-        if not len(self):
-            return float("nan")
-        return int(np.count_nonzero(self._skewed(value))) / len(self)
 
     def top_by_ratio(
         self, value: SensitiveValue, k: int, ascending: bool = False

@@ -65,17 +65,6 @@ class BoxStats:
         """True when no finite values were summarised."""
         return self.n == 0
 
-    def format_row(self, label: str) -> str:
-        """One aligned text row for report tables."""
-        if self.is_empty:
-            return f"{label:<18s}  (empty)"
-        return (
-            f"{label:<18s} n={self.n:<5d} "
-            f"p10={self.p10:<8.3g} p25={self.p25:<8.3g} "
-            f"med={self.median:<8.3g} p75={self.p75:<8.3g} "
-            f"p90={self.p90:<8.3g}"
-        )
-
 
 def fraction_outside_four_fifths(values: Sequence[float]) -> float:
     """Fraction of ratios violating the four-fifths thresholds.

@@ -123,9 +123,7 @@ def run(
         return sum(not removal.allows(c) for c in campaigns) / len(campaigns)
 
     # Policy 2: outcome monitoring of every launched campaign.
-    monitor = OutcomeMonitor(
-        target, flag_fraction=0.5, min_campaigns=min(3, campaigns_per_advertiser)
-    )
+    monitor = OutcomeMonitor(target, min_campaigns=min(3, campaigns_per_advertiser))
     for advertiser, campaigns in honest_campaigns.items():
         for campaign in campaigns:
             monitor.review_campaign(advertiser, campaign)

@@ -182,6 +182,14 @@ def run_all(
     if context is not None and tracer is None:
         tracer = context.session.tracer
     tracer = tracer if tracer is not None else NULL_TRACER
+    # Opened before the session build, so a bad file fails in moments.
+    store: EstimateCheckpoint | None = None
+    if checkpoint is not None:
+        store = (
+            checkpoint
+            if isinstance(checkpoint, EstimateCheckpoint)
+            else EstimateCheckpoint(checkpoint)
+        )
 
     with _collect_at_boundaries(tracer) as boundary:
         started_wall = time.perf_counter()
@@ -196,13 +204,7 @@ def run_all(
             context = ExperimentContext(config, session=session)
         ctx = context or ExperimentContext(config)
 
-        store: EstimateCheckpoint | None = None
-        if checkpoint is not None:
-            store = (
-                checkpoint
-                if isinstance(checkpoint, EstimateCheckpoint)
-                else EstimateCheckpoint(checkpoint)
-            )
+        if store is not None:
             for target in ctx.session.targets.values():
                 target.attach_checkpoint(store)
             if verbose and len(store):
@@ -358,6 +360,13 @@ def main(argv: list[str] | None = None) -> int:
             overrides["n_compositions"] = args.compositions
         config = replace(config, **overrides)
 
+    checkpoint = None
+    if args.checkpoint:
+        try:
+            checkpoint = EstimateCheckpoint(args.checkpoint)
+        except ValueError as exc:
+            parser.error(f"--checkpoint: {exc}")
+
     # The CLI is a composition root: the one place in the library
     # allowed to construct a tracer.
     tracer = None
@@ -372,7 +381,7 @@ def main(argv: list[str] | None = None) -> int:
         verbose=True,
         chaos=args.chaos,
         chaos_seed=args.chaos_seed,
-        checkpoint=args.checkpoint,
+        checkpoint=checkpoint,
         tracer=tracer,
     )
     text = report.render()

@@ -20,18 +20,29 @@ __all__ = ["load_trace", "main", "summarize"]
 
 
 def load_trace(path: str | Path) -> tuple[dict[str, Any], list[dict[str, Any]]]:
-    """Parse a JSONL trace into its meta header and span records."""
-    meta: dict[str, Any] = {}
+    """Parse a JSONL trace into its meta header and span records.
+
+    Raises :class:`ValueError` for a line that is not a JSON object and
+    for a file without the meta header line, an empty file among them.
+    """
+    meta: dict[str, Any] | None = None
     records: list[dict[str, Any]] = []
-    for line in Path(path).read_text().splitlines():
+    for number, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.strip()
         if not line:
             continue
-        payload = json.loads(line)
+        try:
+            payload = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}:{number}: not JSON ({exc.msg})") from None
+        if not isinstance(payload, dict):
+            raise ValueError(f"{path}:{number}: not a JSON object")
         if "meta" in payload and "id" not in payload:
             meta = payload["meta"]
         else:
             records.append(payload)
+    if meta is None:
+        raise ValueError(f"{path}: no meta line; not a repro-audit trace")
     return meta, records
 
 
@@ -162,7 +173,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     if not path.exists():
         print(f"repro-trace: no such file: {path}", file=sys.stderr)
         return 2
-    meta, records = load_trace(path)
+    try:
+        meta, records = load_trace(path)
+    except ValueError as exc:
+        print(f"repro-trace: {exc}", file=sys.stderr)
+        return 2
     summary = summarize(meta, records)
     if args.format == "json":
         print(json.dumps(summary, indent=2, sort_keys=True))

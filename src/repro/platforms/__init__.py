@@ -124,13 +124,6 @@ class PlatformSuite:
             self.linkedin.interface.key: self.linkedin.interface,
         }
 
-    def total_query_count(self) -> int:
-        """Size queries issued across every interface."""
-        return sum(i.query_count for i in self.interfaces.values()) + sum(
-            i.query_count
-            for i in (self.google.search_campaign,)
-        )
-
 
 def build_platform_suite(
     n_records: int = 50_000,

@@ -21,7 +21,7 @@ The two public types are:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Mapping, Sequence
+from typing import Dict, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -237,13 +237,6 @@ class BitVector:
             return int(scratch.sum())
         return int(np.unpackbits(scratch.view(np.uint8)).sum())
 
-    def jaccard(self, other: "BitVector") -> float:
-        """Jaccard similarity; 0.0 when both vectors are empty."""
-        self._check_compatible(other)
-        inter = self.intersect_count(other)
-        union = self.count() + other.count() - inter
-        return inter / union if union else 0.0
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BitVector):
             return NotImplemented
@@ -323,7 +316,6 @@ class AudienceIndex:
             raise ValueError("gender and age code arrays must be 1-D and equal length")
         self._n = int(gender_codes.shape[0])
         self._attrs: Dict[str, BitVector] = {}
-        self._counts: Dict[str, int] | None = None
         self._all = BitVector.ones(self._n)
         self._gender = {
             g: BitVector.from_bool(gender_codes == int(g)) for g in GENDERS
@@ -345,7 +337,6 @@ class AudienceIndex:
         if members.n_records != self._n:
             raise ValueError("membership vector spans a different population")
         self._attrs[attr_id] = members
-        self._counts = None
 
     # -- lookups ----------------------------------------------------------
 
@@ -387,15 +378,3 @@ class AudienceIndex:
         if isinstance(value, AgeRange):
             return self.age(value)
         raise TypeError(f"not a sensitive value: {value!r}")
-
-    def attribute_counts(self) -> Mapping[str, int]:
-        """Exact membership counts of every registered attribute.
-
-        Popcounts are computed once per registration epoch; callers get
-        a fresh copy of the cached mapping.
-        """
-        if self._counts is None:
-            self._counts = {
-                attr_id: vec.count() for attr_id, vec in self._attrs.items()
-            }
-        return dict(self._counts)

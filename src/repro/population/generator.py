@@ -28,13 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.population.bitsets import AudienceIndex, BitVector
-from repro.population.demographics import (
-    AGE_RANGES,
-    GENDERS,
-    AgeRange,
-    DemographicMarginals,
-    Gender,
-)
+from repro.population.demographics import DemographicMarginals
 from repro.population.model import (
     AttributeSpec,
     LatentFactorModel,
@@ -90,10 +84,6 @@ class Population:
         """Real-user size of an audience bit vector."""
         return vector.count() * self.scale
 
-    def demographic_size(self, value: Gender | AgeRange) -> float:
-        """Real-user size of one sensitive population (``|RA_s|``)."""
-        return self.users(self.index.demographic(value))
-
     @cached_property
     def _kernel(self) -> MembershipKernel:
         """Membership evaluator holding this population's scratch buffers."""
@@ -116,16 +106,6 @@ class Population:
         vector = BitVector.from_bool(self._kernel.members(spec, rng))
         self.index.add_attribute(spec.attr_id, vector)
         return vector
-
-    def empirical_gender_shares(self) -> dict[Gender, float]:
-        """Observed gender shares (for calibration tests)."""
-        n = self.n_records
-        return {g: self.index.gender(g).count() / n for g in GENDERS}
-
-    def empirical_age_shares(self) -> dict[AgeRange, float]:
-        """Observed age shares (for calibration tests)."""
-        n = self.n_records
-        return {a: self.index.age(a).count() / n for a in AGE_RANGES}
 
 
 class PopulationGenerator:

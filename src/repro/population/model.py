@@ -37,7 +37,7 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.population.demographics import AGE_RANGES, AgeRange, Gender
+from repro.population.demographics import AGE_RANGES, Gender
 
 __all__ = [
     "AttributeSpec",
@@ -295,21 +295,6 @@ class LatentFactorModel:
         if spec.loadings:
             lam = spec.loading_vector(self.n_factors)
             gap += float(lam @ np.asarray(self.factor_gender_shift))
-        return float(np.exp(gap))
-
-    def approximate_age_ratio(self, spec: AttributeSpec, age: AgeRange) -> float:
-        """Rare-attribute approximation of the ratio toward an age range.
-
-        Compares the log-odds in ``age`` to the mean log-odds over the
-        other age ranges (matching the ``RA_s`` vs ``RA_{not s}``
-        structure of the representation ratio).
-        """
-        beta = np.asarray(spec.beta_age, dtype=np.float64)
-        if spec.loadings:
-            lam = spec.loading_vector(self.n_factors)
-            beta = beta + np.asarray(self.factor_age_shift).T @ lam
-        others = [b for a, b in zip(AGE_RANGES, beta) if a is not age]
-        gap = float(beta[int(age)]) - float(np.mean(others))
         return float(np.exp(gap))
 
 

@@ -1,40 +1,18 @@
-"""Plain-text and markdown rendering of experiment results.
+"""Plain-text rendering of experiment results.
 
 The paper communicates through box plots, line plots, and tables; the
-reproduction renders the same artifacts as ASCII (for terminals and
-logs) and markdown (for ``EXPERIMENTS.md``).
+reproduction renders the same artifacts as ASCII for terminals and
+logs.
 """
 
 from repro.reporting.boxplot import render_box_panel, render_box_row
 from repro.reporting.tables import Table, format_count, format_percent, format_ratio
-from repro.reporting.markdown import markdown_table
-from repro.reporting.serialize import (
-    audit_from_json,
-    audit_to_json,
-    box_stats_to_json,
-    composition_set_from_json,
-    composition_set_to_json,
-    dump_composition_set,
-    load_composition_set,
-    value_from_json,
-    value_to_json,
-)
 
 __all__ = [
     "Table",
-    "audit_from_json",
-    "audit_to_json",
-    "box_stats_to_json",
-    "composition_set_from_json",
-    "composition_set_to_json",
-    "dump_composition_set",
-    "load_composition_set",
-    "value_from_json",
-    "value_to_json",
     "format_count",
     "format_percent",
     "format_ratio",
-    "markdown_table",
     "render_box_panel",
     "render_box_row",
 ]

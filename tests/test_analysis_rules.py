@@ -452,7 +452,7 @@ def test_experiments_may_import_reporting_package_not_internals():
     findings, _ = lint(
         """
         from repro.reporting import Table
-        from repro.reporting.serialize import audit_to_json
+        from repro.reporting.tables import Table
         """,
         module="repro.experiments.fig9_new",
         path="src/repro/experiments/fig9_new.py",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.platforms.catalog import (
@@ -174,9 +175,13 @@ class TestCuratedSkewDirections:
         model = default_model()
         by_id = {s.attr_id: s for s in fb_build.specs}
         reverse_mortgage = by_id["fb:interests:interests--reverse-mortgage"]
-        ratio = model.approximate_age_ratio(
-            reverse_mortgage, AgeRange.AGE_55_PLUS
-        )
+        # Rare-attribute approximation: log-odds in 55+ against the mean
+        # log-odds of the other age ranges.
+        lam = reverse_mortgage.loading_vector(model.n_factors)
+        beta = np.asarray(reverse_mortgage.beta_age, dtype=np.float64)
+        beta = beta + np.asarray(model.factor_age_shift).T @ lam
+        older = int(AgeRange.AGE_55_PLUS)
+        ratio = float(np.exp(beta[older] - np.delete(beta, older).mean()))
         # Platform-wide age tilt shifts the anchor; direction and rough
         # magnitude must survive.
         assert ratio > 4.0

@@ -298,6 +298,12 @@ class TestCheckpoint:
         assert ("closed", "open") in {(old, new) for _, old, new in transitions}
 
 
+def _platform_queries(suite):
+    """Size queries issued across every interface of a platform suite."""
+    interfaces = (*suite.interfaces.values(), suite.google.search_campaign)
+    return sum(interface.query_count for interface in interfaces)
+
+
 @pytest.mark.slow
 class TestRunnerKillResume:
     """ISSUE acceptance: kill fig2 mid-run, resume, bit-identical output."""
@@ -324,7 +330,7 @@ class TestRunnerKillResume:
 
     def test_fig2_mid_run_kill_and_resume(self, tmp_path, fault_profile):
         baseline_report, baseline_session = self._run()
-        baseline_queries = baseline_session.suite.total_query_count()
+        baseline_queries = _platform_queries(baseline_session.suite)
 
         path = tmp_path / "fig2.ckpt.json"
         outage = fault_profile(outage_after=6)
@@ -347,6 +353,6 @@ class TestRunnerKillResume:
         # what the killed run never completed.  (The killed run's own
         # session is gone, so account via the checkpoint size.)
         assert (
-            len(killed) + resumed_session.suite.total_query_count()
+            len(killed) + _platform_queries(resumed_session.suite)
             == baseline_queries
         )

@@ -229,6 +229,33 @@ class TestRunnerCli:
         assert message in capsys.readouterr().err
         assert built == []
 
+    @pytest.mark.parametrize(
+        ("content", "message"),
+        [
+            ('{"x":1', "JSONDecodeError"),
+            ('{"version": 2, "interfaces": {}}', "unsupported checkpoint version 2"),
+            ('{"version": 1}', "KeyError: 'interfaces'"),
+        ],
+        ids=["bad-json", "wrong-version", "no-interfaces"],
+    )
+    def test_main_rejects_bad_checkpoint_before_building(
+        self, monkeypatch, capsys, tmp_path, content, message
+    ):
+        from repro.experiments import context, runner
+
+        path = tmp_path / "run.ckpt.json"
+        path.write_text(content)
+        built = []
+        monkeypatch.setattr(runner, "build_audit_session", built.append)
+        monkeypatch.setattr(context, "build_audit_session", built.append)
+        with pytest.raises(SystemExit) as exited:
+            runner.main(["--scale", "tiny", "--checkpoint", str(path)])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert f"--checkpoint: unreadable checkpoint {path}: " in err
+        assert message in err
+        assert built == []
+
 
 class _Node:
     """A weak-referenceable object to build reference cycles from."""

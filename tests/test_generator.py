@@ -54,12 +54,12 @@ class TestGeneration:
 
     def test_marginals_approximated(self):
         pop = make_generator(n=20_000).generate()
-        shares = pop.empirical_gender_shares()
+        male_share = pop.index.gender(Gender.MALE).count() / pop.n_records
         expected = US_MARGINALS.gender_shares()
-        assert shares[Gender.MALE] == pytest.approx(expected[0], abs=0.02)
-        age_shares = pop.empirical_age_shares()
+        assert male_share == pytest.approx(expected[0], abs=0.02)
         for age, expected_share in zip(AGE_RANGES, US_MARGINALS.age_shares()):
-            assert age_shares[age] == pytest.approx(expected_share, abs=0.02)
+            age_share = pop.index.age(age).count() / pop.n_records
+            assert age_share == pytest.approx(expected_share, abs=0.02)
 
     def test_deterministic_in_seed(self):
         a = make_generator(seed=7).generate([make_spec()])
@@ -95,11 +95,6 @@ class TestAttributeRealisation:
         male_rate = vec.intersect_count(males) / males.count()
         female_rate = vec.intersect_count(females) / females.count()
         assert male_rate > female_rate * 1.5
-
-    def test_demographic_size_scaled(self):
-        pop = make_generator().generate()
-        total = sum(pop.demographic_size(g) for g in (Gender.MALE, Gender.FEMALE))
-        assert total == pytest.approx(pop.total_users)
 
 
 class TestCalibrationScale:

@@ -88,6 +88,16 @@ def digest_report(text: str) -> dict:
     }
 
 
+def audit_to_json(audit) -> dict:
+    """One audit record as the dict its digest is taken over."""
+    return {
+        "options": list(audit.options),
+        "attribute": audit.attribute.name,
+        "sizes": {v.label: int(s) for v, s in audit.sizes.items()},
+        "bases": {v.label: int(b) for v, b in audit.bases.items()},
+    }
+
+
 def _digest_lines(groups: dict[str, list[str]], count: str) -> dict:
     """Per group, its line count and one sha256 over its lines."""
     return {
@@ -162,7 +172,6 @@ def _tiny_run() -> tuple[str, dict, dict]:
     from repro.core.audit import AuditTarget
     from repro.experiments.config import ExperimentConfig
     from repro.experiments.runner import EXPERIMENTS, run_all
-    from repro.reporting.serialize import audit_to_json
 
     audit_many, audit = AuditTarget.audit_many, AuditTarget.audit
     records: dict[str, list[str]] = {}

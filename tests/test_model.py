@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.population.demographics import AGE_RANGES, AgeRange, Gender
+from repro.population.demographics import AGE_RANGES, Gender
 from repro.population.model import (
     AttributeSpec,
     LatentFactorModel,
@@ -132,12 +132,6 @@ class TestApproximateRatios:
         s = spec(beta_gender=np.log(2.0), loadings={0: np.log(1.5)})
         # total gap = ln2 + ln1.5 * shift(=1.0)
         assert model.approximate_gender_ratio(s) == pytest.approx(3.0)
-
-    def test_age_ratio_vs_other_buckets(self):
-        model = simple_model()
-        s = spec(beta_age=(np.log(2.0), 0.0, 0.0, 0.0))
-        ratio = model.approximate_age_ratio(s, AgeRange.AGE_18_24)
-        assert ratio == pytest.approx(2.0)
 
     def test_neutral_spec_ratio_is_one(self):
         model = simple_model()

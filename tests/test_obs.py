@@ -251,5 +251,16 @@ class TestTraceReport:
         assert summary["queries"]["total"] == 2
 
     def test_main_missing_file_returns_2(self, tmp_path, capsys):
-        assert main([str(tmp_path / "absent.jsonl")]) == 2
-        assert "no such file" in capsys.readouterr().err
+        path = tmp_path / "trace.jsonl"
+        cases = [
+            (None, "no such file"),
+            ('{"meta": {"name": "x"}}\n{"id": 0,\n', "trace.jsonl:2: not JSON"),
+            ("", "trace.jsonl: no meta line"),
+        ]
+        for content, message in cases:
+            if content is not None:
+                path.write_text(content)
+            assert main([str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("repro-trace: ") and err.count("\n") == 1
+            assert message in err

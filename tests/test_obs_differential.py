@@ -34,6 +34,12 @@ def _renders(report):
     return {name: result.render() for name, result in report.results.items()}
 
 
+def _platform_queries(suite):
+    """Size queries issued across every interface of a platform suite."""
+    interfaces = (*suite.interfaces.values(), suite.google.search_campaign)
+    return sum(interface.query_count for interface in interfaces)
+
+
 @pytest.fixture(scope="module")
 def baseline():
     """Untraced fig2 run, with its session for accounting."""
@@ -43,7 +49,7 @@ def baseline():
     return {
         "render": report.results["fig2"].render(),
         "api_requests": report.total_api_requests,
-        "platform_queries": session.suite.total_query_count(),
+        "platform_queries": _platform_queries(session.suite),
     }
 
 
@@ -166,7 +172,7 @@ class TestChaosDifferential:
         assert resumed_report.results["fig2"].render() == baseline["render"]
         # No duplicate queries across the kill/resume pair.
         assert (
-            len(killed) + resumed_session.suite.total_query_count()
+            len(killed) + _platform_queries(resumed_session.suite)
             == baseline["platform_queries"]
         )
         # The resumed trace records the preloaded entries per target.

@@ -91,22 +91,6 @@ class TestRemovalSweep:
         assert curve.points[1].n_options_removed == round(len(eligible) * 0.04)
         assert curve.points[1].n_options_removed > 0
 
-    def test_still_violates_helper(self, sweep_inputs):
-        target, individual = sweep_inputs
-        curve = removal_sweep(
-            target,
-            GENDER,
-            individual,
-            Gender.MALE,
-            direction="top",
-            percentiles=(0,),
-            n_compositions=40,
-            seed=0,
-        )
-        assert curve.still_violates_at(0) in (True, False)
-        with pytest.raises(KeyError):
-            curve.still_violates_at(99)
-
     def test_direction_validated(self, sweep_inputs):
         target, individual = sweep_inputs
         with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""Tests for text/markdown rendering helpers."""
+"""Tests for the plain-text rendering helpers."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from repro.reporting import (
     format_count,
     format_percent,
     format_ratio,
-    markdown_table,
     render_box_panel,
     render_box_row,
 )
@@ -60,21 +59,6 @@ class TestTable:
         table = Table(["a", "b"])
         with pytest.raises(ValueError):
             table.add_row("only one")
-
-
-class TestMarkdown:
-    def test_table(self):
-        text = markdown_table(["x", "y"], [[1, 2], ["a", "b"]])
-        lines = text.splitlines()
-        assert lines[0] == "| x | y |"
-        assert lines[1] == "|---|---|"
-        assert lines[2] == "| 1 | 2 |"
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            markdown_table([], [])
-        with pytest.raises(ValueError):
-            markdown_table(["x"], [[1, 2]])
 
 
 class TestBoxPlots:

@@ -92,17 +92,6 @@ class TestCompositionSet:
         assert len(filtered) == 3
         assert filtered.label == "Test"
 
-    def test_skewed_subset(self):
-        skewed = self.make_set().skewed_subset(Gender.MALE)
-        # 30/10 (3.0), 10/30 (0.33) and 2000/0 (inf) violate; 5/5 does not.
-        assert len(skewed) == 3
-
-    def test_fraction_skewed(self):
-        assert self.make_set().fraction_skewed(Gender.MALE) == pytest.approx(
-            3 / 4
-        )
-        assert math.isnan(CompositionSet("x").fraction_skewed(Gender.MALE))
-
     def test_top_by_ratio(self):
         top = self.make_set().top_by_ratio(Gender.MALE, 2)
         assert top[0].ratio(Gender.MALE) == math.inf
@@ -244,7 +233,6 @@ class TestBoxStats:
         box = BoxStats.from_values([])
         assert box.is_empty
         assert math.isnan(box.median)
-        assert "empty" in box.format_row("x")
 
     def test_percentiles(self):
         box = BoxStats.from_values(range(1, 101))
@@ -273,11 +261,6 @@ class TestBoxStats:
         from_list = BoxStats.from_values(values)
         from_array = BoxStats.from_values(np.array(values, dtype=float))
         assert _bits(vars(from_array).values()) == _bits(vars(from_list).values())
-
-    def test_format_row(self):
-        row = BoxStats.from_values([1, 2, 3]).format_row("Individual")
-        assert row.startswith("Individual")
-        assert "med=2" in row
 
     @given(st.lists(st.floats(0.01, 100.0), min_size=1, max_size=200))
     @settings(max_examples=60, deadline=None)
