@@ -3,6 +3,9 @@
 A pluggable static-analysis framework guarding the conventions the
 reproduction's guarantees rest on.  Per-module rule families:
 
+* ``determinism/transitive-ambient`` -- no ambient entropy (wall
+  clock, OS entropy, global or unseeded RNGs, salted ``hash()``
+  seeds), flagged at each read;
 * ``determinism/unordered-iteration`` -- no iteration over
   hash/OS-ordered collections without ``sorted``;
 * ``layering/*`` -- the package import DAG ``population -> platforms
@@ -18,12 +21,7 @@ graph (:mod:`repro.analysis.graph`) with fixpoint dataflow summaries
   reach restricted-interface calls outside the audited ``core.audit``
   measurement seam;
 * ``errors/transport-escape`` -- only ``platforms.errors`` types can
-  escape transport request paths, proven interprocedurally;
-* ``determinism/transitive-ambient`` -- no code reaches ambient
-  entropy (wall clock, OS entropy, global or unseeded RNGs, salted
-  ``hash()`` seeds): a direct read is flagged at the call, a public
-  function reaching one through calls at its definition with the
-  call chain.
+  escape transport request paths, proven interprocedurally.
 
 Every entry point runs one pipeline: a per-file pass (parse, module
 rules, summary) over each file, then one link of the whole program

@@ -177,7 +177,7 @@ def project_rule(
 def all_project_rules() -> tuple[ProjectRule, ...]:
     """Every registered project rule, sorted by id."""
     # Imported for their registration side effects only.
-    from repro.analysis import determinism, flows  # noqa: F401
+    from repro.analysis import flows  # noqa: F401
 
     return tuple(_PROJECT_REGISTRY[key] for key in sorted(_PROJECT_REGISTRY))
 

@@ -1,14 +1,12 @@
 """Worklist fixpoint engine for interprocedural summaries.
 
-The interprocedural rules (:mod:`repro.analysis.flows`, and the
-ambient rule in :mod:`repro.analysis.determinism`) all follow
+The interprocedural rules (:mod:`repro.analysis.flows`) both follow
 the same shape: each function gets a *summary* value drawn from a
 finite lattice (a frozenset of escaping exception types, a record of
-taint bits, a set of reachable ambient-entropy sources), computed from
-its own body plus the summaries of its callees.  Because the call
-graph has cycles (recursion, mutual dispatch), summaries are computed
-to a fixpoint with a classic worklist: when a function's summary
-grows, its callers are re-queued.
+taint bits), computed from its own body plus the summaries of its
+callees.  Because the call graph has cycles (recursion, mutual
+dispatch), summaries are computed to a fixpoint with a classic
+worklist: when a function's summary grows, its callers are re-queued.
 
 The engine is lattice-agnostic: a :class:`SummaryProblem` supplies the
 bottom element and a transfer function, and promises only that the
@@ -20,9 +18,9 @@ a hang.
 
 from __future__ import annotations
 
-from typing import Callable, Generic, Hashable, Iterable, Mapping, TypeVar
+from typing import Generic, Hashable, Iterable, Mapping, TypeVar
 
-__all__ = ["SummaryProblem", "fixpoint", "reachable"]
+__all__ = ["SummaryProblem", "fixpoint"]
 
 Value = TypeVar("Value")
 Node = Hashable
@@ -87,26 +85,3 @@ def fixpoint(
                     queued.add(dependent)
     return summaries
 
-
-def reachable(
-    start: Node,
-    successors: Callable[[Node], Iterable[Node]],
-    goal: Callable[[Node], bool],
-) -> list[Node] | None:
-    """Shortest call path from ``start`` to a goal node (BFS witness).
-
-    Used after a fixpoint to reconstruct a human-readable chain for a
-    finding's message; returns the node path including both endpoints,
-    or ``None`` when no goal is reachable.
-    """
-    frontier: list[tuple[Node, tuple[Node, ...]]] = [(start, (start,))]
-    seen = {start}
-    while frontier:
-        node, path = frontier.pop(0)
-        if goal(node):
-            return list(path)
-        for successor in successors(node):
-            if successor not in seen:
-                seen.add(successor)
-                frontier.append((successor, path + (successor,)))
-    return None

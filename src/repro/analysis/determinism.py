@@ -12,11 +12,12 @@ properties guard that:
     global RNG, an RNG constructor given no seed, or a seed built from
     the builtin ``hash()``, which is salted per process for strings.
     :data:`AMBIENT_SOURCES` is the one table of such calls and
-    :func:`ambient_source` the one classifier.  A direct read is
-    flagged at the call -- a chain of length 1 -- anywhere in a
-    module; a public function reaching one through calls is flagged
-    at its definition with the call chain as witness.  A suppressed
-    direct read is neither reported nor propagated.
+    :func:`ambient_source` the one classifier.  Every read is
+    flagged at its call, anywhere in a module.  Callers are not
+    flagged: code can reach ambient entropy only through a read in
+    some module, and that read already fails the lint unless a
+    suppression accepts it at the site.  The id keeps its
+    ``transitive`` name so existing suppressions stay valid.
 
 ``determinism/unordered-iteration``
     Iterating a hash-ordered collection (``set``/``frozenset``) or an
@@ -27,15 +28,11 @@ properties guard that:
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
-from repro.analysis.core import Finding, ModuleContext, project_rule, rule
-from repro.analysis.dataflow import SummaryProblem, fixpoint, reachable
+from repro.analysis.core import Finding, ModuleContext, rule
 
-if TYPE_CHECKING:
-    from repro.analysis.graph import Project
-
-__all__ = ["AMBIENT_SOURCES", "ambient_source", "ambient_sites"]
+__all__ = ["AMBIENT_SOURCES", "ambient_source"]
 
 AMBIENT = "determinism/transitive-ambient"
 
@@ -141,8 +138,8 @@ def _is_builtin_hash(ctx: ModuleContext, func: ast.AST) -> bool:
 
 def ambient_source(
     ctx: ModuleContext, call: ast.Call, name: str | None, in_seed: bool
-) -> tuple[str, str] | None:
-    """``(source name, remedy message)`` when ``call`` reads ambient entropy.
+) -> str | None:
+    """The remedy message when ``call`` reads ambient entropy, else ``None``.
 
     ``name`` is the call's resolved callee (``ctx.resolve(call.func)``);
     ``in_seed`` says the call sits in the arguments of an RNG
@@ -150,109 +147,29 @@ def ambient_source(
     ``PYTHONHASHSEED``.
     """
     if in_seed and _is_builtin_hash(ctx, call.func):
-        return "builtins.hash", _REMEDIES["hash"]
+        return _REMEDIES["hash"]
     kind, arg, keywords = AMBIENT_SOURCES.get(name, (None, None, ()))
     if kind is None or (arg is not None and not _absent(call, arg, keywords)):
         return None
-    return name, _REMEDIES[kind].format(name=name)
+    return _REMEDIES[kind].format(name=name)
 
 
-def ambient_sites(
-    ctx: ModuleContext,
-) -> Iterator[tuple[Finding, str, ast.AST | None]]:
-    """Every direct ambient read in a module, in one walk.
-
-    Yields ``(finding, source name, scope)``, where ``scope`` is the
-    innermost ``def`` whose call runs the read (``None`` for module
-    and class-body code).  Decorators run in the enclosing scope; a
-    ``def``'s defaults and annotations are counted as its own.
-    """
-    stack: list[tuple[ast.AST, ast.AST | None, bool]] = [(ctx.tree, None, False)]
-    while stack:
-        node, scope, in_seed = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            stack.extend((d, scope, in_seed) for d in node.decorator_list)
-            own = [node.args, *node.body, *filter(None, [node.returns])]
-            stack.extend((child, node, in_seed) for child in own)
-            continue
-        if isinstance(node, ast.Call):
-            name = ctx.resolve(node.func)
-            hit = ambient_source(ctx, node, name, in_seed)
-            if hit is not None:
-                yield ctx.finding(AMBIENT, node, hit[1]), hit[0], scope
-            in_seed = in_seed or name in _SEED_CONSUMERS
-        stack.extend((child, scope, in_seed) for child in ast.iter_child_nodes(node))
-
-
-class _AmbientProblem(SummaryProblem):
-    """Summary: frozenset of ambient source names reachable."""
-
-    def __init__(self, project: Project, nodes: set):
-        self.project = project
-        self.nodes = nodes
-
-    def bottom(self):
-        return frozenset()
-
-    def transfer(self, qname, summaries):
-        reach = set(self.project.functions[qname].summary.ambient)
-        for _, targets in self.project.callees(qname):
-            for target in targets:
-                if target in self.nodes:
-                    reach |= summaries[target]
-        return frozenset(reach)
-
-
-@project_rule(
+@rule(
     AMBIENT,
     "no ambient entropy (wall clock, OS entropy, global or unseeded RNG, "
-    "salted hash() seed): direct reads are flagged at the call, public "
-    "functions reaching one through calls at their definition",
+    "salted hash() seed), flagged at the call",
 )
-def check_ambient(project: Project) -> Iterator[Finding]:
-    for module in project.summaries:
-        yield from module.ambient
-    nodes = project.repro_functions()
-    node_set = set(nodes)
-    summaries = fixpoint(
-        nodes, project.callers(nodes), _AmbientProblem(project, node_set)
-    )
-
-    def successors(qname):
-        for _, targets in project.callees(qname):
-            for target in targets:
-                if target in node_set and summaries[target]:
-                    yield target
-
-    for qname in nodes:
-        node = project.functions[qname]
-        if not node.summary.is_public:
-            continue
-        reach = set().union(*(summaries[t] for t in successors(qname)))
-        if not reach:
-            continue
-        witness = reachable(
-            qname,
-            successors,
-            lambda q: q != qname and bool(project.functions[q].summary.ambient),
-        )
-        chain = (
-            " -> ".join(step.rsplit(".", 1)[-1] + "()" for step in witness)
-            if witness
-            else node.summary.name + "()"
-        )
-        yield Finding(
-            path=node.path,
-            line=node.summary.line,
-            col=node.summary.col,
-            rule=AMBIENT,
-            message=(
-                f"public function {node.summary.name}() transitively "
-                f"reaches ambient entropy source {sorted(reach)[0]}() via "
-                f"{chain}; thread a seeded RNG or the VirtualClock through "
-                "instead"
-            ),
-        )
+def check_ambient(ctx: ModuleContext) -> Iterator[Finding]:
+    stack: list[tuple[ast.AST, bool]] = [(ctx.tree, False)]
+    while stack:
+        node, in_seed = stack.pop()
+        if isinstance(node, ast.Call):
+            name = ctx.resolve(node.func)
+            remedy = ambient_source(ctx, node, name, in_seed)
+            if remedy is not None:
+                yield ctx.finding(AMBIENT, node, remedy)
+            in_seed = in_seed or name in _SEED_CONSUMERS
+        stack.extend((child, in_seed) for child in ast.iter_child_nodes(node))
 
 
 # -- unordered iteration --------------------------------------------------

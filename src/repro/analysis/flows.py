@@ -26,9 +26,6 @@ a summary computed to fixpoint by :mod:`repro.analysis.dataflow`:
     modules are opaque by contract (platforms raise typed errors; the
     per-module rules police them), and :class:`FakeTransport` itself
     is the enforcement boundary, not a subject.
-
-The third whole-program rule, ``determinism/transitive-ambient``,
-lives with the rest of its property in :mod:`repro.analysis.determinism`.
 """
 
 from __future__ import annotations
@@ -55,8 +52,9 @@ TAINT_SOURCE_METHODS = frozenset({"with_gender", "with_age", "with_ages"})
 SPEC_CONSTRUCTORS = frozenset({"repro.platforms.targeting.TargetingSpec"})
 SPEC_SENSITIVE_KEYWORDS = frozenset({"genders", "age_ranges"})
 
-#: Classes whose methods are restricted-interface sinks: tainted
-#: arguments may not reach them (subclasses included).
+#: Restricted-interface classes: tainted arguments may not reach a
+#: method called on an instance (subclasses included), wherever the
+#: class hierarchy defines that method.
 RESTRICTED_CLASSES = frozenset(
     {"repro.platforms.facebook.FacebookRestrictedInterface"}
 )
@@ -202,10 +200,19 @@ class _TaintState:
     def _sink_feeds(self, index: int, site: CallSite):
         """(callee param index, caller value ref) pairs feeding a sink."""
         feeds = []
+        # The real restricted interface inherits estimate_reach, so the
+        # receiver's class decides, not the defining class.
+        receiver = (
+            self.project.receiver_class(self.node, site.callee[1])
+            if site.callee[0] == "method"
+            else None
+        )
         targets = self.project.callees_at(self.node.qname, index)
         for target in targets:
             target_node = self.project.functions[target]
-            if self._is_restricted(target_node.class_qname):
+            if self._is_restricted(receiver) or self._is_restricted(
+                target_node.class_qname
+            ):
                 for position, ref in enumerate(site.args):
                     feeds.append((position, ref))
                 for ref in site.keywords.values():

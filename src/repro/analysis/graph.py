@@ -1,8 +1,7 @@
 """Whole-program symbol table and call graph for ``repro-lint``.
 
 The per-file rules see one module at a time; the interprocedural
-rules (:mod:`repro.analysis.flows`, and the ambient rule in
-:mod:`repro.analysis.determinism`) need to know *who calls whom*
+rules (:mod:`repro.analysis.flows`) need to know *who calls whom*
 across the whole ``population -> platforms -> api -> core ->
 reporting/experiments`` DAG.  This module provides that in two
 stages, the first per file and the second over the whole program:
@@ -11,9 +10,9 @@ stages, the first per file and the second over the whole program:
    AST producing a :class:`ModuleSummary` -- imported-name aliases,
    classes with their bases and attribute types, and one
    :class:`FunctionSummary` per function with its ordered call sites,
-   assignments, returns, raise sites (each with the ``except`` context
-   active at the site), and direct ambient-entropy reads.  Summaries
-   are plain data: the linker never sees an AST.
+   assignments, returns and raise sites (each with the ``except``
+   context active at the site).  Summaries are plain data: the
+   linker never sees an AST.
 
 2. **Linking** (:class:`Project`): summaries from every file are
    joined into a global symbol table.  Aliases are followed through
@@ -36,8 +35,7 @@ import builtins
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from repro.analysis.core import Finding, ModuleContext, dotted_name
-from repro.analysis.determinism import ambient_sites
+from repro.analysis.core import ModuleContext, dotted_name
 
 __all__ = [
     "CallSite",
@@ -118,13 +116,6 @@ class FunctionSummary:
     #: Ordered assignments ``(target name, value ref, line)``.
     assigns: list[tuple[str, ValueRef]] = field(default_factory=list)
     returns: list[ValueRef] = field(default_factory=list)
-    #: Ambient-entropy sources the body reads directly at an
-    #: unsuppressed site (see :mod:`repro.analysis.determinism`).
-    ambient: list[str] = field(default_factory=list)
-
-    @property
-    def is_public(self) -> bool:
-        return not self.name.startswith("_") and "<locals>" not in self.local_qname
 
 
 @dataclass
@@ -152,9 +143,6 @@ class ModuleSummary:
     aliases: dict[str, str] = field(default_factory=dict)
     functions: dict[str, FunctionSummary] = field(default_factory=dict)
     classes: dict[str, ClassSummary] = field(default_factory=dict)
-    #: Every direct ambient-entropy read in the module, as the finding
-    #: at its call (suppressed ones included).
-    ambient: list[Finding] = field(default_factory=list)
 
 
 # -- extraction -----------------------------------------------------------
@@ -506,8 +494,6 @@ def extract_summary(ctx: ModuleContext) -> ModuleSummary:
         path=ctx.path, module=ctx.module, is_package=ctx.is_package
     )
     summary.aliases = dict(ctx.bindings)
-    # ``def`` node -> its summary, to credit ambient reads to.
-    owners: dict[ast.AST, FunctionSummary] = {}
 
     def walk_body(
         body: Sequence[ast.stmt], prefix: str, class_name: str | None
@@ -515,8 +501,8 @@ def extract_summary(ctx: ModuleContext) -> ModuleSummary:
         for statement in body:
             if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 local_qname = f"{prefix}{statement.name}"
-                summary.functions[local_qname] = owners[statement] = (
-                    _function_summary(statement, local_qname, ctx, class_name)
+                summary.functions[local_qname] = _function_summary(
+                    statement, local_qname, ctx, class_name
                 )
                 walk_body(
                     statement.body, f"{local_qname}.<locals>.", class_name
@@ -546,8 +532,8 @@ def extract_summary(ctx: ModuleContext) -> ModuleSummary:
                 for s in statement.body:
                     if isinstance(s, (ast.FunctionDef, ast.AsyncFunctionDef)):
                         method_qname = f"{class_qname}.{s.name}"
-                        summary.functions[method_qname] = owners[s] = (
-                            _function_summary(s, method_qname, ctx, class_qname)
+                        summary.functions[method_qname] = _function_summary(
+                            s, method_qname, ctx, class_qname
                         )
                         walk_body(
                             s.body, f"{method_qname}.<locals>.", class_qname
@@ -569,11 +555,6 @@ def extract_summary(ctx: ModuleContext) -> ModuleSummary:
                             summary.aliases[target.id] = dotted
 
     walk_body(ctx.tree.body, "", None)
-    for finding, source, scope in ambient_sites(ctx):
-        summary.ambient.append(finding)
-        owner = owners.get(scope)
-        if owner is not None and not ctx.is_suppressed(finding):
-            owner.ambient.append(source)
     return summary
 
 
@@ -879,25 +860,29 @@ class Project:
         ordered = tuple(t for t in targets if not (t in seen or seen.add(t)))
         return ordered
 
+    def receiver_class(
+        self, node: FunctionNode, hint: CalleeRef | None
+    ) -> str | None:
+        """Class qname of a method call's receiver in ``node``, if known."""
+        if hint is None:
+            return None
+        if hint[0] == "self":
+            return node.class_qname
+        if hint[0] == "self-attr":
+            if node.class_qname is None:
+                return None
+            attr_ref = self.classes[node.class_qname].summary.attr_types.get(
+                hint[1]
+            )
+            if attr_ref is None:
+                return None
+            return self._resolve_ref_to_class(attr_ref, node.module)
+        return self._resolve_ref_to_class(hint, node.module)
+
     def _resolve_method(
         self, node: FunctionNode, hint: CalleeRef | None, method: str
     ) -> list[str]:
-        if hint is None:
-            return []
-        class_qname: str | None = None
-        if hint[0] == "self":
-            class_qname = node.class_qname
-        elif hint[0] == "self-attr":
-            if node.class_qname is not None:
-                attr_ref = self.classes[node.class_qname].summary.attr_types.get(
-                    hint[1]
-                )
-                if attr_ref is not None:
-                    class_qname = self._resolve_ref_to_class(
-                        attr_ref, node.module
-                    )
-        else:
-            class_qname = self._resolve_ref_to_class(hint, node.module)
+        class_qname = self.receiver_class(node, hint)
         if class_qname is None:
             return []
         targets: list[str] = []

@@ -75,7 +75,10 @@ class EstimateCheckpoint:
 
     Construct with a ``path`` to load any existing checkpoint file and
     make :meth:`save` write there by default; construct bare for a
-    purely in-memory store (useful in tests).
+    purely in-memory store (useful in tests).  A ``path`` that is a
+    directory, or whose parent is not one, raises :class:`ValueError`
+    here rather than at the first save, after a run paid for its
+    estimates.
     """
 
     _VERSION = 1
@@ -84,7 +87,13 @@ class EstimateCheckpoint:
         self.path = Path(path) if path is not None else None
         self._shards: dict[str, dict[TargetingSpec, int]] = {}
         self.records_loaded = 0
-        if self.path is not None and self.path.exists():
+        if self.path is None:
+            return
+        if not self.path.parent.is_dir():
+            raise ValueError(f"no directory {self.path.parent} for {self.path}")
+        if self.path.is_dir():
+            raise ValueError(f"{self.path} is a directory, not a checkpoint file")
+        if self.path.exists():
             self.load(self.path)
 
     def shard(self, interface_key: str) -> dict[TargetingSpec, int]:

@@ -18,12 +18,16 @@ from typing import Any, Mapping, Sequence
 
 __all__ = ["load_trace", "main", "summarize"]
 
+#: Keys every span record carries (see ``Span.to_record``).
+SPAN_KEYS = ("id", "parent", "name", "start", "end", "events")
+
 
 def load_trace(path: str | Path) -> tuple[dict[str, Any], list[dict[str, Any]]]:
     """Parse a JSONL trace into its meta header and span records.
 
-    Raises :class:`ValueError` for a line that is not a JSON object and
-    for a file without the meta header line, an empty file among them.
+    Raises :class:`ValueError` for a line that is not a JSON object, for
+    a span record missing one of :data:`SPAN_KEYS`, and for a file
+    without the meta header line, an empty file among them.
     """
     meta: dict[str, Any] | None = None
     records: list[dict[str, Any]] = []
@@ -39,8 +43,13 @@ def load_trace(path: str | Path) -> tuple[dict[str, Any], list[dict[str, Any]]]:
             raise ValueError(f"{path}:{number}: not a JSON object")
         if "meta" in payload and "id" not in payload:
             meta = payload["meta"]
-        else:
-            records.append(payload)
+            continue
+        missing = [key for key in SPAN_KEYS if key not in payload]
+        if missing:
+            raise ValueError(
+                f"{path}:{number}: span record without {', '.join(missing)}"
+            )
+        records.append(payload)
     if meta is None:
         raise ValueError(f"{path}: no meta line; not a repro-audit trace")
     return meta, records

@@ -38,6 +38,18 @@ def session_exact():
 
 
 @pytest.fixture(scope="session")
+def traced_tiny_run():
+    """The golden gates' traced ``--scale tiny`` run, made once per session.
+
+    ``tests/test_golden.py`` checks its digests and
+    ``tests/test_obs_overhead.py`` reads its trace and CPU time.
+    """
+    from tests.test_golden import tiny_run
+
+    return tiny_run()
+
+
+@pytest.fixture(scope="session")
 def fb_platform():
     """One Facebook platform (normal + restricted interfaces)."""
     return FacebookMarketingPlatform(n_records=6_000, seed=5)

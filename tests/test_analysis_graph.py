@@ -220,7 +220,6 @@ def test_nested_functions_resolve_children_and_siblings():
     # outer -> inner (child), inner -> helper (sibling in outer's scope)
     assert project.callees_at("pkg.nest.outer", 0) == (inner,)
     assert project.callees_at(inner, 0) == (helper,)
-    assert not project.functions[inner].summary.is_public
 
 
 # -- method dispatch -------------------------------------------------------
@@ -360,8 +359,6 @@ def test_request_path_and_publicity_flags():
     )
     summary = summarize(*mod)
     assert summary.functions["handler"].request_path
-    assert summary.functions["handler"].is_public
-    assert not summary.functions["_private"].is_public
     assert not summary.functions["_private"].request_path
 
 

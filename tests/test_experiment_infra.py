@@ -230,31 +230,48 @@ class TestRunnerCli:
         assert built == []
 
     @pytest.mark.parametrize(
-        ("content", "message"),
+        ("name", "content", "message"),
         [
-            ('{"x":1', "JSONDecodeError"),
-            ('{"version": 2, "interfaces": {}}', "unsupported checkpoint version 2"),
-            ('{"version": 1}', "KeyError: 'interfaces'"),
+            (
+                "run.ckpt.json",
+                '{"x":1',
+                "unreadable checkpoint {path}: JSONDecodeError",
+            ),
+            (
+                "run.ckpt.json",
+                '{"version": 2, "interfaces": {}}',
+                "unreadable checkpoint {path}: ValueError: "
+                "unsupported checkpoint version 2",
+            ),
+            (
+                "run.ckpt.json",
+                '{"version": 1}',
+                "unreadable checkpoint {path}: KeyError: 'interfaces'",
+            ),
+            ("", None, "{path} is a directory, not a checkpoint file"),
+            ("missing/run.ckpt.json", None, "no directory {path.parent} for {path}"),
         ],
-        ids=["bad-json", "wrong-version", "no-interfaces"],
+        ids=[
+            "bad-json", "wrong-version", "no-interfaces", "directory", "missing-parent"
+        ],
     )
     def test_main_rejects_bad_checkpoint_before_building(
-        self, monkeypatch, capsys, tmp_path, content, message
+        self, monkeypatch, capsys, tmp_path, name, content, message
     ):
         from repro.experiments import context, runner
 
-        path = tmp_path / "run.ckpt.json"
-        path.write_text(content)
+        path = tmp_path / name
+        if content is not None:
+            path.write_text(content)
         built = []
         monkeypatch.setattr(runner, "build_audit_session", built.append)
         monkeypatch.setattr(context, "build_audit_session", built.append)
         with pytest.raises(SystemExit) as exited:
             runner.main(["--scale", "tiny", "--checkpoint", str(path)])
         assert exited.value.code == 2
-        err = capsys.readouterr().err
-        assert f"--checkpoint: unreadable checkpoint {path}: " in err
-        assert message in err
+        assert f"--checkpoint: {message.format(path=path)}" in capsys.readouterr().err
         assert built == []
+        assert not (tmp_path / "missing").exists()
 
 
 class _Node:

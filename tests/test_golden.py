@@ -24,6 +24,11 @@ keys, in send order.  A codec or server change that moves one byte on
 the wire then fails even when every estimate is unchanged.  The
 second-``PYTHONHASHSEED`` subprocess checks these digests too.
 
+The in-process run is traced, since tracing changes nothing a run
+computes; ``tests/test_obs_overhead.py`` reads its trace through the
+session fixture ``traced_tiny_run`` instead of making a run of its
+own.  The subprocess run is untraced, so both modes meet the digests.
+
 Regenerate the golden files only for a change that is meant to alter
 results (or, for the wire digests, the wire format)::
 
@@ -42,10 +47,14 @@ import os
 import re
 import subprocess
 import sys
+import time
 from contextlib import contextmanager
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
+
+from repro.obs import Tracer
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -167,8 +176,26 @@ def _run_cli(args: list[str], hash_seed: str, wire: bool = False) -> str:
     return result.stdout
 
 
-def _tiny_run() -> tuple[str, dict, dict]:
-    """The rendered tiny run and the digests of its records and wire."""
+class TinyRun(NamedTuple):
+    """One traced ``--scale tiny`` run, as the golden gates read it."""
+
+    text: str
+    records: dict
+    wire: dict
+    tracer: Tracer
+    #: ``time.process_time`` seconds of the traced run and its render.
+    cpu_s: float
+
+
+def tiny_run() -> TinyRun:
+    """The rendered tiny run, the digests of its records and wire, and
+    its trace.
+
+    The run is traced so that the tracing-cost gate
+    (``tests/test_obs_overhead.py``) can share it; tracing never
+    changes what a run computes, and the second-``PYTHONHASHSEED``
+    test checks an untraced run against the same digests.
+    """
     from repro.core.audit import AuditTarget
     from repro.experiments.config import ExperimentConfig
     from repro.experiments.runner import EXPERIMENTS, run_all
@@ -206,8 +233,13 @@ def _tiny_run() -> tuple[str, dict, dict]:
         patch.setattr(AuditTarget, "audit", recording)
         for name, (title, runner) in list(EXPERIMENTS.items()):
             patch.setitem(EXPERIMENTS, name, (title, scoped(name, runner)))
-        text = run_all(ExperimentConfig.tiny()).render()
-    return text, _digest_lines(records, "audits"), digest_wire(wire)
+        tracer = Tracer("golden")
+        started = time.process_time()
+        text = run_all(ExperimentConfig.tiny(), tracer=tracer).render()
+        cpu_s = time.process_time() - started
+    return TinyRun(
+        text, _digest_lines(records, "audits"), digest_wire(wire), tracer, cpu_s
+    )
 
 
 @pytest.fixture(scope="module")
@@ -216,13 +248,8 @@ def golden() -> dict:
 
 
 @pytest.fixture(scope="module")
-def tiny_run() -> tuple[str, dict, dict]:
-    return _tiny_run()
-
-
-@pytest.fixture(scope="module")
-def tiny_digests(tiny_run) -> dict:
-    return digest_report(tiny_run[0])
+def tiny_digests(traced_tiny_run) -> dict:
+    return digest_report(traced_tiny_run.text)
 
 
 def test_golden_covers_the_whole_registry(golden):
@@ -239,12 +266,12 @@ def test_tiny_run_matches_golden_request_total(tiny_digests, golden):
     assert tiny_digests["total_api_requests"] == golden["total_api_requests"]
 
 
-def test_tiny_run_matches_golden_record_digests(tiny_run):
-    assert tiny_run[1] == json.loads(RECORDS.read_text())
+def test_tiny_run_matches_golden_record_digests(traced_tiny_run):
+    assert traced_tiny_run.records == json.loads(RECORDS.read_text())
 
 
-def test_tiny_run_matches_golden_wire_digests(tiny_run):
-    assert tiny_run[2] == json.loads(WIRE.read_text())
+def test_tiny_run_matches_golden_wire_digests(traced_tiny_run):
+    assert traced_tiny_run.wire == json.loads(WIRE.read_text())
 
 
 def test_digests_stable_under_another_hash_seed(golden):
@@ -283,8 +310,8 @@ if __name__ == "__main__":
             main(sys.argv[2:])
         print(json.dumps(digest_wire(exchanges)))
         sys.exit(0)
-    text, records, wire = _tiny_run()
+    run = tiny_run()
     golden_file = {
-        "--records": records, "--wire": wire
-    }.get(" ".join(sys.argv[1:]), digest_report(text))
+        "--records": run.records, "--wire": run.wire
+    }.get(" ".join(sys.argv[1:]), digest_report(run.text))
     print(json.dumps(golden_file, indent=2))

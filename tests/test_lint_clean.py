@@ -4,9 +4,8 @@ This is the standing correctness gate for refactors: a stray
 ``time.time()``, unseeded RNG, upward import, broad except, library
 ``print``, or whole-program violation (demographic taint reaching a
 restricted interface, a foreign exception escaping a transport
-request path, transitively reachable ambient entropy) anywhere under
-``src/`` fails this test with the rule name and ``file:line`` of the
-violation.
+request path) anywhere under ``src/`` fails this test with the rule
+name and ``file:line`` of the violation.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ SEEDED_VIOLATIONS: dict[str, tuple[dict[str, str], list[str]]] = {
                 "    return _stamp()\n"
             ),
         },
-        ["audiences.py:6:38", "audit.py:5:11", "clocky.py:5:11", "clocky.py:8:0"],
+        ["audiences.py:6:38", "audit.py:5:11", "clocky.py:5:11"],
     ),
     "determinism/unordered-iteration": (
         {
@@ -160,8 +159,8 @@ def test_every_rule_family_is_loaded():
         "obs",
         "taint",
     }
-    assert len(all_rules()) == 7
-    assert len(all_project_rules()) == 3
+    assert len(all_rules()) == 8
+    assert len(all_project_rules()) == 2
     assert sorted(SEEDED_VIOLATIONS) == sorted(
         rule.id for rule in all_rules() + all_project_rules()
     )
@@ -260,7 +259,6 @@ def test_cli_fails_on_seeded_whole_program_violations(tmp_path, capsys):
     assert code == 1
     for rule in all_project_rules():
         assert rule.id in out
-    assert "snapshot() -> _stamp()" in out
 
 
 @pytest.mark.parametrize(
@@ -308,7 +306,7 @@ def test_cli_writes_no_file(tmp_path, monkeypatch, capsys):
 @pytest.mark.skipif(shutil.which("ruff") is None, reason="ruff not installed")
 def test_ruff_clean():
     result = subprocess.run(
-        ["ruff", "check", "src", "tests", "benchmarks"],
+        ["ruff", "check", "src", "tests"],
         cwd=REPO_ROOT,
         capture_output=True,
         text=True,

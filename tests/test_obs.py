@@ -255,6 +255,10 @@ class TestTraceReport:
         cases = [
             (None, "no such file"),
             ('{"meta": {"name": "x"}}\n{"id": 0,\n', "trace.jsonl:2: not JSON"),
+            (
+                '{"meta": {"name": "x"}}\n{"id": 0}\n',
+                "trace.jsonl:2: span record without parent, name, start, end, events",
+            ),
             ("", "trace.jsonl: no meta line"),
         ]
         for content, message in cases:

@@ -6,6 +6,8 @@ query counts match with tracing off vs on -- for the plain path, under
 a chaos profile, and across a checkpointed kill/resume -- and the trace
 must also *account* for the run: one ``transport.request`` event per
 platform query, totalling exactly the transport's request counter.
+A traced run also spends the same simulated seconds on the
+transport's virtual clock as an untraced one.
 """
 
 from __future__ import annotations
@@ -40,16 +42,24 @@ def _platform_queries(suite):
     return sum(interface.query_count for interface in interfaces)
 
 
+def _fig2_run(tracer=None):
+    """A fig2 run over its own session, returned with that session."""
+    session = build_audit_session(
+        n_records=CONFIG.n_records, seed=CONFIG.seed, tracer=tracer
+    )
+    context = ExperimentContext(CONFIG, session=session)
+    return run_all(config=CONFIG, only=["fig2"], context=context), session
+
+
 @pytest.fixture(scope="module")
 def baseline():
     """Untraced fig2 run, with its session for accounting."""
-    session = build_audit_session(n_records=CONFIG.n_records, seed=CONFIG.seed)
-    context = ExperimentContext(CONFIG, session=session)
-    report = run_all(config=CONFIG, only=["fig2"], context=context)
+    report, session = _fig2_run()
     return {
         "render": report.results["fig2"].render(),
         "api_requests": report.total_api_requests,
         "platform_queries": _platform_queries(session.suite),
+        "virtual_seconds": session.transport.clock.now(),
     }
 
 
@@ -72,8 +82,11 @@ class TestSequentialDifferential:
     ):
         # The trace's counts aggregate per experiment by nesting: every
         # platform query of a fig2-only run lies under its span.
-        report, tracer = _traced_run(["fig2"])
+        tracer = Tracer("differential")
+        report, session = _fig2_run(tracer)
         assert report.results["fig2"].render() == baseline["render"]
+        assert session.transport.clock.now() == baseline["virtual_seconds"]
+        assert baseline["virtual_seconds"] > 0
 
         def requests(span):
             own = sum(name == "transport.request" for name, _t, _a in span.events)
