@@ -33,7 +33,7 @@ from __future__ import annotations
 import ast
 import builtins
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.analysis.core import ModuleContext, dotted_name
 
@@ -406,7 +406,16 @@ def _function_summary(
     local_qname: str,
     ctx: ModuleContext,
     class_name: str | None,
+    enclosing: Mapping[str, CalleeRef] | None = None,
 ) -> FunctionSummary:
+    """Summarise one function.
+
+    ``enclosing`` holds the annotated names of the function this one is
+    nested in.  A free name of a closure -- one it neither takes nor
+    assigns -- keeps its enclosing annotation, so a route handler's
+    ``codec.decode_batch(...)`` resolves through the factory's
+    ``codec: RouteCodec`` parameter.
+    """
     params = [
         a.arg
         for a in list(node.args.posonlyargs)
@@ -414,6 +423,15 @@ def _function_summary(
         + list(node.args.kwonlyargs)
     ]
     annotations: dict[str, CalleeRef] = {}
+    if enclosing:
+        bound = set(params) | {
+            sub.id
+            for sub in ast.walk(node)
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store)
+        }
+        annotations.update(
+            (name, ref) for name, ref in enclosing.items() if name not in bound
+        )
     request_path = False
     for arg in (
         list(node.args.posonlyargs)
@@ -496,16 +514,22 @@ def extract_summary(ctx: ModuleContext) -> ModuleSummary:
     summary.aliases = dict(ctx.bindings)
 
     def walk_body(
-        body: Sequence[ast.stmt], prefix: str, class_name: str | None
+        body: Sequence[ast.stmt],
+        prefix: str,
+        class_name: str | None,
+        enclosing: Mapping[str, CalleeRef] | None = None,
     ) -> None:
         for statement in body:
             if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 local_qname = f"{prefix}{statement.name}"
-                summary.functions[local_qname] = _function_summary(
-                    statement, local_qname, ctx, class_name
+                function = summary.functions[local_qname] = _function_summary(
+                    statement, local_qname, ctx, class_name, enclosing
                 )
                 walk_body(
-                    statement.body, f"{local_qname}.<locals>.", class_name
+                    statement.body,
+                    f"{local_qname}.<locals>.",
+                    class_name,
+                    function.annotations,
                 )
             elif isinstance(statement, ast.ClassDef):
                 class_qname = f"{prefix}{statement.name}"
@@ -532,11 +556,14 @@ def extract_summary(ctx: ModuleContext) -> ModuleSummary:
                 for s in statement.body:
                     if isinstance(s, (ast.FunctionDef, ast.AsyncFunctionDef)):
                         method_qname = f"{class_qname}.{s.name}"
-                        summary.functions[method_qname] = _function_summary(
-                            s, method_qname, ctx, class_qname
+                        method = summary.functions[method_qname] = (
+                            _function_summary(s, method_qname, ctx, class_qname)
                         )
                         walk_body(
-                            s.body, f"{method_qname}.<locals>.", class_qname
+                            s.body,
+                            f"{method_qname}.<locals>.",
+                            class_qname,
+                            method.annotations,
                         )
             elif isinstance(statement, (ast.If, ast.Try)):
                 walk_body(
@@ -545,6 +572,7 @@ def extract_summary(ctx: ModuleContext) -> ModuleSummary:
                     + list(getattr(statement, "finalbody", [])),
                     prefix,
                     class_name,
+                    enclosing,
                 )
             elif isinstance(statement, ast.Assign) and prefix == "":
                 # Module-level re-export aliases: NAME = imported.name

@@ -165,9 +165,6 @@ class ChaosTransport:
     ) -> None:
         self.inner.register(method, path, handler, cost=cost)
 
-    def routes(self) -> list[tuple[str, str]]:
-        return self.inner.routes()
-
     # -- fault machinery ----------------------------------------------------
 
     def _log(self, kind: str) -> None:

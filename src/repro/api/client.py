@@ -135,7 +135,9 @@ class ReachClient(ABC):
     #: matching the server-side envelope limit.
     batch_size: int = MAX_BATCH_SIZE
 
-    #: The platform's wire codec: per-item bodies and its batch envelope.
+    #: The platform's wire codec (a :class:`~repro.api.wire.RouteCodec`
+    #: class, or Google's instance): request and response bodies, a chunk
+    #: at a time, and the batch envelope.
     codec: Any = None
 
     #: Paths of the platform's estimate, batched-estimate and catalog
@@ -305,8 +307,13 @@ class ReachClient(ABC):
     # -- batched estimates --------------------------------------------------
 
     @abstractmethod
+    def _encode_items(self, specs: list[TargetingSpec]) -> list[dict[str, Any]]:
+        """Request bodies for a chunk of specs, one per spec: the codec's
+        ``encode_batch`` under this client's settings."""
+
     def _encode_item(self, spec: TargetingSpec) -> dict[str, Any]:
-        """Single-estimate request body for one spec in a batch."""
+        """Single-estimate request body: a chunk of one."""
+        return self._encode_items([spec])[0]
 
     def _decode_item(self, body: Mapping[str, Any]) -> int:
         """Estimate from one per-item response body."""
@@ -340,24 +347,33 @@ class ReachClient(ABC):
         Per-item transient failures (injected 429/5xx entries) and
         envelope truncation re-request *only* the affected items; items
         that already succeeded or failed semantically are never resent.
+        Each round encodes its pending specs in one codec call and
+        decodes the estimates of its successful entries in another; a
+        malformed success body fails the round before any item of it is
+        recorded.
         """
         pending = list(range(len(chunk)))
         rounds = 0
         while pending:
-            body = self._encode_batch([self._encode_item(chunk[i]) for i in pending])
+            body = self._encode_batch(self._encode_items([chunk[i] for i in pending]))
             response = self._call("POST", self._batch_path, body)
             entries = self._batch_entries(response, len(pending))
+            estimates = iter(
+                self.codec.decode_estimates(
+                    [result for result, error in entries if error is None]
+                )
+            )
             # A truncated envelope drops the tail: those items stay pending.
             retry = pending[len(entries):]
-            for index, (result, error) in zip(pending, entries):
-                if error is not None and error[0] in RETRYABLE_STATUSES:
+            for index, (_, error) in zip(pending, entries):
+                value: int | PlatformError
+                if error is None:
+                    value = next(estimates)
+                elif error[0] in RETRYABLE_STATUSES:
                     retry.append(index)
                     continue
-                value: int | PlatformError
-                if error is not None:
-                    value = _error_from_payload(*error)
                 else:
-                    value = self._decode_item(result)
+                    value = _error_from_payload(*error)
                 out[offset + index] = value
                 if on_result is not None:
                     on_result(offset + index, value)
@@ -440,8 +456,8 @@ class FacebookReachClient(ReachClient):
         self._batch_path = f"{prefix}/delivery_estimates"
         self._catalog_path = f"{prefix}/targeting_options"
 
-    def _encode_item(self, spec: TargetingSpec) -> dict[str, Any]:
-        return self.codec.encode_request(spec, objective=self.objective)
+    def _encode_items(self, specs: list[TargetingSpec]) -> list[dict[str, Any]]:
+        return self.codec.encode_batch(specs, objective=self.objective)
 
     def search(self, query: str) -> list[CatalogOption]:
         """Free-form attribute search (normal interface only)."""
@@ -489,9 +505,9 @@ class GoogleReachClient(ReachClient):
             self._feature_of = {o.option_id: o.feature for o in self.catalog()}
         return self._feature_of
 
-    def _encode_item(self, spec: TargetingSpec) -> dict[str, Any]:
-        return self.codec.encode_request(
-            spec,
+    def _encode_items(self, specs: list[TargetingSpec]) -> list[dict[str, Any]]:
+        return self.codec.encode_batch(
+            specs,
             feature_of=self._features(),
             frequency_cap=self.frequency_cap,
             objective=self.objective,
@@ -507,8 +523,8 @@ class LinkedInReachClient(ReachClient):
     _batch_path = "/linkedin/audience_counts"
     _catalog_path = "/linkedin/facets"
 
-    def _encode_item(self, spec: TargetingSpec) -> dict[str, Any]:
-        return self.codec.encode_request(spec)
+    def _encode_items(self, specs: list[TargetingSpec]) -> list[dict[str, Any]]:
+        return self.codec.encode_batch(specs)
 
     def demographic_option_id(self, label: str) -> str:
         """Facet id of a demographic detailed attribute by value label.

@@ -31,8 +31,10 @@ inexpressible spec never fails its batch-mates.  Every batch route
 speaks the one :class:`~repro.api.wire.BatchEnvelope` protocol, under
 the field map of its codec's ``envelope``.  A batch request is one
 :meth:`~repro.platforms.base.AdPlatformInterface.estimate_batch` call
-over the decoded items (an item that fails to decode passes through as
-its error).  A single-estimate request is
+between one :meth:`~repro.api.wire.RouteCodec.decode_batch` pass over
+its items (an item that fails to decode passes through as its error)
+and one :meth:`~repro.api.wire.RouteCodec.encode_estimates` pass over
+the estimates.  A single-estimate request is
 :meth:`~repro.platforms.base.AdPlatformInterface.estimate_reach`, a
 batch of one over the same pass, so an item gets the same estimate or
 the same error either way.  The rate limiter charges batches by size
@@ -43,13 +45,18 @@ still metered.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping, Protocol
+from typing import Any, Callable, Mapping
 
 from repro.api.obfuscation import GoogleWireCodec
 from repro.api.transport import FakeTransport, HttpRequest
-from repro.api.wire import BatchEnvelope, FacebookWireCodec, LinkedInWireCodec
+from repro.api.wire import (
+    BatchEnvelope,
+    FacebookWireCodec,
+    LinkedInWireCodec,
+    RouteCodec,
+)
 from repro.platforms import PlatformSuite
-from repro.platforms.base import AdPlatformInterface, BatchItem
+from repro.platforms.base import AdPlatformInterface
 from repro.platforms.catalog import CatalogEntry
 from repro.platforms.errors import (
     ApiError,
@@ -57,7 +64,6 @@ from repro.platforms.errors import (
     NoSizeEstimateError,
     PlatformError,
 )
-from repro.platforms.targeting import TargetingSpec
 
 __all__ = ["BATCH_ITEM_TOKEN_COST", "mount_suite_routes"]
 
@@ -112,26 +118,6 @@ def _catalog_handler(interface: AdPlatformInterface):
     return handler
 
 
-class RouteCodec(Protocol):
-    """What the estimate routes need of a platform's wire codec.
-
-    :class:`~repro.api.wire.FacebookWireCodec` and
-    :class:`~repro.api.wire.LinkedInWireCodec` answer batches under
-    :data:`~repro.api.wire.PLAIN_ENVELOPE`;
-    :class:`~repro.api.obfuscation.GoogleWireCodec` under its obfuscated
-    field map.
-    """
-
-    envelope: BatchEnvelope
-
-    def decode_item(
-        self, body: Mapping[str, Any]
-    ) -> tuple[TargetingSpec, dict[str, Any]]:
-        """A request body as ``(spec, estimate keyword arguments)``."""
-
-    def encode_response(self, estimate: int) -> dict[str, Any]: ...
-
-
 def _estimate_handler(interface: AdPlatformInterface, codec: RouteCodec):
     """Single-estimate route: one request body, one estimate."""
 
@@ -146,24 +132,27 @@ def _estimate_handler(interface: AdPlatformInterface, codec: RouteCodec):
 
 
 def _batch_handler(interface: AdPlatformInterface, codec: RouteCodec):
-    """Batch route over the codec's envelope: one platform call per request."""
+    """Batch route over the codec's envelope: one decode pass, one
+    platform call and one encode pass per request."""
     envelope = codec.envelope
 
     def handler(request: HttpRequest) -> Mapping[str, Any]:
         if request.body is None:
             raise BadRequestError("missing request body")
-        decoded: list[BatchItem] = []
-        for item in envelope.decode_request(request.body):
-            try:
-                decoded.append(codec.decode_item(item))
-            except PlatformError as exc:
-                decoded.append(exc)
+        results = interface.estimate_batch(
+            codec.decode_batch(envelope.decode_request(request.body))
+        )
+        bodies = iter(
+            codec.encode_estimates(
+                [r for r in results if not isinstance(r, PlatformError)]
+            )
+        )
         return envelope.encode_response(
             [
                 envelope.item_error(*_error_parts(result))
                 if isinstance(result, PlatformError)
-                else envelope.item_ok(codec.encode_response(result))
-                for result in interface.estimate_batch(decoded)
+                else envelope.item_ok(next(bodies))
+                for result in results
             ]
         )
 

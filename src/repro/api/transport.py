@@ -146,10 +146,6 @@ class FakeTransport:
         if cost is not None:
             self._costs[key] = cost
 
-    def routes(self) -> list[tuple[str, str]]:
-        """Registered (method, path) pairs."""
-        return sorted(self._routes)
-
     def _cost(self, key: tuple[str, str], request: HttpRequest) -> float:
         spec = self._costs.get(key)
         if spec is None:

@@ -68,10 +68,6 @@ class Table1Result:
 
     cells: dict[tuple[str, str], Table1Cell] = field(default_factory=dict)
 
-    def cell(self, population_label: str, key: str) -> Table1Cell:
-        """Cell lookup."""
-        return self.cells[(population_label, key)]
-
     def render(self) -> str:
         table = Table(
             [

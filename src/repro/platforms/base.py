@@ -178,10 +178,6 @@ class AdPlatformInterface(ABC):
         except KeyError:
             raise UnknownOptionError(option_id, self.name) from None
 
-    def option_names(self) -> dict[str, str]:
-        """Display names for every catalog option."""
-        return self.catalog.names()
-
     def study_option_ids(self) -> list[str]:
         """The default browsable option list the paper studies."""
         return self.catalog.study_ids()

@@ -189,8 +189,3 @@ class FacebookMarketingPlatform:
             restricted_interfaces=[self.restricted],
             pii_seed=seed,
         )
-
-    @property
-    def interfaces(self) -> dict[str, AdPlatformInterface]:
-        """Both interfaces, keyed by their registry keys."""
-        return {self.normal.key: self.normal, self.restricted.key: self.restricted}

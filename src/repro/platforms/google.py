@@ -224,11 +224,3 @@ class GooglePlatform:
             interfaces=[self.display, self.search_campaign],
             pii_seed=seed,
         )
-
-    @property
-    def interfaces(self) -> dict[str, AdPlatformInterface]:
-        """Both campaign interfaces, keyed by their registry keys."""
-        return {
-            self.display.key: self.display,
-            self.search_campaign.key: self.search_campaign,
-        }

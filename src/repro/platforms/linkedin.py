@@ -110,8 +110,3 @@ class LinkedInPlatform:
             interfaces=[self.interface],
             pii_seed=seed,
         )
-
-    @property
-    def interfaces(self) -> dict[str, AdPlatformInterface]:
-        """The single interface, keyed by its registry key."""
-        return {self.interface.key: self.interface}

@@ -162,8 +162,11 @@ class MembershipKernel:
     allocates nothing proportional to the records.  The demographic
     part of the logit comes from an 8-entry :func:`cell_logits` table;
     attributes without factor loadings take the sigmoid of that table
-    too and only gather probabilities.  Returned arrays are the
-    kernel's scratch and are overwritten by the next call.
+    too and only gather probabilities.  Cell codes are 0-7 by
+    construction, so the gathers use ``mode="clip"``: the same values
+    as the default ``"raise"``, without its buffered copy of ``out``.
+    Returned arrays are the kernel's scratch and are overwritten by the
+    next call.
     """
 
     def __init__(
@@ -183,7 +186,9 @@ class MembershipKernel:
 
     def logits(self, spec: AttributeSpec) -> np.ndarray:
         """Per-record membership log-odds for ``spec``."""
-        logits = np.take(cell_logits(spec), self.cells, out=self._values)
+        logits = np.take(
+            cell_logits(spec), self.cells, out=self._values, mode="clip"
+        )
         if spec.loadings:
             lam = spec.loading_vector(self.n_factors)
             logits += np.matmul(self.latents, lam, out=self._work)
@@ -193,7 +198,7 @@ class MembershipKernel:
         """Per-record Bernoulli membership probabilities for ``spec``."""
         if not spec.loadings:
             table = _sigmoid_inplace(cell_logits(spec))
-            return np.take(table, self.cells, out=self._values)
+            return np.take(table, self.cells, out=self._values, mode="clip")
         return _sigmoid_inplace(self.logits(spec), self._work, self._flags)
 
     def members(self, spec: AttributeSpec, rng: np.random.Generator) -> np.ndarray:

@@ -24,6 +24,17 @@ keys, in send order.  A codec or server change that moves one byte on
 the wire then fails even when every estimate is unchanged.  The
 second-``PYTHONHASHSEED`` subprocess checks these digests too.
 
+Beside the digests, which only detect change, a record oracle checks
+that the run's sizes are right.  Every size the audit used -- each
+value of every audit record and every ``AuditTarget.measure`` result,
+which covers ``intersection_size`` and the base sizes -- is recorded as
+(interface, spec, slice, reported size) and recomputed from the
+population's own bitsets: the option vectors and the slice's
+demographic vectors are ANDed as raw words, popcounted with numpy, and
+only the interface's value hook and ``RoundingPolicy.round`` are
+applied.  The oracle uses no client, codec, transport, route, memo,
+``prime_counts`` or audit cache.
+
 The in-process run is traced, since tracing changes nothing a run
 computes; ``tests/test_obs_overhead.py`` reads its trace through the
 session fixture ``traced_tiny_run`` instead of making a run of its
@@ -52,9 +63,12 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import NamedTuple
 
+import numpy as np
 import pytest
 
 from repro.obs import Tracer
+from repro.platforms.google import MOST_RESTRICTIVE_CAP
+from repro.platforms.targeting import TargetingSpec
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -185,6 +199,13 @@ class TinyRun(NamedTuple):
     tracer: Tracer
     #: ``time.process_time`` seconds of the traced run and its render.
     cpu_s: float
+    #: Every size the audit used: ``(experiment, interface key, spec,
+    #: sensitive value or None, exclude, reported size)``.
+    sizes: list
+    #: Audit records whose sizes are in :attr:`sizes`, per experiment.
+    audited: dict
+    #: The run's platform suite, for the oracle.
+    suite: object
 
 
 def tiny_run() -> TinyRun:
@@ -198,32 +219,57 @@ def tiny_run() -> TinyRun:
     """
     from repro.core.audit import AuditTarget
     from repro.experiments.config import ExperimentConfig
+    from repro.experiments.context import ExperimentContext
     from repro.experiments.runner import EXPERIMENTS, run_all
 
     audit_many, audit = AuditTarget.audit_many, AuditTarget.audit
+    measure, context_init = AuditTarget.measure, ExperimentContext.__init__
     records: dict[str, list[str]] = {}
+    sizes: list[tuple] = []
+    audited: dict[str, int] = {}
+    contexts: list[ExperimentContext] = []
     current = ""
 
-    def record(audits):
+    def record(target, audits):
         records[current].extend(
             json.dumps(audit_to_json(a), sort_keys=True) for a in audits
         )
+        key = target.measure_client.interface_key
+        everyone = TargetingSpec.everyone()
+        for a in audits:
+            spec = TargetingSpec.of(*a.options)
+            sizes.extend((current, key, spec, v, False, n) for v, n in a.sizes.items())
+            sizes.extend(
+                (current, key, everyone, v, False, n) for v, n in a.bases.items()
+            )
+        audited[current] += len(audits)
 
     def recording_many(self, *args, **kwargs):
         made = audit_many(self, *args, **kwargs)
-        record(made.audits)
+        record(self, made.audits)
         return made
 
     def recording(self, *args, **kwargs):
         made = audit(self, *args, **kwargs)
-        record([made])
+        record(self, [made])
         return made
+
+    def measuring(self, spec, value=None, exclude=False):
+        size = measure(self, spec, value, exclude)
+        key = self.measure_client.interface_key
+        sizes.append((current, key, spec, value, exclude, size))
+        return size
+
+    def capturing(self, *args, **kwargs):
+        context_init(self, *args, **kwargs)
+        contexts.append(self)
 
     def scoped(name, runner):
         def run(ctx):
             nonlocal current
             current = name
             records[name] = []
+            audited[name] = 0
             return runner(ctx)
 
         return run
@@ -231,15 +277,82 @@ def tiny_run() -> TinyRun:
     with pytest.MonkeyPatch.context() as patch, recording_wire() as wire:
         patch.setattr(AuditTarget, "audit_many", recording_many)
         patch.setattr(AuditTarget, "audit", recording)
+        patch.setattr(AuditTarget, "measure", measuring)
+        patch.setattr(ExperimentContext, "__init__", capturing)
         for name, (title, runner) in list(EXPERIMENTS.items()):
             patch.setitem(EXPERIMENTS, name, (title, scoped(name, runner)))
         tracer = Tracer("golden")
         started = time.process_time()
         text = run_all(ExperimentConfig.tiny(), tracer=tracer).render()
         cpu_s = time.process_time() - started
+    (context,) = contexts
     return TinyRun(
-        text, _digest_lines(records, "audits"), digest_wire(wire), tracer, cpu_s
+        text,
+        _digest_lines(records, "audits"),
+        digest_wire(wire),
+        tracer,
+        cpu_s,
+        sizes,
+        audited,
+        context.session.suite,
     )
+
+
+class BitsetOracle:
+    """Reported sizes recomputed from a suite's population bitsets.
+
+    Uses only each interface's population index, catalog, registered
+    audiences (as ``AudienceService`` holds them), value hook and
+    rounding policy.  The audit's estimate options are the clients':
+    Google's most restrictive frequency cap; Facebook's objective does
+    not move its user counts.
+    """
+
+    def __init__(self, suite):
+        self.suite = suite
+        self._platforms = {
+            "facebook": suite.facebook,
+            "facebook_restricted": suite.facebook,
+            "google": suite.google,
+            "linkedin": suite.linkedin,
+        }
+        self._options = {"google": {"frequency_cap": MOST_RESTRICTIVE_CAP}}
+
+    def _words(self, key: str, option_id: str) -> np.ndarray:
+        interface = self.suite.interfaces[key]
+        if option_id.startswith("audience:"):
+            return self._platforms[key].audiences.get(option_id).members.words
+        index = interface.population.index
+        demographic = interface.catalog.get(option_id).demographic_value
+        if demographic is not None:  # LinkedIn's gender and age facets
+            return index.demographic(demographic).words
+        return index.attribute(option_id).words
+
+    @staticmethod
+    def _any_of(index, values) -> np.ndarray:
+        return np.bitwise_or.reduce([index.demographic(v).words for v in values])
+
+    def size(self, key: str, spec: TargetingSpec, value, exclude: bool) -> int:
+        interface = self.suite.interfaces[key]
+        index = interface.population.index
+        audience = index.everyone.words.copy()
+        for clause in spec.clauses:
+            audience &= np.bitwise_or.reduce(
+                [self._words(key, option) for option in clause]
+            )
+        for option in spec.exclusions:
+            audience &= ~self._words(key, option)
+        for values in (spec.genders, spec.age_ranges):
+            if values is not None:
+                audience &= self._any_of(index, values)
+        if value is not None:
+            values = [value]
+            if exclude:
+                values = [v for v in type(value) if v is not value]
+            audience &= self._any_of(index, values)
+        users = int(np.bitwise_count(audience).sum()) * interface.population.scale
+        reported = interface._reported_value(users, **self._options.get(key, {}))
+        return interface.rounding.round(reported)
 
 
 @pytest.fixture(scope="module")
@@ -272,6 +385,29 @@ def test_tiny_run_matches_golden_record_digests(traced_tiny_run):
 
 def test_tiny_run_matches_golden_wire_digests(traced_tiny_run):
     assert traced_tiny_run.wire == json.loads(WIRE.read_text())
+
+
+def test_every_recorded_size_matches_the_bitset_oracle(traced_tiny_run):
+    """Each size the tiny run used is the one its population implies."""
+    oracle = BitsetOracle(traced_tiny_run.suite)
+    expected: dict[tuple, int] = {}
+    wrong = []
+    for experiment, key, spec, value, exclude, size in traced_tiny_run.sizes:
+        # Gender and AgeRange are IntEnums that compare equal across
+        # types, so the slot carries the value's type.
+        slot = (key, spec, type(value), value, exclude)
+        if slot not in expected:
+            expected[slot] = oracle.size(key, spec, value, exclude)
+        if size != expected[slot]:
+            wrong.append((experiment, *slot, size, expected[slot]))
+    assert not wrong, f"{len(wrong)} sizes differ, first: {wrong[:3]}"
+    counts = {
+        name: digest["audits"]
+        for name, digest in json.loads(RECORDS.read_text()).items()
+    }
+    assert traced_tiny_run.audited == counts
+    # table1 makes no audit record; its intersections reach the oracle.
+    assert any(experiment == "table1" for experiment, *_ in traced_tiny_run.sizes)
 
 
 def test_digests_stable_under_another_hash_seed(golden):

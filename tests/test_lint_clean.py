@@ -92,9 +92,32 @@ SEEDED_VIOLATIONS: dict[str, tuple[dict[str, str], list[str]]] = {
                 "\n"
                 "def handler(request):\n"
                 "    return _explode()\n"
-            )
+                "\n"
+                "\n"
+                "class RouteCodec:\n"
+                "    def decode_batch(self, items):\n"
+                "        return list(items)\n"
+                "\n"
+                "\n"
+                "class GoogleWireCodec(RouteCodec):\n"
+                "    def decode_batch(self, items):\n"
+                '        raise KeyError("7")\n'
+            ),
+            # A route-handler closure reaches the codec through the
+            # factory's annotated parameter, and virtual dispatch
+            # reaches the subclass's batch decoder.
+            "repro/api/routes.py": (
+                "from repro.api.wire import RouteCodec\n"
+                "\n"
+                "\n"
+                "def _batch_handler(codec: RouteCodec):\n"
+                "    def handler(request):\n"
+                "        return codec.decode_batch(request.body)\n"
+                "\n"
+                "    return handler\n"
+            ),
         },
-        ["wire.py:2:4"],
+        ["wire.py:16:8", "wire.py:2:4"],
     ),
     "layering/reporting-internals": (
         {"repro/experiments/fig.py": "from repro.reporting.text import render\n"},
