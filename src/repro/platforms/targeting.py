@@ -20,7 +20,14 @@ from typing import Iterable, Mapping, Sequence
 
 from repro.population.demographics import AgeRange, Gender
 
-__all__ = ["CLAUSE_CACHE_LIMIT", "Clause", "TargetingSpec", "spec_intersection"]
+__all__ = [
+    "CLAUSE_CACHE_LIMIT",
+    "Clause",
+    "Restriction",
+    "TargetingSpec",
+    "restricted",
+    "spec_intersection",
+]
 
 # Single-value demographic frozensets, interned: audits build one
 # demographic slice per (composition, value) pair, so these tiny sets
@@ -33,6 +40,8 @@ _SINGLE_AGE = {a: frozenset({a}) for a in AgeRange}
 #: option groups, far below this; the bound only stops an adversarial
 #: stream of fresh ids from growing a table without limit.
 CLAUSE_CACHE_LIMIT = 65536
+
+_NO_EXCLUSIONS: frozenset[str] = frozenset()
 
 # One-option clauses, interned by option id (see :meth:`Clause.single`).
 _SINGLE_CLAUSES: dict[str, "Clause"] = {}
@@ -192,8 +201,9 @@ class TargetingSpec(tuple):
     @classmethod
     def of(cls, *option_ids: str, country: str = "US") -> "TargetingSpec":
         """Logical-and of single options (each its own clause)."""
-        return cls(
-            country=country, clauses=tuple([Clause.single(o) for o in option_ids])
+        return cls._of(
+            country, None, None, tuple([Clause.single(o) for o in option_ids]),
+            _NO_EXCLUSIONS,
         )
 
     @classmethod
@@ -202,6 +212,26 @@ class TargetingSpec(tuple):
     ) -> "TargetingSpec":
         """Conjunction of disjunction groups."""
         return cls(country=country, clauses=tuple(Clause(g) for g in groups))
+
+    @classmethod
+    def _of(
+        cls,
+        country: str,
+        genders: frozenset[Gender] | None,
+        age_ranges: frozenset[AgeRange] | None,
+        clauses: tuple[Clause, ...],
+        exclusions: frozenset[str],
+    ) -> "TargetingSpec":
+        """A spec from already-checked fields.
+
+        Server-side codecs build every field from their decode tables
+        and check it themselves (a non-empty demographic set, a clause
+        tuple, an exclusion frozenset), and :meth:`of` gets its clauses
+        from :meth:`Clause.single`, which checks each id; re-running
+        ``__new__``'s conversions per decoded batch item or audited
+        composition would only repeat that.
+        """
+        return _new_spec(cls, (country, genders, age_ranges, clauses, exclusions))
 
     # -- refinement --------------------------------------------------------
     #
@@ -301,6 +331,39 @@ class TargetingSpec(tuple):
         for opt in sorted(self.exclusions):
             parts.append(f"NOT {name_of(opt)}")
         return " AND ".join(parts)
+
+
+#: One demographic slice, however a platform expresses it: the gender
+#: set and the age set the spec is restricted to (``None`` keeps the
+#: spec's own) and the facet clauses ANDed onto its rule.
+Restriction = tuple[
+    frozenset[Gender] | None, frozenset[AgeRange] | None, tuple[Clause, ...]
+]
+
+
+def restricted(
+    specs: Sequence[TargetingSpec], restrictions: Sequence[Restriction]
+) -> list[TargetingSpec]:
+    """Every spec under every restriction, row-major.
+
+    An audit sizes each composition under each demographic slice, a
+    grid of hundreds of thousands of specs per experiment; each is
+    built in one pass straight from already-checked fields.
+    """
+    return [
+        _new_spec(
+            TargetingSpec,
+            (
+                country,
+                genders if only_genders is None else only_genders,
+                ages if only_ages is None else only_ages,
+                clauses + facets,
+                exclusions,
+            ),
+        )
+        for country, genders, ages, clauses, exclusions in specs
+        for only_genders, only_ages, facets in restrictions
+    ]
 
 
 def spec_intersection(*specs: TargetingSpec) -> TargetingSpec:
