@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import Gender, SENSITIVE_ATTRIBUTES, build_audit_session
+from repro import build_audit_session
 from repro.core.metrics import violates_four_fifths
 from repro.platforms.audiences import TrackingPixel
+from repro.population.demographics import SENSITIVE_ATTRIBUTES, Gender
 from repro.reporting import Table, format_count, format_ratio
 
 GENDER = SENSITIVE_ATTRIBUTES["gender"]

@@ -12,7 +12,8 @@ Run:
 
 from __future__ import annotations
 
-from repro import Gender, SENSITIVE_ATTRIBUTES, build_audit_session
+from repro import build_audit_session
+from repro.population.demographics import SENSITIVE_ATTRIBUTES, Gender
 
 GENDER = SENSITIVE_ATTRIBUTES["gender"]
 

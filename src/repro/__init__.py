@@ -14,6 +14,12 @@ The package has three layers:
 * :mod:`repro.experiments` + :mod:`repro.reporting` -- drivers that
   regenerate every figure and table in the paper's evaluation.
 
+This facade holds only :func:`build_audit_session` and the
+:class:`AuditSession` it returns.  It imports the stack when a session
+is built, so the self-contained :mod:`repro.analysis` and
+:mod:`repro.obs` load neither numpy nor the simulator.  Everything else
+is imported from the module that defines it.
+
 Quickstart::
 
     from repro import build_audit_session
@@ -28,56 +34,18 @@ Quickstart::
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.api import (
-    FAULT_PROFILES,
-    ChaosTransport,
-    FakeTransport,
-    FaultProfile,
-    VirtualClock,
-    build_clients,
-    mount_suite_routes,
-)
-from repro.api.client import ReachClient
-from repro.core import AuditTarget, build_audit_targets
-from repro.platforms import (
-    PlatformSuite,
-    RoundingPolicy,
-    TargetingSpec,
-    build_platform_suite,
-)
-from repro.population.demographics import (
-    AGE_RANGES,
-    GENDERS,
-    SENSITIVE_ATTRIBUTES,
-    AgeRange,
-    Gender,
-    SensitiveAttribute,
-)
-from repro.population.model import LatentFactorModel, default_model
+if TYPE_CHECKING:
+    from repro.api import ChaosTransport, FakeTransport, FaultProfile
+    from repro.api.client import ReachClient
+    from repro.core import AuditTarget
+    from repro.platforms import PlatformSuite, RoundingPolicy
+    from repro.population.model import LatentFactorModel
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AGE_RANGES",
-    "AuditSession",
-    "AuditTarget",
-    "AgeRange",
-    "ChaosTransport",
-    "FAULT_PROFILES",
-    "FaultProfile",
-    "GENDERS",
-    "Gender",
-    "LatentFactorModel",
-    "PlatformSuite",
-    "SENSITIVE_ATTRIBUTES",
-    "SensitiveAttribute",
-    "TargetingSpec",
-    "__version__",
-    "build_audit_session",
-    "build_platform_suite",
-    "default_model",
-]
+__all__ = ["AuditSession", "__version__", "build_audit_session"]
 
 
 @dataclass
@@ -90,7 +58,7 @@ class AuditSession:
     """
 
     suite: PlatformSuite
-    #: The transport the clients talk to; a :class:`ChaosTransport`
+    #: The transport the clients talk to; a :class:`~repro.api.ChaosTransport`
     #: when the session was built with fault injection.
     transport: FakeTransport | ChaosTransport
     clients: dict[str, ReachClient]
@@ -141,9 +109,10 @@ def build_audit_session(
         limiting, which is the right default for batch experiments on
         the virtual clock.
     chaos:
-        Optional fault injection: a :class:`FaultProfile` or the name
-        of one of :data:`FAULT_PROFILES` (e.g. ``"storm"``).  The
-        transport is wrapped in a :class:`ChaosTransport`; the clients'
+        Optional fault injection: a :class:`~repro.api.FaultProfile` or
+        the name of one of :data:`~repro.api.FAULT_PROFILES` (e.g.
+        ``"storm"``).  The transport is wrapped in a
+        :class:`~repro.api.ChaosTransport`; the clients'
         resilience layer absorbs the faults, so audit records stay
         bit-identical to a fault-free session.
     chaos_seed:
@@ -155,6 +124,21 @@ def build_audit_session(
         and audit targets pick it up.  The default is the no-op
         singleton; enabling it never changes what a session computes.
     """
+    # Imported here, not at module level, so that importing a ``repro``
+    # subpackage (the analyzer, the trace tools) does not load the
+    # simulator and numpy.  ``build_platform_suite`` is looked up in
+    # ``repro.platforms`` at each call.
+    from repro.api import (
+        FAULT_PROFILES,
+        ChaosTransport,
+        FakeTransport,
+        VirtualClock,
+        build_clients,
+        mount_suite_routes,
+    )
+    from repro.core import build_audit_targets
+    from repro.platforms import build_platform_suite
+
     suite = build_platform_suite(
         n_records=n_records,
         seed=seed,

@@ -23,9 +23,14 @@ graph (:mod:`repro.analysis.graph`) with fixpoint dataflow summaries
 * ``errors/transport-escape`` -- only ``platforms.errors`` types can
   escape transport request paths, proven interprocedurally.
 
-Every entry point runs one pipeline: a per-file pass (parse, module
-rules, summary) over each file, then one link of the whole program
-and the project rules.  Run it as ``repro-lint src`` (or ``python -m
+Every entry point runs one pipeline: a per-file pass over each file,
+then one link of the whole program and the project rules.  The
+per-file pass parses the file once and walks it once into a node
+index that the module rules share, tokenizes it for suppression
+directives only when it mentions ``repro-lint:``, and extracts the
+file's summary.  The package imports nothing from the simulator, so
+importing it loads neither numpy nor ``repro.{population, platforms,
+api, core}``.  Run it as ``repro-lint src`` (or ``python -m
 repro.analysis src``), or import :func:`analyze_paths` /
 :func:`analyze_source` directly; ``tests/test_lint_clean.py`` gates
 tier-1 on a clean tree.  A ``# repro-lint: disable=<rule>`` comment is

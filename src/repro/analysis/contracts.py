@@ -76,9 +76,7 @@ def _broad_names(handler_type: ast.AST | None) -> Iterator[str]:
 def check_broad_except(ctx: ModuleContext) -> Iterator[Finding]:
     if not ctx.module.startswith("repro"):
         return
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.ExceptHandler):
-            continue
+    for node in ctx.nodes(ast.ExceptHandler):
         for shown in _broad_names(node.type):
             yield ctx.finding(
                 "errors/broad-except",
@@ -106,10 +104,9 @@ def check_print(ctx: ModuleContext) -> Iterator[Finding]:
         PRINT_ALLOWED_PREFIXES
     ):
         return
-    for node in ast.walk(ctx.tree):
+    for node in ctx.nodes(ast.Call):
         if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
+            isinstance(node.func, ast.Name)
             and node.func.id == "print"
             and "print" not in ctx.bindings
         ):

@@ -5,9 +5,12 @@ across chaos profiles, resumable checkpoints, reproducible figures --
 rests on conventions (seeded RNGs, the virtual clock, typed transport
 errors, a one-directional package DAG) that plain tests cannot see
 being eroded.  This module is the enforcement substrate: it parses
-each source file once, builds a :class:`ModuleContext` (AST, resolved
-import bindings, suppression directives), and runs every registered
-:class:`Rule` over it, collecting :class:`Finding` records.
+each source file once, walks the tree once into a :class:`ModuleContext`
+(AST, nodes grouped by type, import statements, resolved import
+bindings, suppression directives), and runs every registered
+:class:`Rule` over it, collecting :class:`Finding` records.  Rules
+read the context's node index rather than walking the tree again, and
+only a file that mentions ``repro-lint:`` is tokenized for directives.
 
 The rule set is pluggable: rules register themselves via the
 :func:`rule` decorator and live in sibling modules grouped by family
@@ -17,8 +20,10 @@ The rule set is pluggable: rules register themselves via the
 that line, or on a line of its own to silence the whole file.
 
 This package is deliberately an island: it imports nothing from the
-rest of :mod:`repro` (and the layering rules keep it that way), so it
-can lint the tree it lives in without importing it.
+rest of :mod:`repro` (and the layering rules keep it that way), and
+the ``repro`` facade it loads imports no layer at import time, so it
+can lint the tree it lives in without importing it, even a tree that
+does not parse (``tests/test_lint_clean.py`` checks both).
 """
 
 from __future__ import annotations
@@ -185,38 +190,51 @@ def all_project_rules() -> tuple[ProjectRule, ...]:
 # -- import resolution ----------------------------------------------------
 
 
+#: An import statement, as :attr:`ModuleContext.imports` lists them.
+ImportNode = ast.Import | ast.ImportFrom
+
+
+def import_base(node: ast.ImportFrom, module: str, is_package: bool) -> str:
+    """Absolute module a ``from ... import`` statement imports from.
+
+    Relative imports are resolved against ``module`` (the importing
+    module's dotted name), so layer checks see absolute targets.
+    """
+    base = node.module or ""
+    if not node.level:
+        return base
+    package_parts = module.split(".") if module else []
+    if not is_package and package_parts:
+        package_parts = package_parts[:-1]
+    anchor = package_parts[: len(package_parts) - (node.level - 1)]
+    return ".".join(anchor + ([base] if base else []))
+
+
 def _collect_bindings(
-    tree: ast.Module, module: str, is_package: bool
+    imports: Sequence[ImportNode], module: str, is_package: bool
 ) -> dict[str, str]:
     """Map local names to the dotted names their imports bound.
 
     ``import numpy as np`` binds ``np -> numpy``; ``from time import
-    time`` binds ``time -> time.time``.  Relative imports are resolved
-    against ``module`` so layer checks see absolute targets.  Function-
-    and class-level imports are included: shadowing between scopes is
-    rare enough in this codebase that a flat map keeps resolution
-    simple without measurable false positives.
+    time`` binds ``time -> time.time``.  Function- and class-level
+    imports are included: shadowing between scopes is rare enough in
+    this codebase that a flat map keeps resolution simple without
+    measurable false positives.
     """
-    package_parts = module.split(".") if module else []
-    if not is_package and package_parts:
-        package_parts = package_parts[:-1]
     bindings: dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
+    for node in imports:
+        if type(node) is ast.Import:
             for alias in node.names:
                 local = alias.asname or alias.name.partition(".")[0]
                 target = alias.name if alias.asname else alias.name.partition(".")[0]
                 bindings[local] = target
-        elif isinstance(node, ast.ImportFrom):
-            base = node.module or ""
-            if node.level:
-                anchor = package_parts[: len(package_parts) - (node.level - 1)]
-                base = ".".join(anchor + ([base] if base else []))
-            for alias in node.names:
-                if alias.name == "*":
-                    continue
-                local = alias.asname or alias.name
-                bindings[local] = f"{base}.{alias.name}" if base else alias.name
+            continue
+        base = import_base(node, module, is_package)
+        for alias in node.names:
+            if alias.name == "*":
+                continue
+            local = alias.asname or alias.name
+            bindings[local] = f"{base}.{alias.name}" if base else alias.name
     return bindings
 
 
@@ -278,10 +296,14 @@ def _parse_directives(
     the whole file.  Tokenizing (rather than regex over lines) keeps
     directive-looking text inside string literals inert and lets
     logical-line extents come from NEWLINE/NL tokens instead of
-    bracket-counting heuristics.
+    bracket-counting heuristics.  A source without the
+    :data:`DIRECTIVE` text cannot hold a directive, so it is not
+    tokenized at all.
     """
     per_line: dict[int, set[str]] = {}
     file_wide: set[str] = set()
+    if DIRECTIVE not in source:
+        return per_line, file_wide
     try:
         tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
     except (tokenize.TokenError, IndentationError, SyntaxError):
@@ -330,17 +352,43 @@ def _parse_directives(
 # -- module context -------------------------------------------------------
 
 
+def _index(tree: ast.Module) -> tuple[dict[type, list[ast.AST]], list[ImportNode]]:
+    """One ``ast.walk`` of ``tree``: its nodes by exact type, and its
+    ``Import``/``ImportFrom`` statements, both in walk order."""
+    by_type: dict[type, list[ast.AST]] = {}
+    imports: list[ImportNode] = []
+    for node in ast.walk(tree):
+        kind = type(node)
+        by_type.setdefault(kind, []).append(node)
+        if kind is ast.Import or kind is ast.ImportFrom:
+            imports.append(node)
+    return by_type, imports
+
+
 @dataclass
 class ModuleContext:
-    """Everything a rule needs to check one parsed module."""
+    """Everything a rule needs to check one parsed module.
+
+    The tree is walked once, when the context is built; rules that
+    look at one node type read :meth:`nodes` or :attr:`imports`
+    instead of walking it again.
+    """
 
     path: str
     module: str
     is_package: bool
     tree: ast.Module
+    #: Every node of ``tree`` grouped by exact type, in ``ast.walk`` order.
+    by_type: Mapping[type, list[ast.AST]]
+    #: The ``Import``/``ImportFrom`` statements, in ``ast.walk`` order.
+    imports: Sequence[ImportNode]
     bindings: Mapping[str, str]
     line_suppressions: Mapping[int, set[str]]
     file_suppressions: frozenset[str]
+
+    def nodes(self, kind: type) -> list[ast.AST]:
+        """The nodes of exactly type ``kind``, in ``ast.walk`` order."""
+        return self.by_type.get(kind, [])
 
     def resolve(self, node: ast.AST) -> str | None:
         """Dotted name an expression refers to, or ``None``."""
@@ -420,15 +468,22 @@ def build_context(
     module: str = "",
     is_package: bool = False,
 ) -> ModuleContext:
-    """Parse one source string into a :class:`ModuleContext`."""
+    """Parse one source string into a :class:`ModuleContext`.
+
+    The one parse and the one walk of the file; the directive scan
+    tokenizes only a source that mentions :data:`DIRECTIVE`.
+    """
     tree = ast.parse(source, filename=path)
+    by_type, imports = _index(tree)
     per_line, file_wide = _parse_directives(source)
     return ModuleContext(
         path=path,
         module=module,
         is_package=is_package,
         tree=tree,
-        bindings=_collect_bindings(tree, module, is_package),
+        by_type=by_type,
+        imports=imports,
+        bindings=_collect_bindings(imports, module, is_package),
         line_suppressions=per_line,
         file_suppressions=frozenset(file_wide),
     )

@@ -160,16 +160,22 @@ def ambient_source(
     "salted hash() seed), flagged at the call",
 )
 def check_ambient(ctx: ModuleContext) -> Iterator[Finding]:
-    stack: list[tuple[ast.AST, bool]] = [(ctx.tree, False)]
-    while stack:
-        node, in_seed = stack.pop()
-        if isinstance(node, ast.Call):
-            name = ctx.resolve(node.func)
-            remedy = ambient_source(ctx, node, name, in_seed)
-            if remedy is not None:
-                yield ctx.finding(AMBIENT, node, remedy)
-            in_seed = in_seed or name in _SEED_CONSUMERS
-        stack.extend((child, in_seed) for child in ast.iter_child_nodes(node))
+    calls = ctx.nodes(ast.Call)
+    names = [ctx.resolve(call.func) for call in calls]
+    # A call is in a seed when a strict ancestor call is an RNG
+    # constructor: mark the calls under the few constructors.
+    in_seed: set[int] = set()
+    for call, name in zip(calls, names):
+        if name in _SEED_CONSUMERS:
+            in_seed.update(
+                id(node)
+                for node in ast.walk(call)
+                if type(node) is ast.Call and node is not call
+            )
+    for call, name in zip(calls, names):
+        remedy = ambient_source(ctx, call, name, id(call) in in_seed)
+        if remedy is not None:
+            yield ctx.finding(AMBIENT, call, remedy)
 
 
 # -- unordered iteration --------------------------------------------------

@@ -17,8 +17,8 @@ stages, the first per file and the second over the whole program:
 2. **Linking** (:class:`Project`): summaries from every file are
    joined into a global symbol table.  Aliases are followed through
    re-exports (``from repro.core.audit import AuditTarget`` in the
-   ``repro`` facade makes ``repro.AuditTarget`` resolve to the real
-   class), constructor calls resolve to ``__init__``, ``self.m()``
+   ``repro.core`` package makes ``repro.core.AuditTarget`` resolve to
+   the real class), constructor calls resolve to ``__init__``, ``self.m()``
    resolves through the MRO *and* fans out to subclass overrides
    (platform interfaces dispatch virtually), and
    ``functools.partial(f, ...)`` contributes an edge to ``f``.

@@ -16,7 +16,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.core import Finding, ModuleContext, rule
+from repro.analysis.core import Finding, ModuleContext, import_base, rule
 
 __all__ = ["LAYERS", "FACADE_RANK", "ISLANDS"]
 
@@ -31,8 +31,8 @@ LAYERS = {
     "experiments": 5,
 }
 
-#: Importing the ``repro`` facade pulls in everything up to ``core``,
-#: so it behaves like a core-ranked import.
+#: The ``repro`` facade's ``build_audit_session`` assembles everything
+#: up to ``core``, so importing it behaves like a core-ranked import.
 FACADE_RANK = LAYERS["core"]
 
 #: Self-contained packages: they import nothing from the rest of
@@ -53,20 +53,14 @@ def _own_package(module: str) -> str | None:
 
 def _import_targets(ctx: ModuleContext) -> Iterator[tuple[ast.stmt, str]]:
     """(node, absolute imported module) pairs for every import."""
-    package_parts = ctx.module.split(".") if ctx.module else []
-    if not ctx.is_package and package_parts:
-        package_parts = package_parts[:-1]
-    for node in ast.walk(ctx.tree):
-        if isinstance(node, ast.Import):
+    for node in ctx.imports:
+        if type(node) is ast.Import:
             for alias in node.names:
                 yield node, alias.name
-        elif isinstance(node, ast.ImportFrom):
-            base = node.module or ""
-            if node.level:
-                anchor = package_parts[: len(package_parts) - (node.level - 1)]
-                base = ".".join(anchor + ([base] if base else []))
-            if base:
-                yield node, base
+            continue
+        base = import_base(node, ctx.module, ctx.is_package)
+        if base:
+            yield node, base
 
 
 @rule(

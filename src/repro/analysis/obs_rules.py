@@ -48,9 +48,7 @@ def check_ambient_instrumentation(ctx: ModuleContext) -> Iterator[Finding]:
         return
     if _in_obs_package(ctx.module):
         return
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.Call):
-            continue
+    for node in ctx.nodes(ast.Call):
         name = ctx.resolve(node.func)
         if name not in OBS_CONSTRUCTORS:
             continue

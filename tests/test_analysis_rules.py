@@ -8,7 +8,10 @@ uses.  The seeded-RNG cases include the keyword-argument guard:
 
 from __future__ import annotations
 
+import ast
 import textwrap
+import tokenize
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +25,9 @@ from repro.analysis import (
     module_name_for,
     register,
 )
+from repro.analysis.core import _parse_directives, build_context
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def lint(
@@ -229,6 +235,18 @@ def test_salted_hash_in_seed_positive():
     assert rule_ids(findings) == [AMBIENT] * 6
     assert [f.line for f in findings] == [8, 9, 10, 11, 12, 13]
     assert all("zlib.crc32" in f.message for f in findings)
+
+
+def test_salted_hash_two_calls_deep_in_a_seed_positive():
+    findings, _ = ambient(
+        """
+        import numpy as np
+
+        def stream(f, x):
+            return np.random.default_rng(f(hash(x)))
+        """
+    )
+    assert [(f.rule, f.line, f.col) for f in findings] == [(AMBIENT, 5, 35)]
 
 
 def test_salted_hash_in_seed_negative():
@@ -749,6 +767,32 @@ def test_directive_inside_string_literal_is_inert():
         """
     )
     assert rule_ids(findings) == [AMBIENT]
+
+
+def test_source_without_directive_is_not_tokenized(monkeypatch):
+    def refuse(readline):
+        raise AssertionError("tokenized a source without a directive")
+
+    monkeypatch.setattr(tokenize, "generate_tokens", refuse)
+    assert _parse_directives("import time\n\nstamp = time.time()  # note\n") == (
+        {},
+        set(),
+    )
+
+
+@pytest.mark.parametrize(
+    "path", sorted(SRC.rglob("*.py")), ids=lambda p: p.relative_to(SRC).as_posix()
+)
+def test_node_index_is_one_walk_of_the_tree(path):
+    """Each type bucket and the import list are ``ast.walk``'s nodes, in order."""
+    ctx = build_context(path.read_text(encoding="utf-8"), path=str(path))
+    walked = list(ast.walk(ctx.tree))
+    assert sum(len(nodes) for nodes in ctx.by_type.values()) == len(walked)
+    for kind in {type(node) for node in walked}:
+        assert ctx.nodes(kind) == [node for node in walked if type(node) is kind]
+    assert list(ctx.imports) == [
+        node for node in walked if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
 
 
 def test_family_and_all_selectors():

@@ -11,8 +11,10 @@ name and ``file:line`` of the violation.
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -324,6 +326,65 @@ def test_cli_writes_no_file(tmp_path, monkeypatch, capsys):
     assert main(["audit.py", "--format", "json"]) == 0
     assert sorted(path.name for path in tmp_path.iterdir()) == ["audit.py"]
     capsys.readouterr()
+
+
+def _run_python(args: list[str], cwd: Path, src: Path) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, *args],
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+def test_cli_lints_a_tree_it_cannot_import(tmp_path):
+    """The analyzer runs from a tree whose simulator does not parse.
+
+    Importing ``repro.analysis`` loads the ``repro`` facade, so a
+    facade that imported the simulator would die on the broken module
+    before linting anything.
+    """
+    src = tmp_path / "src"
+    shutil.copytree(
+        REPO_ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__")
+    )
+    wire = src / "repro" / "api" / "wire.py"
+    wire.write_text(
+        wire.read_text(encoding="utf-8") + "\n\ndef broken(:\n    pass\n",
+        encoding="utf-8",
+    )
+    result = _run_python(
+        ["-m", "repro.analysis", "--format", "json", "src"], tmp_path, src
+    )
+    assert result.returncode == 1, result.stderr
+    assert "Traceback" not in result.stderr, result.stderr
+    errors = json.loads(result.stdout)["parse_errors"]
+    assert len(errors) == 1, errors
+    assert errors[0].startswith("src/repro/api/wire.py: invalid syntax"), errors
+
+
+def test_analysis_and_obs_do_not_import_the_simulator():
+    """``repro.analysis`` and ``repro.obs`` stay islands at run time."""
+    result = _run_python(
+        [
+            "-c",
+            "import json, sys, repro.analysis, repro.obs.report; "
+            "print(json.dumps(sorted(sys.modules)))",
+        ],
+        REPO_ROOT,
+        REPO_ROOT / "src",
+    )
+    assert result.returncode == 0, result.stderr
+    loaded = json.loads(result.stdout)
+    heavy = ("numpy", "repro.api", "repro.platforms", "repro.population", "repro.core")
+    offenders = [
+        name
+        for name in loaded
+        if any(name == top or name.startswith(top + ".") for top in heavy)
+    ]
+    assert offenders == []
 
 
 @pytest.mark.skipif(shutil.which("ruff") is None, reason="ruff not installed")
