@@ -10,9 +10,12 @@ queries").  This package reproduces that layer:
     and request accounting (no real sockets, no real sleeping).
 ``ratelimit``
     Token-bucket rate limiter driven by the virtual clock.
+``wire``
+    The wire contract: Facebook's and LinkedIn's plain-JSON codecs, the
+    batch envelope, and every interface's route paths.  Each codec
+    works an envelope at a time; a single estimate is a chunk of one.
 ``obfuscation``
-    Google's obfuscated-JSON request/response codec; Facebook's and
-    LinkedIn's wire formats are plain JSON.
+    Google's obfuscated-JSON request/response codec.
 ``client``
     Per-platform reach-estimate clients used by the audit core, with a
     full resilience layer: retry policies, circuit breakers, and

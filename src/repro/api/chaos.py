@@ -24,14 +24,7 @@ from dataclasses import dataclass, replace
 from typing import Any
 
 from repro.api.obfuscation import GoogleWireCodec
-from repro.api.transport import (
-    CostSpec,
-    FakeTransport,
-    Handler,
-    HttpRequest,
-    HttpResponse,
-    VirtualClock,
-)
+from repro.api.transport import FakeTransport, HttpRequest, HttpResponse, VirtualClock
 from repro.api.wire import PLAIN_ENVELOPE
 from repro.platforms.errors import ConnectionLostError, RequestTimeoutError
 
@@ -149,21 +142,8 @@ class ChaosTransport:
         return self.inner.clock
 
     @property
-    def latency(self) -> float:
-        return self.inner.latency
-
-    @property
     def tracer(self) -> Any:
         return self.inner.tracer
-
-    def register(
-        self,
-        method: str,
-        path: str,
-        handler: Handler,
-        cost: CostSpec | None = None,
-    ) -> None:
-        self.inner.register(method, path, handler, cost=cost)
 
     # -- fault machinery ----------------------------------------------------
 

@@ -30,7 +30,6 @@ from repro.api.wire import (
     _NO_OPTIONS,
     BatchEnvelope,
     RouteCodec,
-    _only,
     _sorted_codes,
     _sorted_options,
     _value_set,
@@ -131,9 +130,6 @@ class GoogleWireCodec(RouteCodec):
         status_key="1", message_key="2", kind_key="3",
     )
 
-    #: Obfuscated field under which batch payloads travel.
-    BATCH_FIELD = envelope.request_key
-
     def __init__(self, option_ids: Iterable[str] = ()):
         self._reverse: dict[int, str] = {}
         # Decoded clauses, interned per raw criteria group: audits
@@ -196,17 +192,6 @@ class GoogleWireCodec(RouteCodec):
                 body[_F_OBJECTIVE] = objective
             bodies.append(body)
         return bodies
-
-    @classmethod
-    def encode_request(
-        cls,
-        spec: TargetingSpec,
-        feature_of: Mapping[str, str],
-        frequency_cap: FrequencyCap | None = None,
-        objective: str | None = None,
-    ) -> dict[str, Any]:
-        """Obfuscated request body for a targeting spec."""
-        return cls.encode_batch([spec], feature_of, frequency_cap, objective)[0]
 
     # -- decoding (server side) -------------------------------------------
 
@@ -301,19 +286,6 @@ class GoogleWireCodec(RouteCodec):
             except PlatformError as exc:
                 decoded.append(exc)
         return decoded
-
-    def decode_item(
-        self, body: Mapping[str, Any]
-    ) -> tuple[TargetingSpec, dict[str, Any]]:
-        """A request body as ``(spec, estimate keyword arguments)``."""
-        return _only(self.decode_batch([body]))
-
-    def decode_request(
-        self, body: Mapping[str, Any]
-    ) -> tuple[TargetingSpec, FrequencyCap | None, str | None]:
-        """Parse an obfuscated body back into a targeting spec."""
-        spec, options = self.decode_item(body)
-        return spec, options["frequency_cap"], options["objective"]
 
     # -- responses ----------------------------------------------------------
 

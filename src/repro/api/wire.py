@@ -18,10 +18,12 @@ time: the client encodes a chunk of specs in one call, and the server
 decodes an envelope's items in one pass and encodes their estimates in
 another.  Within an envelope, each distinct gender set, age set and
 clause tuple is encoded (or decoded) once, since the demographic slices
-of one composition share them.  The per-item calls -- ``encode_request``,
-``decode_request``, ``encode_response`` and ``decode_response`` -- are
-one-item calls of those, so a spec sent alone and a spec sent in a
-batch take the same path.
+of one composition share them.  A spec sent alone is a chunk of one
+through the same calls, so it takes the same path as a spec sent in a
+batch.
+
+:data:`ROUTE_PATHS` is the other half of the wire contract: the paths
+each interface's routes are mounted at and its client calls.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from repro.platforms.base import BatchItem
 from repro.platforms.errors import BadRequestError, PlatformError
@@ -39,16 +41,51 @@ from repro.population.demographics import AGE_RANGES, Gender
 __all__ = [
     "MAX_BATCH_SIZE",
     "PLAIN_ENVELOPE",
+    "ROUTE_PATHS",
+    "SEARCH_PATH",
     "BatchEnvelope",
     "BatchEntry",
     "FacebookWireCodec",
     "LinkedInWireCodec",
     "RouteCodec",
+    "RoutePaths",
 ]
 
 #: Maximum targeting specs one batch request may carry; the server-side
 #: batch endpoints reject larger payloads and the clients chunk to it.
 MAX_BATCH_SIZE = 64
+
+
+class RoutePaths(NamedTuple):
+    """An interface's single-estimate, batch-estimate and catalog paths."""
+
+    estimate: str
+    batch: str
+    catalog: str
+
+
+#: Each interface's endpoint paths, keyed like the suite's interfaces.
+ROUTE_PATHS = {
+    "facebook_restricted": RoutePaths(
+        "/facebook/special/delivery_estimate",
+        "/facebook/special/delivery_estimates",
+        "/facebook/special/targeting_options",
+    ),
+    "facebook": RoutePaths(
+        "/facebook/delivery_estimate",
+        "/facebook/delivery_estimates",
+        "/facebook/targeting_options",
+    ),
+    "google": RoutePaths(
+        "/google/reach_estimate", "/google/reach_estimates", "/google/criteria"
+    ),
+    "linkedin": RoutePaths(
+        "/linkedin/audience_count", "/linkedin/audience_counts", "/linkedin/facets"
+    ),
+}
+
+#: Facebook's free-form attribute search (normal interface only).
+SEARCH_PATH = "/facebook/targeting_search"
 
 #: One decoded batch-response entry: ``(result, None)`` or
 #: ``(None, (status, message, kind))``.
@@ -129,14 +166,6 @@ def _fb_gender(code: Any) -> Gender:
 def _bounds_key(raw: Any) -> tuple:
     """An age-bounds list as a hashable tuple of tuples."""
     return tuple(map(tuple, raw))
-
-
-def _only(decoded: list[BatchItem]) -> tuple[TargetingSpec, dict[str, Any]]:
-    """The one decoded item of a one-item envelope; its error raises."""
-    [item] = decoded
-    if isinstance(item, PlatformError):
-        raise item
-    return item
 
 
 def _json_list(raw: Any, field: str) -> list:
@@ -276,8 +305,8 @@ class RouteCodec(ABC):
     :meth:`decode_batch` (server: request bodies to batch items),
     :meth:`encode_estimates` (server: estimates to response bodies) and
     :meth:`decode_estimates` (client: response bodies to estimates).
-    The per-item calls below are one-item calls of those, and the
-    estimate routes reach every codec through this class.
+    The estimate routes reach every codec through this class, the
+    single-estimate ones with chunks of one.
     """
 
     #: The batch envelope's field map.
@@ -298,21 +327,6 @@ class RouteCodec(ABC):
     @abstractmethod
     def decode_estimates(cls, bodies: Sequence[Mapping[str, Any]]) -> list[int]:
         """The estimate of each response body; a malformed one is a 400."""
-
-    @classmethod
-    def decode_item(
-        cls, body: Mapping[str, Any]
-    ) -> tuple[TargetingSpec, dict[str, Any]]:
-        """A request body as ``(spec, estimate keyword arguments)``."""
-        return _only(cls.decode_batch([body]))
-
-    @classmethod
-    def encode_response(cls, estimate: int) -> dict[str, Any]:
-        return cls.encode_estimates([estimate])[0]
-
-    @classmethod
-    def decode_response(cls, body: Mapping[str, Any]) -> int:
-        return cls.decode_estimates([body])[0]
 
 
 class FacebookWireCodec(RouteCodec):
@@ -430,19 +444,6 @@ class FacebookWireCodec(RouteCodec):
         except (KeyError, IndexError, TypeError, ValueError):
             raise BadRequestError("malformed Facebook response") from None
 
-    @classmethod
-    def encode_request(
-        cls, spec: TargetingSpec, objective: str | None = None
-    ) -> dict[str, Any]:
-        return cls.encode_batch([spec], objective)[0]
-
-    @classmethod
-    def decode_request(
-        cls, body: Mapping[str, Any]
-    ) -> tuple[TargetingSpec, str | None]:
-        spec, options = cls.decode_item(body)
-        return spec, options["objective"]
-
 
 class LinkedInWireCodec(RouteCodec):
     """LinkedIn audience-count request/response codec."""
@@ -542,11 +543,3 @@ class LinkedInWireCodec(RouteCodec):
             return [int(body["elements"][0]["total"]) for body in bodies]
         except (KeyError, IndexError, TypeError, ValueError):
             raise BadRequestError("malformed LinkedIn response") from None
-
-    @classmethod
-    def encode_request(cls, spec: TargetingSpec) -> dict[str, Any]:
-        return cls.encode_batch([spec])[0]
-
-    @classmethod
-    def decode_request(cls, body: Mapping[str, Any]) -> TargetingSpec:
-        return cls.decode_item(body)[0]

@@ -397,22 +397,13 @@ class AuditTarget:
         plan.
 
         Base sizes are hoisted to the front -- every audit record needs
-        them, so they dedupe to one query per sensitive value.  When an
-        inexpressible composition would make a direct :meth:`audit` raise,
-        only the prefix before it is planned; :meth:`audit_many` then
-        raises at the same composition.
+        them, so they dedupe to one query per sensitive value.
 
         Returns the plan, the spec of every planned composition and
         their slice grid (:meth:`_slice_grid` of the everyone spec and
         then those specs), built in one pass.
         """
-        specs: list[TargetingSpec] = []
-        for options in compositions:
-            try:
-                spec = self.composition_spec(options)
-            except UnsupportedCompositionError:
-                break
-            specs.append(spec)
+        specs = [self.composition_spec(options) for options in compositions]
         grid = self._slice_grid([TargetingSpec.everyone(), *specs], attribute)
 
         # Dedup in first-use order at C level, then drop cached specs.
@@ -463,10 +454,9 @@ class AuditTarget:
         self,
         compositions: Iterable[Sequence[str]],
         attribute: SensitiveAttribute,
-        skip_uncomposable: bool = True,
         label: str = "",
     ) -> CompositionSet:
-        """Audit a batch, optionally skipping inexpressible compositions.
+        """Audit a batch, skipping compositions :meth:`can_compose` rejects.
 
         The whole batch is planned up front: compositions expand into
         their demographic-sliced size queries, duplicates collapse
@@ -476,9 +466,7 @@ class AuditTarget:
         so every row, cache count and error equals what :meth:`audit`
         gives for that composition.
         """
-        compositions = [tuple(options) for options in compositions]
-        if skip_uncomposable:
-            compositions = [o for o in compositions if self.can_compose(o)]
+        compositions = [o for o in map(tuple, compositions) if self.can_compose(o)]
         with self.tracer.span(
             "audit.audit_many", target=self.key, compositions=len(compositions)
         ):
@@ -488,9 +476,6 @@ class AuditTarget:
             sizes = np.array(
                 self._fill(specs, grid, attribute), dtype=np.int64
             ).reshape(len(specs), len(attribute.values))
-            if len(specs) < len(compositions):
-                # Raises UnsupportedCompositionError, as audit() would.
-                self.composition_spec(compositions[len(specs)])
             self._note_cache_activity(hits, misses)
             bases = self._shared_bases(attribute) if compositions else NO_BASES
             return CompositionSet.from_columns(
@@ -535,19 +520,6 @@ class AuditTarget:
 
     # -- accounting --------------------------------------------------------------
 
-    @property
-    def query_count(self) -> int:
-        """API requests issued on behalf of this target."""
-        count = self.client.request_count
-        if self.measure_client is not self.client:
-            count += self.measure_client.request_count
-        return count
-
-    @property
-    def cache_size(self) -> int:
-        """Distinct size queries cached so far."""
-        return sum(len(shard) for shard in self._cache.values())
-
     def cached_estimates(self) -> list[int]:
         """Every distinct estimate observed so far (granularity study)."""
         return [
@@ -555,9 +527,6 @@ class AuditTarget:
             for shard in self._cache.values()
             for estimate in shard.values()
         ]
-
-    def __repr__(self) -> str:
-        return f"<AuditTarget {self.key} cached={self.cache_size}>"
 
 
 def build_audit_targets(

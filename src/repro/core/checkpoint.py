@@ -86,7 +86,6 @@ class EstimateCheckpoint:
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None
         self._shards: dict[str, dict[TargetingSpec, int]] = {}
-        self.records_loaded = 0
         if self.path is None:
             return
         if not self.path.parent.is_dir():
@@ -162,7 +161,6 @@ class EstimateCheckpoint:
         for key, entries in shards.items():
             self._shards.setdefault(key, {}).update(entries)
             loaded += len(entries)
-        self.records_loaded += loaded
         return loaded
 
     def __repr__(self) -> str:

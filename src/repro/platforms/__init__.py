@@ -34,7 +34,6 @@ from repro.platforms.errors import (
     ExclusionNotAllowedError,
     NoSizeEstimateError,
     PlatformError,
-    RateLimitExceededError,
     TargetingError,
     UnknownOptionError,
     UnsupportedCompositionError,
@@ -93,7 +92,6 @@ __all__ = [
     "NoSizeEstimateError",
     "PlatformError",
     "PlatformSuite",
-    "RateLimitExceededError",
     "ReachEstimate",
     "RoundingPolicy",
     "TargetingError",

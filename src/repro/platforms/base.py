@@ -75,13 +75,6 @@ class InterfaceCapabilities:
         expresses demographics only as detailed attributes).
     exclusions:
         Whether holders of an attribute can be excluded.
-    and_of_ors:
-        Whether arbitrary and-of-or rules over options are expressible
-        (needed for the overlap analysis; Google's display interface
-        does not support it across user attributes).
-    cross_feature_and_only:
-        True when options may be AND-composed only across different
-        features (Google: audiences x topics).
     estimate_unit:
         ``"users"`` (Facebook, LinkedIn) or ``"impressions"`` (Google).
     """
@@ -89,8 +82,6 @@ class InterfaceCapabilities:
     gender_targeting: bool
     age_targeting: bool
     exclusions: bool
-    and_of_ors: bool
-    cross_feature_and_only: bool
     estimate_unit: str
 
 

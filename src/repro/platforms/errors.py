@@ -20,7 +20,6 @@ __all__ = [
     "NoSizeEstimateError",
     "CampaignConfigError",
     "ApiError",
-    "RateLimitExceededError",
     "BadRequestError",
     "TransportError",
     "ConnectionLostError",
@@ -92,16 +91,6 @@ class ApiError(PlatformError):
     """Base class for errors raised at the fake-HTTP API layer."""
 
     status = 500
-
-
-class RateLimitExceededError(ApiError):
-    """The advertiser account exceeded the platform's query rate limit."""
-
-    status = 429
-
-    def __init__(self, retry_after: float):
-        self.retry_after = retry_after
-        super().__init__(f"rate limit exceeded; retry after {retry_after:.2f}s")
 
 
 class BadRequestError(ApiError):

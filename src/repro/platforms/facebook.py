@@ -68,8 +68,6 @@ class FacebookNormalInterface(AdPlatformInterface):
                 gender_targeting=True,
                 age_targeting=True,
                 exclusions=True,
-                and_of_ors=True,
-                cross_feature_and_only=False,
                 estimate_unit="users",
             ),
             objectives=_OBJECTIVES,
@@ -131,8 +129,6 @@ class FacebookRestrictedInterface(AdPlatformInterface):
                 gender_targeting=False,
                 age_targeting=False,
                 exclusions=False,
-                and_of_ors=True,
-                cross_feature_and_only=False,
                 estimate_unit="users",
             ),
             objectives=_OBJECTIVES,

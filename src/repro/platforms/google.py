@@ -97,8 +97,6 @@ class GoogleDisplayInterface(AdPlatformInterface):
                 gender_targeting=True,
                 age_targeting=True,
                 exclusions=False,
-                and_of_ors=False,
-                cross_feature_and_only=True,
                 estimate_unit="impressions",
             ),
             objectives=("Brand awareness and reach", "Sales", "Website traffic"),
@@ -173,8 +171,6 @@ class GoogleSearchCampaign(AdPlatformInterface):
                 gender_targeting=True,
                 age_targeting=True,
                 exclusions=True,
-                and_of_ors=True,
-                cross_feature_and_only=False,
                 estimate_unit="impressions",
             ),
             objectives=("Sales", "Leads", "Website traffic"),

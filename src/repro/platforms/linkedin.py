@@ -47,8 +47,6 @@ class LinkedInInterface(AdPlatformInterface):
                 gender_targeting=False,
                 age_targeting=False,
                 exclusions=True,
-                and_of_ors=True,
-                cross_feature_and_only=False,
                 estimate_unit="users",
             ),
             objectives=("Brand awareness", "Website visits", "Engagement"),

@@ -148,17 +148,18 @@ class TestCachingAndAccounting:
     def test_measure_is_cached(self, session_small):
         target = session_small.targets["facebook"]
         spec = TargetingSpec.of(target.study_option_ids()[5])
-        before_cache = target.cache_size
+        before_cache = len(target.cached_estimates())
         target.measure(spec, Gender.MALE)
-        mid_requests = target.query_count
+        mid_requests = target.client.transport.total_requests
         target.measure(spec, Gender.MALE)
-        assert target.query_count == mid_requests
-        assert target.cache_size >= before_cache + 1
+        assert target.client.transport.total_requests == mid_requests
+        assert len(target.cached_estimates()) >= before_cache + 1
 
     def test_cached_estimates_exposed(self, session_small):
         target = session_small.targets["facebook"]
-        target.measure(TargetingSpec.everyone())
-        assert len(target.cached_estimates()) == target.cache_size
+        estimate = target.measure(TargetingSpec.everyone())
+        assert estimate in target.cached_estimates()
+        assert len(target.cached_estimates()) == len(target._shard(target.client))
 
 
 class TestDemographicSpecs:

@@ -103,7 +103,7 @@ class TestBatchEndpoints:
 
         spec = TargetingSpec.of(study_ids["facebook"][0])
         client = session_small.clients["facebook"]
-        items = [client._encode_item(spec)] * (MAX_BATCH_SIZE + 1)
+        items = client._encode_items([spec]) * (MAX_BATCH_SIZE + 1)
         response = session_small.transport.request(
             HttpRequest(
                 method="POST",
@@ -118,11 +118,11 @@ class TestBatchEndpoints:
         """estimate_many transparently chunks past the envelope limit."""
         client = clients["linkedin"]
         specs = _specs(study_ids["linkedin"]) * 20  # 100 specs -> 2 chunks
-        before = client.request_count
+        before = client.transport.total_requests
         results = client.estimate_many(specs)
         assert len(results) == len(specs)
         assert all(isinstance(r, int) for r in results)
-        assert client.request_count - before == 2
+        assert client.transport.total_requests - before == 2
         # Order survives chunking: repeated specs repeat their estimate.
         assert results[:5] * 20 == results
 
@@ -181,13 +181,13 @@ class TestQueryPlanner:
         attribute = SENSITIVE_ATTRIBUTES["gender"]
         a, b = study_ids["facebook"][:2]
         once = build_audit_targets(session_small.clients)["facebook"]
-        client = once.client
-        before = client.request_count
+        transport = once.client.transport
+        before = transport.total_requests
         once.audit_many([(a,), (b,)], attribute)
-        unique_cost = client.request_count - before
-        before = client.request_count
+        unique_cost = transport.total_requests - before
+        before = transport.total_requests
         target.audit_many([(a,), (b,), (a,), (b,), (a,)], attribute)
-        assert client.request_count - before == unique_cost
+        assert transport.total_requests - before == unique_cost
         assert target.cache_hits > 0
 
     def test_warm_cache_issues_no_requests(self, session_small, study_ids):
@@ -195,9 +195,9 @@ class TestQueryPlanner:
         attribute = SENSITIVE_ATTRIBUTES["age"]
         compositions = [(i,) for i in study_ids["facebook"][:3]]
         target.audit_many(compositions, attribute)
-        before = target.client.request_count
+        before = target.client.transport.total_requests
         again = target.audit_many(compositions, attribute)
-        assert target.client.request_count == before
+        assert target.client.transport.total_requests == before
         assert len(again) == 3
 
     @pytest.mark.parametrize(
@@ -227,26 +227,6 @@ class TestQueryPlanner:
             if target.can_compose(options)
         ]
         assert batched.audits == sequential
-
-    def test_error_parity_without_skip(self, session_small, study_ids):
-        """audit_many raises where the direct ``audit`` loop raises."""
-        ids = study_ids["google"]
-        client = session_small.clients["google"]
-        features = {o.option_id: o.feature for o in client.catalog()}
-        same = tuple(i for i in ids if features[i] == features[ids[0]])[:2]
-        compositions = [(ids[0],), same, (ids[1],)]
-        attribute = SENSITIVE_ATTRIBUTES["gender"]
-        target = build_audit_targets(session_small.clients)["google"]
-        with pytest.raises(UnsupportedCompositionError) as batched:
-            target.audit_many(compositions, attribute, skip_uncomposable=False)
-
-        target = build_audit_targets(session_small.clients)["google"]
-        audited = []
-        with pytest.raises(UnsupportedCompositionError) as direct:
-            for options in compositions:
-                audited.append(target.audit(options, attribute))
-        assert len(audited) == 1  # raised at ``same``, the second one
-        assert str(batched.value) == str(direct.value)
 
 
 def _linkedin_facets(interface) -> dict[str, object]:
@@ -413,7 +393,7 @@ INVALID = {
 }
 
 #: Single-estimate route of each interface (the batch route is the
-#: client's ``_batch_path``).
+#: client's ``paths.batch``).
 SINGLE_PATHS = {
     "facebook": "/facebook/delivery_estimate",
     "facebook_restricted": "/facebook/special/delivery_estimate",
@@ -473,8 +453,9 @@ class TestPerItemErrorParity:
             )
         if objective is None:
             bad_client = client
-        bad = bad_client._encode_item(build(interface, ids))
-        neighbours = [client._encode_item(TargetingSpec.of(o)) for o in ids[2:4]]
+        [bad] = bad_client._encode_items([build(interface, ids)])
+        neighbours = client._encode_items([TargetingSpec.of(o) for o in ids[2:4]])
+        envelope = client.codec.envelope
 
         def post(path, body):
             return transport.request(HttpRequest("POST", path, body, "audit"))
@@ -486,11 +467,11 @@ class TestPerItemErrorParity:
 
         before = interface.query_count
         response = post(
-            client._batch_path,
-            client._encode_batch([neighbours[0], bad, neighbours[1]]),
+            client.paths.batch,
+            envelope.encode_request([neighbours[0], bad, neighbours[1]]),
         )
         assert response.status == 200
-        entries = client._batch_entries(response.body, 3)
+        entries = envelope.decode_response(response.body, 3)
         assert interface.query_count - before == single_queries == 2
         assert [entries[0][0], entries[2][0]] == singles
         assert entries[1][0] is None
@@ -602,17 +583,17 @@ _CODECS = {
     "facebook": (
         FacebookWireCodec,
         lambda specs: FacebookWireCodec.encode_batch(specs, objective="Reach"),
-        lambda spec: FacebookWireCodec.encode_request(spec, objective="Reach"),
+        lambda spec: FacebookWireCodec.encode_batch([spec], objective="Reach")[0],
     ),
     "google": (
         _GOOGLE,
         lambda specs: _GOOGLE.encode_batch(specs, _FEATURE_OF, _CAP, "Brand"),
-        lambda spec: _GOOGLE.encode_request(spec, _FEATURE_OF, _CAP, "Brand"),
+        lambda spec: _GOOGLE.encode_batch([spec], _FEATURE_OF, _CAP, "Brand")[0],
     ),
     "linkedin": (
         LinkedInWireCodec,
         LinkedInWireCodec.encode_batch,
-        LinkedInWireCodec.encode_request,
+        lambda spec: LinkedInWireCodec.encode_batch([spec])[0],
     ),
 }
 
@@ -739,10 +720,9 @@ class TestEnvelopeCodecs:
         decoded = codec.decode_batch(bodies)
         assert len(decoded) == len(bodies)
         for body, item in zip(bodies, decoded):
-            try:
-                alone = codec.decode_item(body)
-            except PlatformError as exc:
-                assert type(item) is type(exc) and str(item) == str(exc)
+            [alone] = codec.decode_batch([body])
+            if isinstance(alone, PlatformError):
+                assert type(item) is type(alone) and str(item) == str(alone)
             else:
                 assert item == alone
         # Google groups criteria by feature, so clause order may differ.

@@ -58,10 +58,10 @@ class TestClientEstimates:
 
     def test_catalog_cached(self, clients):
         client = clients["facebook"]
-        before = client.request_count
+        before = client.transport.total_requests
         client.catalog()
         client.catalog()
-        assert client.request_count <= before + 1
+        assert client.transport.total_requests <= before + 1
 
     def test_option_names(self, clients):
         names = clients["facebook_restricted"].option_names()

@@ -158,8 +158,8 @@ class TestClauseInterning:
 
     def test_facebook_decoder_interns(self):
         spec = TargetingSpec.of(*OPTIONS).with_age(AgeRange.AGE_18_24)
-        decoded, _ = FacebookWireCodec.decode_request(
-            FacebookWireCodec.encode_request(spec, "Reach")
+        [(decoded, _)] = FacebookWireCodec.decode_batch(
+            FacebookWireCodec.encode_batch([spec], "Reach")
         )
         assert decoded == spec
         for ours, theirs in zip(spec.clauses, decoded.clauses):
@@ -167,8 +167,8 @@ class TestClauseInterning:
 
     def test_linkedin_decoder_interns(self):
         spec = TargetingSpec.of(*OPTIONS)
-        decoded = LinkedInWireCodec.decode_request(
-            LinkedInWireCodec.encode_request(spec)
+        [(decoded, _)] = LinkedInWireCodec.decode_batch(
+            LinkedInWireCodec.encode_batch([spec])
         )
         assert decoded == spec
         for ours, theirs in zip(spec.clauses, decoded.clauses):
@@ -177,8 +177,8 @@ class TestClauseInterning:
     def test_google_decoder_interns(self):
         codec = GoogleWireCodec(OPTIONS)
         spec = TargetingSpec.of(*OPTIONS).with_gender(Gender.FEMALE)
-        decoded, _, _ = codec.decode_request(
-            codec.encode_request(spec, {o: "audiences" for o in OPTIONS})
+        [(decoded, _)] = codec.decode_batch(
+            codec.encode_batch([spec], {o: "audiences" for o in OPTIONS})
         )
         assert decoded == spec
         for clause in decoded.clauses:

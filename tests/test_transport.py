@@ -210,6 +210,6 @@ class TestTokenBucketRefillDrift:
             assert client._call("POST", "/facebook/delivery_estimate", {}) == {"ok": 1}
         # First call rides the initial burst; each later call pays
         # exactly one 429 before its retry is admitted.
-        assert client.request_count == 5 + 4
+        assert transport.total_requests == 5 + 4
         statuses = request_statuses(tracer)
         assert statuses[("facebook/delivery_estimate", 429)] == 4
