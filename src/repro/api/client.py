@@ -55,7 +55,6 @@ from repro.platforms.errors import (
     PlatformError,
     TargetingError,
     TransportError,
-    UnknownOptionError,
     UnsupportedCompositionError,
 )
 from repro.platforms.google import MOST_RESTRICTIVE_CAP, FrequencyCap

@@ -12,7 +12,6 @@ import math
 
 import pytest
 
-from repro.core.audit import AuditTarget
 from repro.platforms.errors import UnsupportedCompositionError
 from repro.platforms.targeting import TargetingSpec
 from repro.population.demographics import (

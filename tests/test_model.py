@@ -9,6 +9,7 @@ from repro.population.demographics import AGE_RANGES, Gender
 from repro.population.model import (
     AttributeSpec,
     LatentFactorModel,
+    MembershipKernel,
     default_model,
 )
 
@@ -105,7 +106,7 @@ class TestMembership:
         genders = np.array([0, 1], dtype=np.uint8)
         ages = np.zeros(2, dtype=np.uint8)
         latents = np.zeros((2, 2))
-        probs = model.membership_probabilities(s, genders, ages, latents)
+        probs = MembershipKernel(model, genders, ages, latents).probabilities(s)
         assert probs[0] > probs[1]
 
     def test_age_offsets_apply(self):
@@ -114,7 +115,7 @@ class TestMembership:
         genders = np.zeros(2, dtype=np.uint8)
         ages = np.array([0, 3], dtype=np.uint8)
         latents = np.zeros((2, 2))
-        logits = model.membership_logits(s, genders, ages, latents)
+        logits = MembershipKernel(model, genders, ages, latents).logits(s)
         assert logits[0] - logits[1] == pytest.approx(2.0)
 
     def test_probabilities_bounded(self):
@@ -122,7 +123,8 @@ class TestMembership:
         s = spec(beta_gender=50.0)
         genders = np.array([0, 1], dtype=np.uint8)
         ages = np.zeros(2, dtype=np.uint8)
-        probs = model.membership_probabilities(s, genders, ages, np.zeros((2, 2)))
+        kernel = MembershipKernel(model, genders, ages, np.zeros((2, 2)))
+        probs = kernel.probabilities(s)
         assert 0.0 <= probs.min() and probs.max() <= 1.0
 
 
