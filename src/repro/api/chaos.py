@@ -20,7 +20,7 @@ whole fault matrix.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any
 
 from repro.api.obfuscation import GoogleWireCodec
@@ -71,10 +71,6 @@ class FaultProfile:
     item_failure_prob: float = 0.0
     #: Permanent outage switch (request count threshold), or ``None``.
     outage_after: int | None = None
-
-    def with_overrides(self, **overrides: Any) -> "FaultProfile":
-        """Copy with some fields replaced (test parametrisation)."""
-        return replace(self, **overrides)
 
 
 #: Named profiles covering each fault in isolation plus a combined

@@ -47,7 +47,6 @@ from repro.core.metrics import (
     recall_including,
     representation_ratio,
     representation_ratio_from_sizes,
-    skew_direction,
     violates_four_fifths,
 )
 from repro.core.mitigation import (
@@ -114,7 +113,6 @@ __all__ = [
     "representation_ratio_from_sizes",
     "sensitivity_study",
     "significant_digits",
-    "skew_direction",
     "skewed_compositions",
     "smallest_k_for_combinations",
     "union_recall",

@@ -174,10 +174,6 @@ class AuditTarget:
             self._features = {o.option_id: o.feature for o in self.client.catalog()}
         return self._features[option_id]
 
-    def features(self) -> list[str]:
-        """Distinct composable features among the study options."""
-        return sorted({self.feature_of(o) for o in self.study_option_ids()})
-
     # -- composition rules ---------------------------------------------------
 
     def can_compose(self, options: Sequence[str]) -> bool:

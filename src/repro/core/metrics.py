@@ -38,7 +38,6 @@ __all__ = [
     "recall_including",
     "recall_excluding",
     "violates_four_fifths",
-    "skew_direction",
     "least_skewed_ratio",
 ]
 
@@ -137,17 +136,6 @@ def violates_four_fifths(ratio: float) -> bool:
     if math.isnan(ratio):
         return False
     return ratio <= FOUR_FIFTHS_LOW or ratio >= FOUR_FIFTHS_HIGH
-
-
-def skew_direction(ratio: float) -> int:
-    """-1 under-represented, +1 over-represented, 0 inside the band."""
-    if math.isnan(ratio):
-        return 0
-    if ratio >= FOUR_FIFTHS_HIGH:
-        return 1
-    if ratio <= FOUR_FIFTHS_LOW:
-        return -1
-    return 0
 
 
 def least_skewed_ratio(

@@ -113,11 +113,6 @@ class UnionRecallEstimate:
             return 0.0
         return max(self.partial_sums[-1], 0.0)
 
-    @property
-    def orders_evaluated(self) -> int:
-        """Highest inclusion-exclusion order computed."""
-        return len(self.partial_sums)
-
     def bounds(self) -> tuple[float, float]:
         """Current (lower, upper) Bonferroni bounds."""
         if len(self.partial_sums) < 2:

@@ -112,10 +112,6 @@ class Catalog:
         """Mapping of option id to display name."""
         return {e.option_id: e.display for e in self.entries}
 
-    def feature_ids(self, feature: str) -> list[str]:
-        """Option ids belonging to one targeting feature."""
-        return [e.option_id for e in self.entries if e.feature == feature]
-
     def study_ids(self) -> list[str]:
         """Options in the default study list: browsable, non-demographic."""
         return [

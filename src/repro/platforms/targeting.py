@@ -307,11 +307,6 @@ class TargetingSpec(tuple):
         """Every option referenced anywhere in the rule."""
         return self[4].union(*self[3])
 
-    @property
-    def is_pure_demographic(self) -> bool:
-        """True when the spec has no attribute rule at all."""
-        return not self[3] and not self[4]
-
     def describe(self, names: Mapping[str, str] | None = None) -> str:
         """Human-readable one-line description for reports."""
         parts: list[str] = [self.country]

@@ -9,24 +9,24 @@ paper works with while simulation stays laptop-sized.
 
 Attribute realisation is per-attribute: for each
 :class:`~repro.population.model.AttributeSpec` we evaluate the logistic
-model over all users (its factor term in row blocks that keep every
-BLAS call single-threaded), draw Bernoulli memberships from the
-attribute's own stream, and pack them into a bit vector.  A
+model over all users (its factor term over the nonzero loadings only,
+with no BLAS call), draw Bernoulli memberships from the attribute's own
+stream, and pack them into a bit vector.  A
 :class:`~repro.population.model.MembershipKernel` holds per-record
-demographic cell codes plus two float and one bool scratch array of
-``n_records`` entries, reused by every attribute it evaluates.  Apart
-from packing its bit vector, realising an attribute allocates nothing
-of record length.  Kernels live for one realisation call, so a
-population keeps no scratch between calls.
+demographic cell codes, one row of latents per factor, and two float and
+one bool scratch array of ``n_records`` entries, reused by every
+attribute it evaluates.  Apart from packing its bit vector, realising an
+attribute allocates nothing of record length.  Kernels live for one
+realisation call, so a population keeps no scratch between calls.
 
 :meth:`Population.realise_attribute` realises any number of specs in one
 call, and :meth:`PopulationGenerator.generate` passes it the whole
 catalog.  From :data:`POOL_MIN_RECORDS` records on it splits the specs
 over two worker threads, each with a kernel of its own sharing the one
-cell-code array; smaller populations, or a machine with one usable CPU,
-run the same per-spec sampler in a plain loop.  Either way the calling
-thread registers the vectors in spec order, and the memberships are the
-same.
+cell-code array and factor rows; smaller populations, or a machine with
+one usable CPU, run the same per-spec sampler in a plain loop.  Either
+way the calling thread registers the vectors in spec order, and the
+memberships are the same.
 """
 
 from __future__ import annotations

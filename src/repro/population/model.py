@@ -155,45 +155,21 @@ def _sigmoid_inplace(
     return np.divide(e, denominator, out=e)
 
 
-#: OpenBLAS runs a ``dgemv`` on the caller's thread while rows x columns
-#: stays under this many elements (57,600 rows at K = 8), and threads it
-#: from there on; a threaded result's bits depend on the thread count.
-GEMV_SERIAL_ELEMENTS = 460_800
-
-#: Most rows per ``latents @ lambda`` block in :meth:`MembershipKernel.logits`.
-GEMV_BLOCK_ROWS = 16_384
-
-
-def _row_blocks(n: int, n_factors: int) -> list[slice]:
-    """Row slices over ``n`` rows; the last takes the remainder.
-
-    The block size is :data:`GEMV_BLOCK_ROWS`, cut down to a multiple of
-    4 for wide models so that even the last block (under twice the
-    size) stays under :data:`GEMV_SERIAL_ELEMENTS` on the caller's
-    thread.  Every block starts at a multiple of 4, so the logits equal
-    one single-threaded call bit for bit whatever the machine's CPU
-    count.
-    """
-    size = GEMV_SERIAL_ELEMENTS // (2 * n_factors) // 4 * 4
-    size = max(4, min(GEMV_BLOCK_ROWS, size))
-    starts = [i * size for i in range(max(1, n // size))]
-    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n])]
-
-
 class MembershipKernel:
     """Evaluates the membership model over one fixed set of records.
 
-    Holds the records' demographic cell codes and latents plus three
+    Holds the records' demographic cell codes, a contiguous copy of
+    their latents with one row per factor (``latents.T``), and three
     scratch arrays of the record count, so evaluating an attribute
     allocates nothing proportional to the records.  :meth:`fork` gives
-    a kernel with scratch of its own for another thread.  The demographic
-    part of the logit comes from an 8-entry :func:`cell_logits` table;
-    attributes without factor loadings take the sigmoid of that table
-    too and only gather probabilities.  Cell codes are 0-7 by
-    construction, so the gathers use ``mode="clip"``: the same values
-    as the default ``"raise"``, without its buffered copy of ``out``.
-    Returned arrays are the kernel's scratch and are overwritten by the
-    next call.
+    a kernel with scratch of its own for another thread, sharing the
+    cell codes and factor rows.  The demographic part of the logit
+    comes from an 8-entry :func:`cell_logits` table; attributes without
+    factor loadings take the sigmoid of that table too and only gather
+    probabilities.  Cell codes are 0-7 by construction, so the gathers
+    use ``mode="clip"``: the same values as the default ``"raise"``,
+    without its buffered copy of ``out``.  Returned arrays are the
+    kernel's scratch and are overwritten by the next call.
     """
 
     def __init__(
@@ -205,33 +181,43 @@ class MembershipKernel:
     ):
         self.n_factors = model.n_factors
         self.cells = demographic_cells(gender_codes, age_codes)
-        self.latents = latents
-        self._blocks = _row_blocks(self.cells.shape[0], self.n_factors)
+        self.factors = np.ascontiguousarray(latents.T)
         self._allocate_scratch()
 
     def _allocate_scratch(self) -> None:
         n = self.cells.shape[0]
-        self._values = np.empty(n)  # logits, then probabilities
+        self._values = np.empty(n)  # later loading products, logits, probabilities
         self._work = np.empty(n)  # loadings term, denominator, then draws
         self._flags = np.empty(n, dtype=bool)  # logit signs, then members
 
     def fork(self) -> "MembershipKernel":
-        """A kernel over the same cell codes and latents with its own scratch."""
+        """A kernel over the same cell codes and factor rows with its own scratch."""
         kernel = copy.copy(self)
         kernel._allocate_scratch()
         return kernel
 
     def logits(self, spec: AttributeSpec) -> np.ndarray:
-        """Per-record membership log-odds for ``spec``."""
+        """Per-record membership log-odds for ``spec``.
+
+        The loading term is ``sum(lambda_k * z_k)`` over the nonzero
+        loadings only, summed left to right in ascending factor order,
+        and is added to the demographic part last: ``cell + (a + b)``.
+        Plain float64 products and sums, so the bits do not depend on a
+        BLAS kernel or thread count.
+        """
+        term = None
+        if spec.loadings:
+            lam = spec.loading_vector(self.n_factors)
+            for k in np.flatnonzero(lam):
+                if term is None:
+                    term = np.multiply(self.factors[k], lam[k], out=self._work)
+                else:
+                    term += np.multiply(self.factors[k], lam[k], out=self._values)
         logits = np.take(
             cell_logits(spec), self.cells, out=self._values, mode="clip"
         )
-        if spec.loadings:
-            lam = spec.loading_vector(self.n_factors)
-            loading = self._work
-            for rows in self._blocks:
-                np.matmul(self.latents[rows], lam, out=loading[rows])
-            logits += loading
+        if term is not None:
+            logits += term
         return logits
 
     def probabilities(self, spec: AttributeSpec) -> np.ndarray:

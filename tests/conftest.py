@@ -8,6 +8,8 @@ entries).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro import build_audit_session
@@ -79,6 +81,6 @@ def fault_profile():
 
     def factory(name: str = "calm", /, **overrides) -> FaultProfile:
         profile = FAULT_PROFILES[name]
-        return profile.with_overrides(**overrides) if overrides else profile
+        return replace(profile, **overrides) if overrides else profile
 
     return factory

@@ -210,6 +210,7 @@ class TestAudienceRegistration:
         service = google_platform.audiences
         uploads = list(service.pii.records(range(300)))
         audience = service.create_custom_audience("gcm", uploads)
-        attr = google_platform.display.catalog.feature_ids("audiences")[0]
+        catalog = google_platform.display.catalog
+        attr = next(e.option_id for e in catalog.entries if e.feature == "audiences")
         spec = TargetingSpec.of(audience.audience_id, attr)
         assert google_platform.display.estimate_reach(spec).estimate >= 0

@@ -36,13 +36,6 @@ class TestStudyOptions:
         ids = session_small.targets["linkedin"].study_option_ids()
         assert not any("demographics" in i for i in ids)
 
-    def test_features(self, session_small):
-        assert session_small.targets["google"].features() == [
-            "audiences",
-            "topics",
-        ]
-        assert session_small.targets["facebook"].features() == ["interests"]
-
 
 class TestComposition:
     def test_facebook_can_compose_any_pair(self, session_small):

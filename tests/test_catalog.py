@@ -118,10 +118,9 @@ class TestFacebookUniverse:
 
 class TestGoogleUniverse:
     def test_counts_match_paper(self, google_build):
-        assert len(google_build.catalog.feature_ids("audiences")) == (
-            GOOGLE_ATTRIBUTE_COUNT
-        )
-        assert len(google_build.catalog.feature_ids("topics")) == GOOGLE_TOPIC_COUNT
+        features = [e.feature for e in google_build.catalog.entries]
+        assert features.count("audiences") == GOOGLE_ATTRIBUTE_COUNT
+        assert features.count("topics") == GOOGLE_TOPIC_COUNT
 
     def test_curated_examples_present(self, google_build):
         names = set(google_build.catalog.names().values())

@@ -11,6 +11,8 @@ no-duplicate-query accounting.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro import build_audit_session
@@ -74,7 +76,7 @@ def _boosted(profile: FaultProfile) -> FaultProfile:
     for name, boost in _SOFT_BOOSTS.items():
         if getattr(profile, name) > 0:
             overrides[name] = max(getattr(profile, name), boost)
-    return profile.with_overrides(**overrides)
+    return replace(profile, **overrides)
 
 
 def _audit_facebook(suite, profile=None, chaos_seed=1031, n=20):
@@ -186,9 +188,7 @@ class TestPartialBatchRetry:
         assert len(specs) > calm_client.batch_size  # force multiple chunks
         expected = calm_client.estimate_many(specs)
 
-        profile = FAULT_PROFILES["truncation"].with_overrides(
-            item_failure_prob=0.15
-        )
+        profile = replace(FAULT_PROFILES["truncation"], item_failure_prob=0.15)
         transport, chaos_clients, _ = _build_stack(suite, profile, chaos_seed=5)
         chaotic = chaos_clients[platform].estimate_many(specs)
         assert _comparable(chaotic) == _comparable(expected)

@@ -16,7 +16,6 @@ from repro.core.metrics import (
     recall_including,
     representation_ratio,
     representation_ratio_from_sizes,
-    skew_direction,
     violates_four_fifths,
 )
 from repro.population.demographics import AGE_RANGES, AgeRange, Gender
@@ -95,12 +94,6 @@ class TestFourFifths:
     )
     def test_violations(self, ratio, expected):
         assert violates_four_fifths(ratio) is expected
-
-    def test_directions(self):
-        assert skew_direction(2.0) == 1
-        assert skew_direction(0.5) == -1
-        assert skew_direction(1.0) == 0
-        assert skew_direction(float("nan")) == 0
 
     def test_thresholds_are_four_fifths(self):
         assert FOUR_FIFTHS_LOW == pytest.approx(0.8)

@@ -18,6 +18,11 @@ from repro.platforms.targeting import TargetingSpec
 from repro.population.demographics import AgeRange, Gender
 
 
+def feature_ids(catalog, feature):
+    """Option ids of one targeting feature, in catalog order."""
+    return [e.option_id for e in catalog.entries if e.feature == feature]
+
+
 class TestFacebookNormal:
     def test_estimate_everyone(self, fb_platform):
         est = fb_platform.normal.estimate_reach(TargetingSpec.everyone())
@@ -140,27 +145,27 @@ class TestFacebookRestricted:
 class TestGoogleDisplay:
     def test_cross_feature_and_allowed(self, google_platform):
         g = google_platform.display
-        audience = g.catalog.feature_ids("audiences")[0]
-        topic = g.catalog.feature_ids("topics")[0]
+        audience = feature_ids(g.catalog, "audiences")[0]
+        topic = feature_ids(g.catalog, "topics")[0]
         est = g.estimate_reach(TargetingSpec.of(audience, topic))
         assert est.unit == "impressions"
 
     def test_same_feature_and_rejected(self, google_platform):
         g = google_platform.display
-        a1, a2 = g.catalog.feature_ids("audiences")[:2]
+        a1, a2 = feature_ids(g.catalog, "audiences")[:2]
         with pytest.raises(UnsupportedCompositionError):
             g.estimate_reach(TargetingSpec.of(a1, a2))
 
     def test_same_feature_or_allowed(self, google_platform):
         g = google_platform.display
-        a1, a2 = g.catalog.feature_ids("audiences")[:2]
+        a1, a2 = feature_ids(g.catalog, "audiences")[:2]
         est = g.estimate_reach(TargetingSpec.and_of_ors([[a1, a2]]))
         assert est.estimate >= 0
 
     def test_mixed_feature_clause_rejected(self, google_platform):
         g = google_platform.display
-        audience = g.catalog.feature_ids("audiences")[0]
-        topic = g.catalog.feature_ids("topics")[0]
+        audience = feature_ids(g.catalog, "audiences")[0]
+        topic = feature_ids(g.catalog, "topics")[0]
         with pytest.raises(UnsupportedCompositionError):
             g.estimate_reach(TargetingSpec.and_of_ors([[audience, topic]]))
 
@@ -183,7 +188,7 @@ class TestGoogleDisplay:
 
     def test_exclusions_rejected(self, google_platform):
         g = google_platform.display
-        ids = g.catalog.feature_ids("audiences")[:2]
+        ids = feature_ids(g.catalog, "audiences")[:2]
         with pytest.raises(ExclusionNotAllowedError):
             g.estimate_reach(TargetingSpec.of(ids[0]).excluding(ids[1]))
 
@@ -191,7 +196,7 @@ class TestGoogleDisplay:
 class TestGoogleSearchCampaign:
     def test_boolean_combos_accepted_but_no_size(self, google_platform):
         search = google_platform.search_campaign
-        a1, a2 = search.catalog.feature_ids("audiences")[:2]
+        a1, a2 = feature_ids(search.catalog, "audiences")[:2]
         with pytest.raises(NoSizeEstimateError):
             search.estimate_reach(TargetingSpec.of(a1, a2))
 

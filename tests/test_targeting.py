@@ -36,7 +36,7 @@ class TestClause:
 class TestTargetingSpec:
     def test_everyone(self):
         spec = TargetingSpec.everyone()
-        assert spec.is_pure_demographic
+        assert spec.clauses == () and spec.exclusions == frozenset()
         assert spec.option_ids == frozenset()
 
     def test_of_composition(self):
