@@ -105,6 +105,11 @@ class AuditTarget:
         # on every lookup of the audit's hot loop, so the shard layout
         # avoids allocating and hashing a (key, spec) tuple per lookup.
         self._cache: dict[str, dict[TargetingSpec, int]] = {}
+        # One int object per distinct estimate value, shared by every
+        # cache entry that holds it: a full run caches over 330k
+        # estimates of a few hundred rounded values, and each arrives
+        # as its own int object.
+        self._estimates: dict[int, int] = {}
         self.cache_hits = 0
         self.cache_misses = 0
         # The base sizes |RA_v| are shared, read-only, by every audit
@@ -134,10 +139,14 @@ class AuditTarget:
         """
         self._checkpoint = checkpoint
         preloaded = 0
+        estimates = self._estimates
         for client in (self.client, self.measure_client):
             shard = self._cache.setdefault(client.interface_key, {})
             before = len(shard)
-            shard.update(checkpoint.shard(client.interface_key))
+            shard.update(
+                (spec, estimates.setdefault(value, value))
+                for spec, value in checkpoint.shard(client.interface_key).items()
+            )
             preloaded += len(shard) - before
         if self.tracer.enabled:
             self.tracer.event(
@@ -283,7 +292,8 @@ class AuditTarget:
             self.cache_hits += 1
             return cached
         self.cache_misses += 1
-        result = shard[spec] = client.estimate(spec)
+        result = client.estimate(spec)
+        result = shard[spec] = self._estimates.setdefault(result, result)
         self._record_estimate(client.interface_key, spec, result)
         return result
 
@@ -441,7 +451,9 @@ class AuditTarget:
                 interface_key=interface_key,
             ) -> None:
                 if isinstance(result, int):
-                    shard[specs[index]] = result
+                    result = shard[specs[index]] = self._estimates.setdefault(
+                        result, result
+                    )
                     self._record_estimate(interface_key, specs[index], result)
 
             client.estimate_many(specs, on_result=commit)
@@ -517,7 +529,7 @@ class AuditTarget:
     # -- accounting --------------------------------------------------------------
 
     def cached_estimates(self) -> list[int]:
-        """Every distinct estimate observed so far (granularity study)."""
+        """Every cached estimate, one per cached spec (granularity study)."""
         return [
             estimate
             for shard in self._cache.values()

@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 import zlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -119,9 +120,18 @@ class AudienceService:
         self.population = population
         self.interfaces = list(interfaces)
         self.restricted_interfaces = list(restricted_interfaces)
-        self.pii = PiiDirectory(population.n_records, seed=pii_seed)
+        self.pii_seed = pii_seed
         self._counter = itertools.count(1)
         self._audiences: dict[str, CustomAudience] = {}
+
+    @cached_property
+    def pii(self) -> PiiDirectory:
+        """The platform's PII for every record, built on first use.
+
+        Only custom audiences read it, and a 100k-record directory
+        takes about 3 MB, so a run that creates none never builds it.
+        """
+        return PiiDirectory(self.population.n_records, seed=self.pii_seed)
 
     # -- registry ----------------------------------------------------------
 

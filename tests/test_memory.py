@@ -7,8 +7,9 @@ share one entry; one-option
 clauses are interned, so the specs of an audit share them instead of
 each holding its own.  Specs and clauses are plain tuples and
 frozensets without a per-instance dict, and every audit record of a
-target shares one read-only map of base sizes.  None of this may
-change a single estimate.
+target shares one read-only map of base sizes.  Equal cached estimates
+share one int object, and a platform builds its PII directory only when
+a custom audience needs it.  None of this may change a single estimate.
 """
 
 from __future__ import annotations
@@ -30,11 +31,12 @@ from repro.core.audit import build_audit_targets
 from repro.core.checkpoint import EstimateCheckpoint
 from repro.experiments import ExperimentConfig, ExperimentContext
 from repro.experiments.runner import run_all
-from repro.platforms import base
+from repro.platforms import base, build_platform_suite
 from repro.platforms.facebook import FacebookRestrictedInterface
 from repro.platforms.linkedin import LinkedInInterface
 from repro.platforms.targeting import Clause, TargetingSpec
 from repro.population.demographics import SENSITIVE_ATTRIBUTES, AgeRange, Gender
+from repro.population.pii import PiiDirectory
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -247,10 +249,70 @@ class TestCompactAuditState:
         assert target.base_sizes(attribute) == shared != fresh
 
 
+def _shares_equal_values(shard) -> bool:
+    """Whether every value of ``shard`` is the one object of its value."""
+    return len({id(v) for v in shard.values()}) == len(set(shard.values()))
+
+
+class TestEstimateValues:
+    def test_equal_cached_estimates_are_one_object(self, session_small):
+        target = build_audit_targets(session_small.clients)["facebook"]
+        ids = target.study_option_ids()[:8]
+        pairs = [(a, b) for a in ids for b in ids if a < b]
+        # Single requests (one per size) first, then batches.
+        for options in pairs[:6]:
+            target.audit(options, SENSITIVE_ATTRIBUTES["gender"])
+        for name in ("gender", "age"):
+            target.audit_many([(a,) for a in ids] + pairs, SENSITIVE_ATTRIBUTES[name])
+        values = target.cached_estimates()
+        # CPython shares only the ints up to 256, so these would each
+        # be their own object.
+        assert len([v for v in values if v > 256]) > len(set(values))
+        assert all(_shares_equal_values(s) for s in target._cache.values())
+        # Sharing changes no value: each equals a fresh single estimate.
+        clients = {c.interface_key: c for c in (target.client, target.measure_client)}
+        assert values == [
+            clients[key].estimate(spec)
+            for key, shard in target._cache.items()
+            for spec in shard
+        ]
+
+    def test_checkpoint_preload_shares_equal_values(self, session_small, tmp_path):
+        path = tmp_path / "run.ckpt.json"
+        store = EstimateCheckpoint(path)
+        for index, age in enumerate(AgeRange):
+            for option_id in OPTIONS:
+                spec = TargetingSpec.of(option_id).with_age(age)
+                store.record("facebook", spec, 1000 + index % 2)
+        store.save()
+        target = build_audit_targets(session_small.clients)["facebook"]
+        target.attach_checkpoint(EstimateCheckpoint(path))
+        shard = target._cache["facebook"]
+        assert set(shard.values()) == {1000, 1001}
+        assert _shares_equal_values(shard)
+
+
+class TestLazyPii:
+    def test_suite_build_makes_no_pii_directory(self):
+        suite = build_platform_suite(n_records=2_000, seed=1)
+        for platform in (suite.facebook, suite.google, suite.linkedin):
+            service = platform.audiences
+            assert "pii" not in vars(service)
+            expected = PiiDirectory(service.population.n_records, service.pii_seed)
+            assert list(service.pii.records(range(50))) == list(
+                expected.records(range(50))
+            )
+            assert "pii" in vars(service)
+            assert service.pii is service.pii
+
+
 #: ``ru_maxrss`` of ``--only fig6`` at 100k records and 100 compositions
 #: on a 2-CPU Linux container: about 596 MB with an entry-capped memo,
-#: about 220 MB with the word-bounded one.
-_FIG6_RSS_LIMIT_MB = 400
+#: about 220 MB with an 8 MiB word bound, 185.4 MB as later changes left
+#: it, and 152.4-152.6 MB with a 2 MiB bound, shared estimate values and
+#: PII built on first use (174.2 MB with those but the 8 MiB bound).
+#: The bound is the last reading plus 9%, as for the full run.
+_FIG6_RSS_LIMIT_MB = 166
 
 
 #: ``ru_maxrss`` of the ``results_full_run.txt`` configuration on a
@@ -259,9 +321,12 @@ _FIG6_RSS_LIMIT_MB = 400
 #: record; 310.9-311.8 MB (as this test measures it) with tuple specs,
 #: per-attribute slice tuples and one shared ``bases`` map; 283.9-284.3 MB
 #: with columnar composition sets (one size matrix per set instead of a
-#: record per composition).  The bound is the last plus 9%, not 10%:
-#: 10% would still admit a record per composition (312.7 MB).
-_FULL_RUN_RSS_LIMIT_MB = 310
+#: record per composition); 268.4-268.5 MB as later changes left it;
+#: 226.3-227.2 MB with a 2 MiB rule-memo bound (8 MiB before), one int
+#: object per distinct cached estimate and PII built on first use.  The
+#: bound is the last plus 9%, as before; the 8 MiB bound with the other
+#: two changes reads 251.1 MB and fails it.
+_FULL_RUN_RSS_LIMIT_MB = 246
 
 #: Runs the audit CLI (arguments from ``sys.argv``) as its only child
 #: and prints that child's peak RSS.  ``RUSAGE_CHILDREN`` covers every
