@@ -37,7 +37,7 @@ from repro.api.wire import (
 from repro.platforms.base import BatchItem
 from repro.platforms.errors import BadRequestError, PlatformError
 from repro.platforms.google import FrequencyCap
-from repro.platforms.targeting import Clause, TargetingSpec
+from repro.platforms.targeting import CLAUSE_CACHE_LIMIT, Clause, TargetingSpec
 from repro.population.demographics import AgeRange, Gender
 
 __all__ = ["GoogleWireCodec", "criterion_id"]
@@ -134,7 +134,9 @@ class GoogleWireCodec(RouteCodec):
         self._reverse: dict[int, str] = {}
         # Decoded clauses, interned per raw criteria group: audits
         # resend the same groups across thousands of batch items (one
-        # per demographic slice).  Bounded by the catalog in practice.
+        # per demographic slice).  The keys come from request bodies,
+        # which may group and order known ids any way, so the cache
+        # starts over at CLAUSE_CACHE_LIMIT entries.
         self._clause_cache: dict[tuple, Clause] = {}
         for option_id in option_ids:
             self.register_option(option_id)
@@ -258,6 +260,8 @@ class GoogleWireCodec(RouteCodec):
                                 ) from None
                             if not options:
                                 raise BadRequestError("empty criteria group")
+                            if len(clause_cache) >= CLAUSE_CACHE_LIMIT:
+                                clause_cache.clear()
                             # Reverse-table hits are valid option ids by
                             # construction.
                             clause = clause_cache[key] = Clause._of(options)

@@ -113,10 +113,8 @@ class AuditTarget:
         self.cache_hits = 0
         self.cache_misses = 0
         # The base sizes |RA_v| are shared, read-only, by every audit
-        # record of an attribute; composition specs are memoised per
-        # option tuple.
+        # record of an attribute.
         self._base_sizes: dict[str, MappingProxyType[SensitiveValue, int]] = {}
-        self._composition_specs: dict[tuple[str, ...], TargetingSpec] = {}
         self._features: dict[str, str] | None = None
         # Keyed by (enum type, value): Gender and AgeRange are IntEnums
         # with overlapping raw values, so they cannot share a plain dict.
@@ -195,16 +193,12 @@ class AuditTarget:
         return True
 
     def composition_spec(self, options: Sequence[str]) -> TargetingSpec:
-        """AND-composition targeting spec over the given options (memoised)."""
-        key = tuple(options)
-        cached = self._composition_specs.get(key)
-        if cached is None:
-            if not self.can_compose(key):
-                raise UnsupportedCompositionError(
-                    f"{self.name} cannot AND-compose {list(key)}"
-                )
-            cached = self._composition_specs[key] = TargetingSpec.of(*key)
-        return cached
+        """AND-composition targeting spec over the given options."""
+        if not self.can_compose(options):
+            raise UnsupportedCompositionError(
+                f"{self.name} cannot AND-compose {list(options)}"
+            )
+        return TargetingSpec.of(*options)
 
     # -- demographic slicing ---------------------------------------------
 
@@ -407,9 +401,10 @@ class AuditTarget:
 
         Returns the plan, the spec of every planned composition and
         their slice grid (:meth:`_slice_grid` of the everyone spec and
-        then those specs), built in one pass.
+        then those specs), built in one pass.  The compositions are
+        ones :meth:`audit_many` let through :meth:`can_compose`.
         """
-        specs = [self.composition_spec(options) for options in compositions]
+        specs = [TargetingSpec.of(*options) for options in compositions]
         grid = self._slice_grid([TargetingSpec.everyone(), *specs], attribute)
 
         # Dedup in first-use order at C level, then drop cached specs.

@@ -14,7 +14,6 @@ only what a real advertiser would see.
 from __future__ import annotations
 
 from abc import ABC
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
@@ -43,19 +42,6 @@ __all__ = [
     "ReachEstimate",
     "AdPlatformInterface",
 ]
-
-#: Bound on the bit-vector words each interface's rule-resolution memo
-#: retains: 2 MiB of ``uint64`` words, which is 167 entries at 100k
-#: records and 6,898 at 2,400 (never fewer than one).  Every entry
-#: holds a population-sized vector, so a bound in entries would let the
-#: memo grow with the population: 32,768 entries of 100k-record vectors
-#: take 400 MB.  Measured misses (seed 42): at 100k records the whole
-#: run misses 117,256 rules with 8 MiB, 117,262 with 2 MiB and 117,264
-#: with 512 KiB (41 entries), because an audit revisits a rule only
-#: within one batch and its neighbour; at 2,400 records, where later
-#: experiments come back to earlier compositions, 39,395 with 8 MiB,
-#: 39,607 with 2 MiB, 43,634 with 1 MiB and 47,566 with 64 entries.
-_RULE_MEMO_WORDS = 1 << 18
 
 #: One batch item: a decoded ``(spec, estimate options)`` pair, or the
 #: error that decoding it raised.  The options are the keyword
@@ -137,23 +123,14 @@ class AdPlatformInterface(ABC):
         # Custom/pixel/lookalike audiences targetable on this interface,
         # registered by an AudienceService.
         self._audience_vectors: dict[str, BitVector] = {}
-        # Resolution memo: the demographic-free rule part of a spec
-        # (clauses + exclusions, minus folded facet clauses) resolves to
-        # the same bitvector under every demographic slice, so it is
-        # computed once and counted against each slice's mask.
-        self._rule_memo: OrderedDict[
-            tuple[object, ...], BitVector
-        ] = OrderedDict()
-        self._rule_memo_entries = max(
-            1, _RULE_MEMO_WORDS // population.index.everyone.words.size
-        )
         # Demographic mask of each slice (genders, ages, facet clauses).
         self._mask_memo: dict[tuple[object, ...], BitVector | None] = {}
         # Catalog options that *are* a demographic value (LinkedIn's
         # gender and age facets).  A clause made only of these is a
-        # demographic slice, not part of the rule.  A memo hit skips
-        # ``_validate_extra``, so an interface with composition rules
-        # folds none: they may constrain the facet clauses too.
+        # demographic slice, not part of the rule.  A rule already
+        # resolved in the same call skips ``_validate_extra``, so an
+        # interface with composition rules folds none: they may
+        # constrain the facet clauses too.
         folds = type(self)._validate_extra is AdPlatformInterface._validate_extra
         self._facet_ids = frozenset(
             entry.option_id
@@ -189,10 +166,6 @@ class AdPlatformInterface(ABC):
         if members.n_records != self.population.n_records:
             raise ValueError("audience spans a different population")
         self._audience_vectors[audience_id] = members
-        # A re-registered audience id may change what cached rules
-        # resolve to; drop the memo rather than track which entries
-        # referenced it.
-        self._rule_memo.clear()
 
     def has_audience(self, audience_id: str) -> bool:
         """Whether an audience id is targetable here."""
@@ -245,15 +218,15 @@ class AdPlatformInterface(ABC):
     def _split(
         self, spec: TargetingSpec
     ) -> tuple[tuple[object, ...], tuple[object, ...]]:
-        """A spec's rule-memo key and its demographic slice.
+        """A spec's rule key and its demographic slice.
 
         The key is ``(clauses, exclusions)``; the slice is ``(genders,
         ages, facet clauses)``.  A clause whose options are all
         demographic facets ANDs a demographic union into the audience,
         exactly as the gender and age fields do, so it joins the slice
         instead of the rule: every slice of one rule then shares one
-        memo entry.  A clause mixing facets with other options, and a
-        facet among the exclusions, stay in the rule.
+        key.  A clause mixing facets with other options, and a facet
+        among the exclusions, stay in the rule.
         """
         _, genders, ages, clauses, exclusions = spec
         facet_ids = self._facet_ids
@@ -265,12 +238,7 @@ class AdPlatformInterface(ABC):
         return (clauses, exclusions), (genders, ages, ())
 
     def _rule_vector(self, key: tuple[object, ...]) -> BitVector:
-        """Resolve a rule-memo key (clauses, exclusions) and memoise it.
-
-        Eviction is FIFO rather than LRU: audits sweep through rules
-        rather than revisiting old ones, so recency tracking would cost
-        a ``move_to_end`` on the hot hit path for nothing.
-        """
+        """Resolve a rule key ``(clauses, exclusions)`` to its audience."""
         clauses, exclusions = key
         self.resolution_misses += 1
         # Fold clauses without touching the all-ones vector: ANDing with
@@ -290,9 +258,6 @@ class AdPlatformInterface(ABC):
         if exclusions:
             for option_id in sorted(exclusions):
                 audience = audience.difference(self._option_vector(option_id))
-        self._rule_memo[key] = audience
-        if len(self._rule_memo) > self._rule_memo_entries:
-            self._rule_memo.popitem(last=False)
         return audience
 
     def _slice_mask(self, key: tuple[object, ...]) -> BitVector | None:
@@ -318,36 +283,32 @@ class AdPlatformInterface(ABC):
         return mask
 
     def resolution_stats(self) -> dict[str, int]:
-        """Hit/miss counters of the rule-resolution memo."""
-        return {
-            "hits": self.resolution_hits,
-            "misses": self.resolution_misses,
-            "entries": len(self._rule_memo),
-        }
+        """Hit/miss counters of rule resolution within requests."""
+        return {"hits": self.resolution_hits, "misses": self.resolution_misses}
 
     def prime_counts(
         self, specs: Sequence[TargetingSpec]
     ) -> list[int | PlatformError]:
         """Validate, resolve and popcount specs, one result per spec.
 
-        Each spec passes the field checks, then resolves its rule
-        through the memo; only a memo miss runs the option and
-        composition checks, which every memoised rule already passed.
-        Valid specs group by demographic slice, and each group
-        popcounts in one 2-D numpy pass.  An invalid spec gets the
-        error a lone call would raise, in its place.
+        Each spec passes the field checks, then resolves its rule once
+        per call: the slices of one rule share its vector, and only the
+        first of them runs the option and composition checks.  Nothing
+        is kept past the call.  Valid specs group by demographic slice,
+        and each group popcounts in one 2-D numpy pass.  An invalid spec
+        gets the error a lone call would raise, in its place.
         """
         results: list[int | PlatformError] = [0] * len(specs)
         groups: dict[tuple[object, ...], tuple[list[int], list[BitVector]]] = {}
-        rule_memo = self._rule_memo
+        resolved: dict[tuple[object, ...], BitVector] = {}
         for position, spec in enumerate(specs):
             try:
                 self._check_fields(spec)
                 key, demographic = self._split(spec)
-                rule = rule_memo.get(key)
+                rule = resolved.get(key)
                 if rule is None:
                     self._check_options(spec)
-                    rule = self._rule_vector(key)
+                    rule = resolved[key] = self._rule_vector(key)
                 else:
                     self.resolution_hits += 1
             except PlatformError as exc:

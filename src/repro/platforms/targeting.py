@@ -177,8 +177,9 @@ class TargetingSpec(tuple):
         itemgetter(slice(3, None)),
         doc="""``(clauses, exclusions)``: the part of the spec outside its
         demographic fields, which resolves to the same audience under
-        every gender and age slice (the key of the server's resolution
-        memo, once any demographic facet clauses are folded out).""",
+        every gender and age slice (the key under which the server
+        resolves it once per request, once any demographic facet
+        clauses are folded out).""",
     )
 
     def __getnewargs__(self) -> tuple:

@@ -311,7 +311,7 @@ class TestServerPriming:
     def test_resolution_memo_shared_across_slices(
         self, linkedin_platform, google_platform
     ):
-        """Demographic slices of one rule resolve the rule once.
+        """Demographic slices of one rule in one request resolve it once.
 
         Google slices by its gender field; LinkedIn ANDs a gender facet
         clause into the rule, which folds into the slice's mask.  A
@@ -324,29 +324,25 @@ class TestServerPriming:
         study = interface.study_option_ids()
         rule = TargetingSpec.of(study[7])
         male = interface.demographic_option_id(Gender.MALE)
-        for gender in (Gender.MALE, Gender.FEMALE):
-            interface.estimate_reach(
-                rule.and_option(interface.demographic_option_id(gender))
-            )
-        assert interface.resolution_stats() == {
-            "hits": 1, "misses": 1, "entries": 1,
-        }
-        interface.estimate_reach(rule.and_clause([male, study[8]]))
-        interface.estimate_reach(rule.excluding(male))
-        assert interface.resolution_stats() == {
-            "hits": 1, "misses": 3, "entries": 3,
-        }
+        female = interface.demographic_option_id(Gender.FEMALE)
+        batch = [
+            rule.and_option(male),
+            rule.and_option(female),
+            rule.and_clause([male, study[8]]),
+            rule.excluding(male),
+        ]
+        interface.estimate_batch([(spec, {}) for spec in batch])
+        assert interface.resolution_stats() == {"hits": 1, "misses": 3}
 
         interface = google_platform.display
         spec = TargetingSpec.of(interface.study_option_ids()[7])
         before = interface.resolution_stats()
-        interface.estimate_reach(spec.with_gender(Gender.MALE))
-        mid = interface.resolution_stats()
-        interface.estimate_reach(spec.with_gender(Gender.FEMALE))
+        interface.estimate_batch(
+            [(spec.with_gender(g), {}) for g in (Gender.MALE, Gender.FEMALE)]
+        )
         after = interface.resolution_stats()
-        assert mid["misses"] == before["misses"] + 1
-        assert after["misses"] == mid["misses"]
-        assert after["hits"] == mid["hits"] + 1
+        assert after["misses"] == before["misses"] + 1
+        assert after["hits"] == before["hits"] + 1
 
 
 def _same_feature_pair(interface, ids):

@@ -1,21 +1,21 @@
 """Memory bounds of the server-side caches and the audit's state.
 
-The rule-resolution memo of every interface is bounded in bit-vector
-words, so its footprint does not grow with the population, and keyed
-without LinkedIn's demographic facet clauses, so the slices of one rule
-share one entry; one-option
-clauses are interned, so the specs of an audit share them instead of
-each holding its own.  Specs and clauses are plain tuples and
-frozensets without a per-instance dict, and every audit record of a
-target shares one read-only map of base sizes.  Equal cached estimates
-share one int object, and a platform builds its PII directory only when
-a custom audience needs it.  None of this may change a single estimate.
+Every interface resolves a rule to its bit vector once per request and
+keeps no vector past it; the key leaves out LinkedIn's demographic
+facet clauses, so the slices of one rule in a request share one vector.
+The Google decoder's clause cache is bounded however a client orders
+its criteria.  One-option clauses are interned, so the specs of an
+audit share them instead of each holding its own.  Specs and clauses
+are plain tuples and frozensets without a per-instance dict, and every
+audit record of a target shares one read-only map of base sizes.  Equal
+cached estimates share one int object, and a platform builds its PII
+directory only when a custom audience needs it.  None of this may
+change a single estimate.
 """
 
 from __future__ import annotations
 
-import copy
-import dataclasses
+import itertools
 import os
 import pickle
 import subprocess
@@ -24,15 +24,16 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import FakeTransport, build_clients, mount_suite_routes
+from repro.api import obfuscation
 from repro.api.obfuscation import GoogleWireCodec
 from repro.api.wire import FacebookWireCodec, LinkedInWireCodec
 from repro.core.audit import build_audit_targets
 from repro.core.checkpoint import EstimateCheckpoint
-from repro.experiments import ExperimentConfig, ExperimentContext
-from repro.experiments.runner import run_all
-from repro.platforms import base, build_platform_suite
-from repro.platforms.facebook import FacebookRestrictedInterface
+from repro.platforms import build_platform_suite
+from repro.platforms.facebook import (
+    FacebookNormalInterface,
+    FacebookRestrictedInterface,
+)
 from repro.platforms.linkedin import LinkedInInterface
 from repro.platforms.targeting import Clause, TargetingSpec
 from repro.population.demographics import SENSITIVE_ATTRIBUTES, AgeRange, Gender
@@ -41,81 +42,93 @@ from repro.population.pii import PiiDirectory
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def _retained_words(interface) -> int:
-    words = interface.population.index.everyone.words.size
-    return len(interface._rule_memo) * words
+def _sliced(rules, slices):
+    """Every rule under every slice, rule by rule."""
+    return [restrict(rule) for rule in rules for restrict in slices]
 
 
-class TestRuleMemoBound:
-    def test_retained_words_never_exceed_bound(self, monkeypatch, fb_platform):
+class TestPerRequestRuleMemo:
+    """Rule vectors are shared within one request and kept no longer."""
+
+    def test_second_request_resolves_again(self, fb_platform):
         population, build = fb_platform.population, fb_platform.build
-        reference = FacebookRestrictedInterface(population, build)
-        words = population.index.everyone.words.size
-        bound = 5 * words + words // 2
-        monkeypatch.setattr(base, "_RULE_MEMO_WORDS", bound)
         interface = FacebookRestrictedInterface(population, build)
-        assert interface._rule_memo_entries == 5
-        ids = interface.study_option_ids()[:12]
+        ids = interface.study_option_ids()[:6]
         pairs = [TargetingSpec.of(a, b) for a in ids for b in ids if a < b]
-        for start in range(0, len(pairs), 16):
-            batch = pairs[start:start + 16]
-            estimates = interface.estimate_batch([(spec, {}) for spec in batch])
-            assert _retained_words(interface) <= bound
-            assert estimates == [
-                reference.estimate_reach(spec).estimate for spec in batch
-            ]
-        for option_id in ids:
-            spec = TargetingSpec.of(option_id)
-            assert (
-                interface.estimate_reach(spec).estimate
-                == reference.estimate_reach(spec).estimate
-            )
-            assert _retained_words(interface) <= bound
-        stats = interface.resolution_stats()
-        assert stats["entries"] == 5
-        assert stats["misses"] == len(pairs) + len(ids)
+        items = [(spec, {}) for spec in pairs + pairs]
+        first = interface.estimate_batch(items)
+        assert interface.resolution_stats() == {
+            "hits": len(pairs), "misses": len(pairs),
+        }
+        assert interface.estimate_batch(items) == first
+        assert interface.resolution_stats() == {
+            "hits": 2 * len(pairs), "misses": 2 * len(pairs),
+        }
+        # A re-registered audience is read afresh by the next request.
+        index = interface.population.index
+        spec = TargetingSpec.of("audience:probe", ids[1])
+        interface.register_audience("audience:probe", index.attribute(ids[0]))
+        [narrow] = interface.estimate_batch([(spec, {})])
+        interface.register_audience("audience:probe", index.everyone)
+        [wide] = interface.estimate_batch([(spec, {})])
+        assert (narrow, wide) == tuple(
+            interface.estimate_reach(TargetingSpec.of(*options)).estimate
+            for options in (ids[:2], ids[1:2])
+        )
 
-    def test_one_entry_memo_renders_identically(self, monkeypatch):
-        config = ExperimentConfig.tiny()
-        default = run_all(config=config, only=["fig1", "fig3"])
-        monkeypatch.setattr(base, "_RULE_MEMO_WORDS", 1)
-        context = ExperimentContext(config)
-        bounded = run_all(config=config, only=["fig1", "fig3"], context=context)
-        for interface in context.session.suite.interfaces.values():
-            assert interface._rule_memo_entries == 1
-            assert interface.resolution_stats()["entries"] <= 1
-        for name in ("fig1", "fig3"):
-            assert bounded.results[name].render() == default.results[name].render()
+    def test_estimates_equal_per_spec_reference(self, fb_platform):
+        population, build = fb_platform.population, fb_platform.build
+        interface = FacebookNormalInterface(population, build)
+        reference = FacebookNormalInterface(population, build)
+        ids = interface.study_option_ids()[:5]
+        rules = [TargetingSpec.of(a) for a in ids] + [
+            TargetingSpec.of(a, b) for a in ids for b in ids if a < b
+        ]
+        slices = [lambda spec: spec] + [
+            lambda spec, g=g: spec.with_gender(g) for g in Gender
+        ] + [lambda spec, a=a: spec.with_age(a) for a in list(AgeRange)[:2]]
+        specs = _sliced(rules, slices)
+        misses = 0
+        for start in range(0, len(specs), 16):
+            chunk = specs[start:start + 16]
+            estimates = interface.estimate_batch([(spec, {}) for spec in chunk])
+            assert estimates == [
+                reference.estimate_reach(spec).estimate for spec in chunk
+            ]
+            misses += len({spec.rule for spec in chunk})
+        assert interface.resolution_stats() == {
+            "hits": len(specs) - misses, "misses": misses,
+        }
 
 
 class TestFacetFold:
-    def test_linkedin_slices_share_their_rule(self, session_small):
-        """One rule-memo entry per LinkedIn rule, not one per slice.
+    def test_linkedin_slices_share_their_rule(self, linkedin_platform):
+        """One rule resolution per LinkedIn rule and call, not per slice.
 
         The audit ANDs a gender or age facet clause into each rule; the
-        clause folds into the slice's mask, so every slice of a rule,
-        and its unsliced total, resolves the same memo entry.
+        clause folds into the slice's mask, so every slice of a rule in
+        one request, and its unsliced total, reuses one rule vector.
         """
-        linkedin = copy.copy(session_small.suite.linkedin)
-        linkedin.interface = interface = LinkedInInterface(
-            linkedin.population, linkedin.build
+        interface = LinkedInInterface(
+            linkedin_platform.population, linkedin_platform.build
         )
-        transport = FakeTransport(rate=None)
-        mount_suite_routes(
-            transport, dataclasses.replace(session_small.suite, linkedin=linkedin)
-        )
-        target = build_audit_targets(build_clients(transport))["linkedin"]
-        ids = target.study_option_ids()
-        compositions = [(a,) for a in ids[:6]] + [
-            (a, b) for a in ids[:6] for b in ids[6:12]
+        ids = interface.study_option_ids()
+        facets = [
+            e.option_id for e in interface.catalog if e.demographic_value is not None
         ]
-        for name in ("gender", "age"):
-            target.audit_many(compositions, SENSITIVE_ATTRIBUTES[name])
-        stats = interface.resolution_stats()
-        # Every distinct rule plus the base (everyone) resolves once.
-        assert stats["misses"] == len(set(compositions)) + 1
-        assert stats["entries"] == stats["misses"]
-        assert stats["hits"] + stats["misses"] == interface.query_count
+        rules = [TargetingSpec.of(a) for a in ids[:4]] + [
+            TargetingSpec.of(a, b) for a in ids[:4] for b in ids[4:8]
+        ]
+        slices = [lambda spec: spec] + [
+            lambda spec, f=f: spec.and_option(f) for f in facets
+        ] + [lambda spec: spec.and_clause(facets[-2:])]
+        specs = _sliced(rules, slices)
+        counts = interface.prime_counts(specs)
+        assert interface.resolution_stats() == {
+            "hits": len(specs) - len(rules), "misses": len(rules),
+        }
+        assert interface.prime_counts(specs) == counts
+        assert interface.resolution_stats()["misses"] == 2 * len(rules)
 
 
 OPTIONS = ["fb:a", "fb:b", "fb:c"]
@@ -197,6 +210,23 @@ class TestClauseInterning:
         assert back == spec and estimate == 1234
         for ours, theirs in zip(spec.clauses, back.clauses):
             assert theirs is ours
+
+
+class TestDecodeClauseCache:
+    def test_google_cache_is_bounded_against_reordered_groups(self, monkeypatch):
+        """Any ordering of known criterion ids is a fresh cache key, so
+        the Google decoder's clause cache starts over at its limit."""
+        monkeypatch.setattr(obfuscation, "CLAUSE_CACHE_LIMIT", 4)
+        ids = [f"x:feat:opt-{i}" for i in range(4)]
+        codec = GoogleWireCodec(ids)
+        spec = TargetingSpec.and_of_ors([ids])
+        [body] = codec.encode_batch([spec], dict.fromkeys(ids, "audiences"))
+        [(feature, [group])] = body["4"].items()
+        for order in itertools.permutations(group):
+            reordered = {**body, "4": {feature: [list(order)]}}
+            [(decoded, _)] = codec.decode_batch([reordered])
+            assert decoded == spec
+            assert len(codec._clause_cache) <= 4
 
 
 class TestCompactAuditState:
@@ -309,10 +339,11 @@ class TestLazyPii:
 #: ``ru_maxrss`` of ``--only fig6`` at 100k records and 100 compositions
 #: on a 2-CPU Linux container: about 596 MB with an entry-capped memo,
 #: about 220 MB with an 8 MiB word bound, 185.4 MB as later changes left
-#: it, and 152.4-152.6 MB with a 2 MiB bound, shared estimate values and
-#: PII built on first use (174.2 MB with those but the 8 MiB bound).
-#: The bound is the last reading plus 9%, as for the full run.
-_FIG6_RSS_LIMIT_MB = 166
+#: it, 152.4-152.6 MB with a 2 MiB bound, shared estimate values and
+#: PII built on first use (174.2 MB with those but the 8 MiB bound), and
+#: 149.3-149.6 MB with rule vectors kept for one request only.  The
+#: bound is the last reading plus 9%, as for the full run.
+_FIG6_RSS_LIMIT_MB = 162
 
 
 #: ``ru_maxrss`` of the ``results_full_run.txt`` configuration on a
@@ -323,10 +354,12 @@ _FIG6_RSS_LIMIT_MB = 166
 #: with columnar composition sets (one size matrix per set instead of a
 #: record per composition); 268.4-268.5 MB as later changes left it;
 #: 226.3-227.2 MB with a 2 MiB rule-memo bound (8 MiB before), one int
-#: object per distinct cached estimate and PII built on first use.  The
-#: bound is the last plus 9%, as before; the 8 MiB bound with the other
-#: two changes reads 251.1 MB and fails it.
-_FULL_RUN_RSS_LIMIT_MB = 246
+#: object per distinct cached estimate and PII built on first use;
+#: 205.5-205.6 MB with rule vectors kept for one request only and no
+#: composition-spec memo.  The bound is the last plus 9%, as before; the
+#: tree with the 2 MiB cross-request memo and the spec memo reads
+#: 226.3-227.1 MB and fails it.
+_FULL_RUN_RSS_LIMIT_MB = 223
 
 #: Runs the audit CLI (arguments from ``sys.argv``) as its only child
 #: and prints that child's peak RSS.  ``RUSAGE_CHILDREN`` covers every
