@@ -68,7 +68,6 @@ DECLASSIFIERS = frozenset(
         "repro.core.audit.AuditTarget._build_demographic_spec",
         "repro.core.audit.AuditTarget._measure",
         "repro.core.audit.AuditTarget._restriction",
-        "repro.core.audit.AuditTarget._slice_grid",
         "repro.core.audit.AuditTarget.measure",
         "repro.core.audit.AuditTarget.base_sizes",
     }

@@ -16,14 +16,16 @@ tricks from Section 3 of the paper:
   ANDs the corresponding detailed-targeting facet into the rule.
 
 All size queries go through the API clients (never the simulator's
-internals) and are cached per targeting spec, mirroring the paper's
+internals) and are cached per composition row -- a composition's
+clause tuple maps to its size under every value of the sensitive
+attribute, ``|TA AND RA_v|`` for each ``v`` -- mirroring the paper's
 care to limit query load.
 """
 
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -55,6 +57,22 @@ from repro.population.demographics import (
 )
 
 __all__ = ["AuditTarget", "build_audit_targets"]
+
+#: The country of every spec a row holds: the paper targets US users.
+_ROW_COUNTRY = TargetingSpec.everyone().country
+
+#: A row with no estimate yet, per value type: one slot per value, at
+#: the value's code.  Both sensitive attributes list their values in
+#: code order, so a row is in ``attribute.values`` order.
+_EMPTY_ROWS: dict[type, tuple[None, ...]] = {
+    kind: (None,) * len(kind) for kind in (Gender, AgeRange)
+}
+
+#: One cache row: an estimate per value, ``None`` where not cached.
+Row = tuple[int | None, ...]
+
+#: How a plan caches the estimate of the spec at an index.
+Place = Callable[[int, int], None]
 
 
 class AuditTarget:
@@ -101,10 +119,22 @@ class AuditTarget:
         # Observability rides in on the clients (and ultimately the
         # transport); targets never construct their own sinks.
         self.tracer = getattr(client, "tracer", NULL_TRACER)
-        # Estimate cache, sharded per interface key: specs are hashed
-        # on every lookup of the audit's hot loop, so the shard layout
-        # avoids allocating and hashing a (key, spec) tuple per lookup.
-        self._cache: dict[str, dict[TargetingSpec, int]] = {}
+        # Estimate caches.  Every demographic slice the measure
+        # interface sizes lives in one row per (value type,
+        # composition), keyed by the composition's clause tuple -- the
+        # tuple its spec and slices already hold -- so a composition
+        # costs one small tuple of estimates, not a slice spec per value.
+        self._rows: dict[type, dict[tuple[Clause, ...], Row]] = {}
+        # Every other spec the measure interface sized (age
+        # complements, un-sliced specs, specs with their own
+        # demographics, exclusions or country), keyed by that spec.
+        self._side: dict[TargetingSpec, int] = {}
+        # The restricted interface's validation estimates (Facebook
+        # restricted only), one per composition spec.
+        self._validated: dict[TargetingSpec, int] = {}
+        # Checkpoint entries of the measure interface not yet in a row
+        # or the side map; see :meth:`_settle`.
+        self._unplaced: list[tuple[TargetingSpec, int]] = []
         # One int object per distinct estimate value, shared by every
         # cache entry that holds it: a full run caches over 330k
         # estimates of a few hundred rounded values, and each arrives
@@ -116,9 +146,11 @@ class AuditTarget:
         # record of an attribute.
         self._base_sizes: dict[str, MappingProxyType[SensitiveValue, int]] = {}
         self._features: dict[str, str] | None = None
-        # Keyed by (enum type, value): Gender and AgeRange are IntEnums
-        # with overlapping raw values, so they cannot share a plain dict.
-        self._li_demo_ids: dict[tuple[type, int], str] | None = None
+        # LinkedIn's demographic facet ids, both ways; see
+        # :meth:`_linkedin_facets`.
+        self._facets: (
+            tuple[dict[tuple[type, int], str], dict[str, SensitiveValue]] | None
+        ) = None
         # Optional durable store mirroring the estimate cache; see
         # :meth:`attach_checkpoint`.
         self._checkpoint = None
@@ -137,19 +169,41 @@ class AuditTarget:
         """
         self._checkpoint = checkpoint
         preloaded = 0
-        estimates = self._estimates
-        for client in (self.client, self.measure_client):
-            shard = self._cache.setdefault(client.interface_key, {})
-            before = len(shard)
-            shard.update(
-                (spec, estimates.setdefault(value, value))
-                for spec, value in checkpoint.shard(client.interface_key).items()
+        if self.client is not self.measure_client:
+            validated = self._validated
+            before = len(validated)
+            validated.update(
+                (spec, self._estimates.setdefault(value, value))
+                for spec, value in checkpoint.shard(self.client.interface_key).items()
             )
-            preloaded += len(shard) - before
+            preloaded = len(validated) - before
+        entries = checkpoint.shard(self.measure_client.interface_key)
+        self._unplaced += entries.items()
+        preloaded += len(entries)
         if self.tracer.enabled:
             self.tracer.event(
                 "checkpoint.load", target=self.key, entries=preloaded
             )
+
+    def _settle(self) -> None:
+        """Place preloaded checkpoint entries in their rows or side map.
+
+        Runs at the first cache read after :meth:`attach_checkpoint`,
+        not in it: on LinkedIn a slice is told apart by its demographic
+        facet id, which comes from the catalog, and attaching a
+        checkpoint sends no request.
+        """
+        if not self._unplaced:
+            return
+        unplaced, self._unplaced = self._unplaced, []
+        estimates = self._estimates
+        for spec, value in unplaced:
+            value = estimates.setdefault(value, value)
+            home = self._row_of(spec)
+            if home is None:
+                self._side[spec] = value
+            else:
+                self._put(*home, value)
 
     def _record_estimate(
         self, interface_key: str, spec: TargetingSpec, estimate: int
@@ -202,16 +256,29 @@ class AuditTarget:
 
     # -- demographic slicing ---------------------------------------------
 
-    def _linkedin_demo_id(self, value: SensitiveValue) -> str:
-        if self._li_demo_ids is None:
-            self._li_demo_ids = {}
-        key = (type(value), int(value))
-        if key not in self._li_demo_ids:
+    def _linkedin_facets(
+        self,
+    ) -> tuple[dict[tuple[type, int], str], dict[str, SensitiveValue]]:
+        """LinkedIn's facet id of every sensitive value, and the value of
+        every facet id (the catalog is read once).
+
+        Ids are keyed by (enum type, code): Gender and AgeRange are
+        IntEnums with overlapping raw values, so they cannot share a
+        plain dict.
+        """
+        if self._facets is None:
             assert isinstance(self.measure_client, LinkedInReachClient)
-            self._li_demo_ids[key] = self.measure_client.demographic_option_id(
-                value.label
-            )
-        return self._li_demo_ids[key]
+            facet_id = self.measure_client.demographic_option_id
+            ids = {
+                (kind, int(v)): facet_id(v.label)
+                for kind in (Gender, AgeRange)
+                for v in kind
+            }
+            values = {
+                option_id: kind(code) for (kind, code), option_id in ids.items()
+            }
+            self._facets = ids, values
+        return self._facets
 
     @staticmethod
     def _complement_values(value: SensitiveValue) -> list[SensitiveValue]:
@@ -232,9 +299,21 @@ class AuditTarget:
 
         ``exclude=True`` selects ``RA_{not value}`` -- used for the
         recall of exclusion-style skews such as "age not 18-24".
+
+        Raises
+        ------
+        ValueError
+            If ``spec`` already restricts ``value``'s attribute: Facebook
+            and Google would replace that restriction and LinkedIn would
+            intersect it, so one call would size different audiences.
         """
         if value is None:
             return spec
+        own = spec.genders if isinstance(value, Gender) else spec.age_ranges
+        if own is not None:
+            raise ValueError(
+                f"{spec.describe()} already restricts the attribute of {value!r}"
+            )
         return self._build_demographic_spec(spec, value, exclude)
 
     def _build_demographic_spec(
@@ -252,7 +331,8 @@ class AuditTarget:
         sensitive attribute: through its gender or age field, or, on
         LinkedIn, by ANDing their facet clause into the rule."""
         if self._demographics_via_facets:
-            ids = frozenset([self._linkedin_demo_id(v) for v in values])
+            facet_ids, _ = self._linkedin_facets()
+            ids = frozenset([facet_ids[(type(v), int(v))] for v in values])
             return None, None, (Clause._of(ids),)
         if isinstance(values[0], Gender):
             return frozenset(values), None, ()
@@ -260,36 +340,78 @@ class AuditTarget:
             return None, frozenset(values), ()
         raise TypeError(f"not a sensitive value: {values[0]!r}")
 
-    def _slice_grid(
-        self, specs: Sequence[TargetingSpec], attribute: SensitiveAttribute
-    ) -> list[TargetingSpec]:
-        """The demographic slices of every spec, one row of
-        ``attribute.values`` per spec, flattened."""
-        return restricted(specs, [self._restriction([v]) for v in attribute.values])
+    # -- the estimate cache ----------------------------------------------------
 
-    # -- measurement -----------------------------------------------------------
+    def _row_of(
+        self, spec: TargetingSpec
+    ) -> tuple[type, tuple[Clause, ...], int] | None:
+        """Where the measure interface's estimate of ``spec`` is cached.
 
-    def _shard(self, client: ReachClient) -> dict[TargetingSpec, int]:
-        """The estimate cache of one client's interface."""
-        shard = self._cache.get(client.interface_key)
-        if shard is None:
-            shard = self._cache[client.interface_key] = {}
-        return shard
+        A spec that restricts a US, exclusion-free, demographics-free
+        composition to one sensitive value is that composition's slice:
+        its estimate lives in the row of the value's type keyed by the
+        composition's clauses, at the value's code.  Any other spec
+        lives in the side map (``None``).  So a gender complement is
+        the other gender's slice, and an age complement a side entry.
+        """
+        country, genders, ages, clauses, exclusions = spec
+        if country != _ROW_COUNTRY or exclusions:
+            return None
+        if self._demographics_via_facets:
+            # A slice ANDs its one-option facet clause on last.
+            if genders is not None or ages is not None or not clauses:
+                return None
+            facet = clauses[-1]
+            if len(facet) != 1:
+                return None
+            _, facet_values = self._linkedin_facets()
+            value = facet_values.get(next(iter(facet)))
+            if value is None:
+                return None
+            return type(value), clauses[:-1], int(value)
+        if ages is None and genders is not None and len(genders) == 1:
+            [value] = genders
+        elif genders is None and ages is not None and len(ages) == 1:
+            [value] = ages
+        else:
+            return None
+        return type(value), clauses, int(value)
 
-    def _measure(self, client: ReachClient, spec: TargetingSpec) -> int:
-        shard = self._shard(client)
-        cached = shard.get(spec)
+    def _put(
+        self, kind: type, key: tuple[Clause, ...], column: int, estimate: int
+    ) -> None:
+        """Cache one slice's estimate in its row."""
+        rows = self._rows.get(kind)
+        if rows is None:
+            rows = self._rows[kind] = {}
+        row = rows.get(key, _EMPTY_ROWS[kind])
+        rows[key] = (*row[:column], estimate, *row[column + 1 :])
+
+    def _estimate(self, client: ReachClient, spec: TargetingSpec) -> int:
+        """One uncached estimate, fetched by itself and recorded."""
+        self.cache_misses += 1
+        result = client.estimate(spec)
+        self._record_estimate(client.interface_key, spec, result)
+        return self._estimates.setdefault(result, result)
+
+    def _measure(
+        self,
+        client: ReachClient,
+        cache: dict[TargetingSpec, int],
+        spec: TargetingSpec,
+    ) -> int:
+        """Estimate of ``spec`` through a spec-keyed cache."""
+        cached = cache.get(spec)
         if cached is not None:
             # No per-lookup event here: the audit hot loop hits the
             # cache hundreds of thousands of times per experiment, so
             # audit_many emits one coalesced event per batch instead.
             self.cache_hits += 1
             return cached
-        self.cache_misses += 1
-        result = client.estimate(spec)
-        result = shard[spec] = self._estimates.setdefault(result, result)
-        self._record_estimate(client.interface_key, spec, result)
+        result = cache[spec] = self._estimate(client, spec)
         return result
+
+    # -- measurement -----------------------------------------------------------
 
     def measure(
         self,
@@ -298,9 +420,19 @@ class AuditTarget:
         exclude: bool = False,
     ) -> int:
         """Cached size estimate of ``spec`` restricted to ``value``."""
-        return self._measure(
-            self.measure_client, self.demographic_spec(spec, value, exclude)
-        )
+        self._settle()
+        spec = self.demographic_spec(spec, value, exclude)
+        home = self._row_of(spec)
+        if home is None:
+            return self._measure(self.measure_client, self._side, spec)
+        kind, key, column = home
+        row = self._rows.get(kind, {}).get(key)
+        if row is not None and row[column] is not None:
+            self.cache_hits += 1
+            return row[column]
+        result = self._estimate(self.measure_client, spec)
+        self._put(kind, key, column, result)
+        return result
 
     def base_sizes(
         self, attribute: SensitiveAttribute
@@ -328,39 +460,47 @@ class AuditTarget:
         return cached
 
     def _fill(
-        self,
-        specs: Sequence[TargetingSpec],
-        grid: Sequence[TargetingSpec],
-        attribute: SensitiveAttribute,
+        self, specs: Sequence[TargetingSpec], attribute: SensitiveAttribute
     ) -> list[int]:
-        """Per-value sizes of each spec, row-major, from the spec cache.
+        """Per-value sizes of each spec, row-major, from the cache rows.
 
-        ``grid`` is :meth:`_slice_grid` of the everyone spec and then
-        ``specs``.  Walks the one measuring order every audit follows,
-        spec by spec: validate the targeting on this interface (one
-        un-sliced size query through ``client``), measure each
-        demographic slice through ``measure_client``, then the shared
-        base sizes.  On a warm cache every step is a counted hit; an
-        uncached entry (a per-item batch error) is re-issued here and
+        Walks the one measuring order every audit follows, spec by
+        spec: validate the targeting on this interface (one un-sliced
+        size query through ``client``), measure each demographic slice
+        through ``measure_client``, then the shared base sizes.  On a
+        warm cache every step is a counted hit, one per slice; an
+        uncached slice (a per-item batch error) is re-issued here and
         raises at its composition.
         """
-        width = len(attribute.values)
+        self._settle()
+        kind = type(attribute.values[0])
+        columns = [int(v) for v in attribute.values]
+        width = len(columns)
+        empty = _EMPTY_ROWS[kind]
+        rows = self._rows.setdefault(kind, {})
         measure_client = self.measure_client
         validate_client = self.client if measure_client is not self.client else None
-        measure = self._measure
         sizes: list[int] = []
-        for row, spec in enumerate(specs, 1):
+        for spec in specs:
             if validate_client is not None:
                 # Facebook-restricted path: confirm the restricted
                 # interface accepts this exact targeting before
                 # measuring elsewhere.
-                measure(validate_client, spec)
-            sizes.extend(
-                [
-                    measure(measure_client, s)
-                    for s in grid[row * width : (row + 1) * width]
-                ]
-            )
+                self._measure(validate_client, self._validated, spec)
+            key = spec[3]
+            row = rows.get(key, empty)
+            got = [row[c] for c in columns]
+            if None in got:
+                for i, value in enumerate(attribute.values):
+                    if got[i] is None:
+                        [sliced] = restricted([spec], [self._restriction([value])])
+                        got[i] = self._estimate(measure_client, sliced)
+                        self._put(kind, key, columns[i], got[i])
+                    else:
+                        self.cache_hits += 1
+            else:
+                self.cache_hits += width
+            sizes += got
             self._shared_bases(attribute)
         return sizes
 
@@ -374,8 +514,7 @@ class AuditTarget:
         through ``measure_client`` (:meth:`_fill`).
         """
         spec = self.composition_spec(options)
-        grid = self._slice_grid([TargetingSpec.everyone(), spec], attribute)
-        row = self._fill([spec], grid, attribute)
+        row = self._fill([spec], attribute)
         return TargetingAudit(
             options=tuple(options),
             attribute=attribute,
@@ -388,67 +527,90 @@ class AuditTarget:
         compositions: Sequence[tuple[str, ...]],
         attribute: SensitiveAttribute,
     ) -> tuple[
-        list[tuple[ReachClient, list[TargetingSpec]]],
-        list[TargetingSpec],
+        list[tuple[ReachClient, list[TargetingSpec], Place]],
         list[TargetingSpec],
     ]:
         """Every uncached size query an audit batch needs, per client in
-        first-use order, deduped against the spec cache and within the
-        plan.
+        first-use order, deduped against the cache and within the plan.
 
         Base sizes are hoisted to the front -- every audit record needs
-        them, so they dedupe to one query per sensitive value.
+        them, so they dedupe to one query per sensitive value.  Slices
+        are built only for the uncached slots of each row.
 
-        Returns the plan, the spec of every planned composition and
-        their slice grid (:meth:`_slice_grid` of the everyone spec and
-        then those specs), built in one pass.  The compositions are
-        ones :meth:`audit_many` let through :meth:`can_compose`.
+        Returns the plan -- each client with its specs and how to cache
+        the estimate of the spec at an index -- and the spec of every
+        planned composition.  The compositions are ones
+        :meth:`audit_many` let through :meth:`can_compose`.
         """
+        self._settle()
         specs = [TargetingSpec.of(*options) for options in compositions]
-        grid = self._slice_grid([TargetingSpec.everyone(), *specs], attribute)
+        kind = type(attribute.values[0])
+        columns = [int(v) for v in attribute.values]
+        restrictions = [self._restriction([v]) for v in attribute.values]
+        empty = _EMPTY_ROWS[kind]
+        rows = self._rows.get(kind, {})
 
-        # Dedup in first-use order at C level, then drop cached specs.
-        plan: list[tuple[ReachClient, list[TargetingSpec]]] = []
-        measure_client = self.measure_client
-        if measure_client is not self.client:
-            shard = self._shard(self.client)
+        plan: list[tuple[ReachClient, list[TargetingSpec], Place]] = []
+        if self.measure_client is not self.client:
+            validated = self._validated
+            unvalidated = [s for s in dict.fromkeys(specs) if s not in validated]
             plan.append(
-                (self.client, [s for s in dict.fromkeys(specs) if s not in shard])
+                (
+                    self.client,
+                    unvalidated,
+                    lambda index, estimate: validated.__setitem__(
+                        unvalidated[index], estimate
+                    ),
+                )
             )
-        shard = self._shard(measure_client)
+        # Row-major over the everyone spec and then the compositions,
+        # the uncached slots of each distinct row in value order.
+        slices: list[TargetingSpec] = []
+        keys: list[tuple[Clause, ...]] = []
+        slots: list[int] = []
+        for spec in dict.fromkeys([TargetingSpec.everyone(), *specs]):
+            row = rows.get(spec[3], empty)
+            missing = [i for i, c in enumerate(columns) if row[c] is None]
+            if missing:
+                slices += restricted([spec], [restrictions[i] for i in missing])
+                keys += [spec[3]] * len(missing)
+                slots += [columns[i] for i in missing]
         plan.append(
-            (measure_client, [s for s in dict.fromkeys(grid) if s not in shard])
+            (
+                self.measure_client,
+                slices,
+                lambda index, estimate: self._put(
+                    kind, keys[index], slots[index], estimate
+                ),
+            )
         )
-        return plan, specs, grid
+        return plan, specs
 
     def _dispatch_plan(
-        self, plan: Sequence[tuple[ReachClient, list[TargetingSpec]]]
+        self, plan: Sequence[tuple[ReachClient, list[TargetingSpec], Place]]
     ) -> None:
         """Fetch a plan's estimates in batched calls, one pass per client.
 
-        Successful estimates land in the spec cache (and checkpoint) as
-        each item completes -- streamed through ``on_result`` so a run
+        Successful estimates land in the cache (and checkpoint) as each
+        item completes -- streamed through ``on_result`` so a run
         killed mid-plan keeps everything already fetched.  Per-item
         errors are left uncached, so :meth:`_fill` re-issues that single
         call and raises exactly where a direct :meth:`audit` would.
         """
-        for client, specs in plan:
+        for client, specs, place in plan:
             if not specs:
                 continue
-            shard = self._shard(client)
             interface_key = client.interface_key
 
             def commit(
                 index: int,
                 result,
-                shard=shard,
                 specs=specs,
+                place=place,
                 interface_key=interface_key,
             ) -> None:
                 if isinstance(result, int):
-                    result = shard[specs[index]] = self._estimates.setdefault(
-                        result, result
-                    )
+                    place(index, self._estimates.setdefault(result, result))
                     self._record_estimate(interface_key, specs[index], result)
 
             client.estimate_many(specs, on_result=commit)
@@ -463,7 +625,7 @@ class AuditTarget:
 
         The whole batch is planned up front: compositions expand into
         their demographic-sliced size queries, duplicates collapse
-        against the spec cache, and each client fetches its remaining
+        against the cache, and each client fetches its remaining
         specs through the platform's batch endpoint in one pass.  The
         warmed cache then fills one size matrix through :meth:`_fill`,
         so every row, cache count and error equals what :meth:`audit`
@@ -474,11 +636,11 @@ class AuditTarget:
             "audit.audit_many", target=self.key, compositions=len(compositions)
         ):
             hits, misses = self.cache_hits, self.cache_misses
-            plan, specs, grid = self._plan_queries(compositions, attribute)
+            plan, specs = self._plan_queries(compositions, attribute)
             self._dispatch_plan(plan)
-            sizes = np.array(
-                self._fill(specs, grid, attribute), dtype=np.int64
-            ).reshape(len(specs), len(attribute.values))
+            sizes = np.array(self._fill(specs, attribute), dtype=np.int64).reshape(
+                len(specs), len(attribute.values)
+            )
             self._note_cache_activity(hits, misses)
             bases = self._shared_bases(attribute) if compositions else NO_BASES
             return CompositionSet.from_columns(
@@ -525,10 +687,17 @@ class AuditTarget:
 
     def cached_estimates(self) -> list[int]:
         """Every cached estimate, one per cached spec (granularity study)."""
+        self._settle()
         return [
-            estimate
-            for shard in self._cache.values()
-            for estimate in shard.values()
+            *self._validated.values(),
+            *self._side.values(),
+            *(
+                estimate
+                for rows in self._rows.values()
+                for row in rows.values()
+                for estimate in row
+                if estimate is not None
+            ),
         ]
 
 

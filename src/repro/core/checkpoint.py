@@ -5,8 +5,10 @@ exhausted query budget, a crashed laptop -- must not re-issue the
 thousands of size queries it already paid for.  The checkpoint is the
 durable form of :class:`~repro.core.audit.AuditTarget`'s estimate
 cache: every successful ``(interface, spec) -> estimate`` lands here,
-and attaching the store to a fresh target pre-warms its cache so the
-query planner skips everything already measured.
+one entry per spec sent, though the cache keeps a composition's
+demographic slices together in one row.  Attaching the store to a
+fresh target places each entry in the row (or side map) that measuring
+it would have, so the query planner skips everything already measured.
 
 Because audit records are a pure function of the cached estimates,
 ``kill + resume`` produces output bit-identical to an uninterrupted

@@ -36,11 +36,6 @@ __all__ = ["BitVector", "AudienceIndex"]
 
 _WORD_BITS = 64
 
-#: ``np.bitwise_count`` landed in numpy 2.0; older numpys fall back to
-#: unpacking words to bits and summing, which is ~8x more memory
-#: traffic but bit-for-bit the same count.
-_HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
-
 #: Reusable AND scratch buffers keyed by word count, so the audit's
 #: hottest query (intersect-then-popcount) allocates nothing per call.
 #: Populations come in one or two sizes per process, so this never
@@ -50,17 +45,12 @@ _AND_SCRATCH: Dict[int, np.ndarray] = {}
 
 def _popcount_words(words: np.ndarray) -> int:
     """Total set bits of a 1-D uint64 word array."""
-    if _HAS_BITWISE_COUNT:
-        return int(np.bitwise_count(words).sum())
-    return int(np.unpackbits(words.view(np.uint8)).sum())
+    return int(np.bitwise_count(words).sum())
 
 
 def _popcount_rows(words: np.ndarray) -> list[int]:
     """Per-row set bits of a 2-D uint64 word array."""
-    if _HAS_BITWISE_COUNT:
-        return np.bitwise_count(words).sum(axis=1, dtype=np.int64).tolist()
-    bits = np.unpackbits(words.view(np.uint8).reshape(words.shape[0], -1), axis=1)
-    return bits.sum(axis=1, dtype=np.int64).tolist()
+    return np.bitwise_count(words).sum(axis=1, dtype=np.int64).tolist()
 
 
 def _n_words(n_bits: int) -> int:
@@ -232,10 +222,8 @@ class BitVector:
         if scratch is None:
             scratch = _AND_SCRATCH[words.shape[0]] = np.empty_like(words)
         np.bitwise_and(words, other._words, out=scratch)
-        if _HAS_BITWISE_COUNT:
-            np.bitwise_count(scratch, out=scratch)
-            return int(scratch.sum())
-        return int(np.unpackbits(scratch.view(np.uint8)).sum())
+        np.bitwise_count(scratch, out=scratch)
+        return int(scratch.sum())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BitVector):

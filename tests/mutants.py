@@ -44,6 +44,7 @@ _CLIENT = "batch-granular client"
 _PER_REQUEST = (
     "rule vectors live for one request, composition specs are not memoised"
 )
+_ROWS = "audit estimates cached per composition row"
 
 _RULES = "tests/test_analysis_rules.py"
 _BASE = "src/repro/platforms/base.py"
@@ -59,6 +60,8 @@ _MIXED_ENVELOPE = (
 )
 _PER_REQUEST_TESTS = "tests/test_memory.py::TestPerRequestRuleMemo"
 _ORACLE = "tests/test_generator.py::TestBitIdentityOracle"
+_AUDIT = "src/repro/core/audit.py"
+_CACHE_TESTS = "tests/test_audit_cache.py"
 _KERNEL_SOURCE = "src/repro/population/model.py"
 _KERNEL_LOOP = """\
             for k in np.flatnonzero(lam):
@@ -156,14 +159,8 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         id="batch-estimates-not-shared",
         path="src/repro/core/audit.py",
-        old="""\
-                    result = shard[specs[index]] = self._estimates.setdefault(
-                        result, result
-                    )
-""",
-        new="""\
-                    result = shard[specs[index]] = result
-""",
+        old="place(index, self._estimates.setdefault(result, result))",
+        new="place(index, result)",
         kills=(
             "tests/test_memory.py::TestEstimateValues"
             "::test_equal_cached_estimates_are_one_object",
@@ -173,11 +170,8 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         id="single-estimates-not-shared",
         path="src/repro/core/audit.py",
-        old=(
-            "        result = shard[spec] = "
-            "self._estimates.setdefault(result, result)\n"
-        ),
-        new="        result = shard[spec] = result\n",
+        old="        return self._estimates.setdefault(result, result)\n",
+        new="        return result\n",
         kills=(
             "tests/test_memory.py::TestEstimateValues"
             "::test_equal_cached_estimates_are_one_object",
@@ -187,8 +181,8 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         id="checkpoint-estimates-not-shared",
         path="src/repro/core/audit.py",
-        old="                (spec, estimates.setdefault(value, value))\n",
-        new="                (spec, value)\n",
+        old="            value = estimates.setdefault(value, value)\n",
+        new="",
         kills=(
             "tests/test_memory.py::TestEstimateValues"
             "::test_checkpoint_preload_shares_equal_values",
@@ -390,5 +384,46 @@ MUTANTS: tuple[Mutant, ...] = (
             "::test_google_cache_is_bounded_against_reordered_groups",
         ),
         recorded=_PER_REQUEST,
+    ),
+    Mutant(
+        id="gender-complement-in-side-map",
+        path=_AUDIT,
+        old="""\
+        spec = self.demographic_spec(spec, value, exclude)
+        home = self._row_of(spec)
+""",
+        new="""\
+        spec = self.demographic_spec(spec, value, exclude)
+        home = None if exclude else self._row_of(spec)
+""",
+        kills=(
+            "tests/test_audit_target.py::TestCachingAndAccounting"
+            "::test_gender_complement_reads_the_other_column",
+            f"{_CACHE_TESTS}::test_cache_holds_one_estimate_per_slice_sent[facebook]",
+        ),
+        recorded=_ROWS,
+    ),
+    Mutant(
+        id="complete-row-counts-one-hit",
+        path=_AUDIT,
+        old="                self.cache_hits += width\n",
+        new="                self.cache_hits += 1\n",
+        kills=(
+            f"{_CACHE_TESTS}::test_cache_holds_one_estimate_per_slice_sent[google]",
+            f"{_CACHE_TESTS}::test_cache_holds_one_estimate_per_slice_sent[linkedin]",
+        ),
+        recorded=_ROWS,
+    ),
+    Mutant(
+        id="preloaded-facet-slice-in-wrong-column",
+        path=_AUDIT,
+        old="            return type(value), clauses[:-1], int(value)\n",
+        new="""\
+            return type(value), clauses[:-1], len(type(value)) - 1 - int(value)
+""",
+        kills=(
+            f"{_CACHE_TESTS}::test_checkpoint_round_trip_resends_nothing[linkedin]",
+        ),
+        recorded=_ROWS,
     ),
 )

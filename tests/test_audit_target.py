@@ -12,6 +12,8 @@ import math
 
 import pytest
 
+from repro.core.audit import build_audit_targets
+from repro.core.checkpoint import EstimateCheckpoint
 from repro.platforms.errors import UnsupportedCompositionError
 from repro.platforms.targeting import TargetingSpec
 from repro.population.demographics import (
@@ -148,10 +150,30 @@ class TestCachingAndAccounting:
         assert len(target.cached_estimates()) >= before_cache + 1
 
     def test_cached_estimates_exposed(self, session_small):
-        target = session_small.targets["facebook"]
-        estimate = target.measure(TargetingSpec.everyone())
-        assert estimate in target.cached_estimates()
-        assert len(target.cached_estimates()) == len(target._shard(target.client))
+        target = build_audit_targets(session_small.clients)["facebook"]
+        store = EstimateCheckpoint()
+        target.attach_checkpoint(store)
+        everyone = TargetingSpec.everyone()
+        estimate = target.measure(everyone)
+        male = target.measure(everyone, Gender.MALE)
+        assert sorted(target.cached_estimates()) == sorted([estimate, male])
+        # One estimate per spec sent, wherever the cache keeps it.
+        assert sorted(target.cached_estimates()) == sorted(
+            store.shard("facebook").values()
+        )
+
+    def test_gender_complement_reads_the_other_column(self, session_small):
+        target = build_audit_targets(session_small.clients)["facebook"]
+        options = tuple(target.study_option_ids()[:2])
+        audit = target.audit(options, GENDER)
+        spec = target.composition_spec(options)
+        held = len(target.cached_estimates())
+        hits, requests = target.cache_hits, target.client.transport.total_requests
+        excluded = target.measure(spec, Gender.MALE, exclude=True)
+        assert excluded == audit.sizes[Gender.FEMALE]
+        assert target.client.transport.total_requests == requests
+        assert target.cache_hits == hits + 1
+        assert len(target.cached_estimates()) == held
 
 
 class TestDemographicSpecs:
@@ -180,6 +202,27 @@ class TestDemographicSpecs:
         incl = target.measure(spec, AgeRange.AGE_55_PLUS)
         total = target.measure(spec)
         assert excl + incl == pytest.approx(total, rel=0.01)
+
+    @pytest.mark.parametrize("key", ["facebook", "google", "linkedin"])
+    def test_spec_restricting_the_sliced_attribute_is_refused(
+        self, session_small, key
+    ):
+        """A female-only spec sliced as male would size the plain male
+        audience on Facebook and Google and nobody on LinkedIn; all
+        three refuse it before sending anything."""
+        target = build_audit_targets(session_small.clients)[key]
+        option = target.study_option_ids()[0]
+        female = TargetingSpec(
+            genders=[Gender.FEMALE], clauses=TargetingSpec.of(option).clauses
+        )
+        young = TargetingSpec.of(option).with_age(AgeRange.AGE_18_24)
+        requests = target.client.transport.total_requests
+        with pytest.raises(ValueError, match="already restricts"):
+            target.measure(female, Gender.MALE)
+        with pytest.raises(ValueError, match="already restricts"):
+            target.measure(young, AgeRange.AGE_55_PLUS, exclude=True)
+        assert target.client.transport.total_requests == requests
+        assert target.cached_estimates() == []
 
     def test_gender_and_age_values_do_not_collide(self, session_exact):
         """Gender.MALE and AgeRange.AGE_18_24 share the raw IntEnum value

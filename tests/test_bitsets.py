@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.population import bitsets
 from repro.population.bitsets import (
     AudienceIndex,
     BitVector,
@@ -174,40 +173,6 @@ class TestBitVectorProperties:
         a, b, c = (make(s, self.N) for s in (xs, ys, zs))
         assert ~(a & b) == (~a | ~b)
         assert (a & (b | c)) == ((a & b) | (a & c))
-
-
-class TestPopcountFallback:
-    """The ``np.unpackbits`` popcount that numpy < 2.0 runs instead of
-    ``np.bitwise_count`` gives the same counts, full and partial words
-    alike."""
-
-    @given(
-        st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=12),
-        st.integers(1, 4),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_unpackbits_path_matches_bitwise_count(self, values, n_rows):
-        words = np.array(values, dtype=np.uint64)
-        rows = np.tile(words, (n_rows, 1))
-        rows[0] >>= np.uint64(7)  # one row with its top bits clear
-        expected_words = bitsets._popcount_words(words)
-        expected_rows = bitsets._popcount_rows(rows)
-        assert expected_words == sum(bin(v).count("1") for v in values)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(bitsets, "_HAS_BITWISE_COUNT", False)
-            assert bitsets._popcount_words(words) == expected_words
-            assert bitsets._popcount_rows(rows) == expected_rows
-
-    @given(index_sets(), index_sets())
-    @settings(max_examples=40, deadline=None)
-    def test_unpackbits_path_counts_tail_masked_vectors(self, xs, ys):
-        a, b = make(xs, 257), make(ys, 257)  # 257 bits: a 1-bit tail word
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(bitsets, "_HAS_BITWISE_COUNT", False)
-            assert (a | b).count() == len(xs | ys)
-            assert a.intersect_count(b) == len(xs & ys)
-            counts = intersect_counts([a, b, ~a])
-            assert counts == [len(xs), len(ys), 257 - len(xs)]
 
 
 class TestAudienceIndex:

@@ -279,14 +279,16 @@ class TestCompactAuditState:
         assert target.base_sizes(attribute) == shared != fresh
 
 
-def _shares_equal_values(shard) -> bool:
-    """Whether every value of ``shard`` is the one object of its value."""
-    return len({id(v) for v in shard.values()}) == len(set(shard.values()))
+def _one_object_per_value(values) -> bool:
+    """Whether equal values in ``values`` are all one object."""
+    return len({id(v) for v in values}) == len(set(values))
 
 
 class TestEstimateValues:
     def test_equal_cached_estimates_are_one_object(self, session_small):
         target = build_audit_targets(session_small.clients)["facebook"]
+        sent = EstimateCheckpoint()
+        target.attach_checkpoint(sent)
         ids = target.study_option_ids()[:8]
         pairs = [(a, b) for a in ids for b in ids if a < b]
         # Single requests (one per size) first, then batches.
@@ -298,14 +300,17 @@ class TestEstimateValues:
         # CPython shares only the ints up to 256, so these would each
         # be their own object.
         assert len([v for v in values if v > 256]) > len(set(values))
-        assert all(_shares_equal_values(s) for s in target._cache.values())
-        # Sharing changes no value: each equals a fresh single estimate.
+        assert _one_object_per_value(values)
+        # Sharing changes no value: the cache holds one estimate per
+        # spec sent, each equal to a fresh single estimate of it.
         clients = {c.interface_key: c for c in (target.client, target.measure_client)}
-        assert values == [
-            clients[key].estimate(spec)
-            for key, shard in target._cache.items()
-            for spec in shard
+        entries = [
+            (clients[key], spec, estimate)
+            for key in clients
+            for spec, estimate in sent.shard(key).items()
         ]
+        assert sorted(values) == sorted(estimate for _, _, estimate in entries)
+        assert all(client.estimate(spec) == n for client, spec, n in entries)
 
     def test_checkpoint_preload_shares_equal_values(self, session_small, tmp_path):
         path = tmp_path / "run.ckpt.json"
@@ -317,9 +322,10 @@ class TestEstimateValues:
         store.save()
         target = build_audit_targets(session_small.clients)["facebook"]
         target.attach_checkpoint(EstimateCheckpoint(path))
-        shard = target._cache["facebook"]
-        assert set(shard.values()) == {1000, 1001}
-        assert _shares_equal_values(shard)
+        values = target.cached_estimates()
+        assert len(values) == len(AgeRange) * len(OPTIONS)
+        assert set(values) == {1000, 1001}
+        assert _one_object_per_value(values)
 
 
 class TestLazyPii:
@@ -340,10 +346,11 @@ class TestLazyPii:
 #: on a 2-CPU Linux container: about 596 MB with an entry-capped memo,
 #: about 220 MB with an 8 MiB word bound, 185.4 MB as later changes left
 #: it, 152.4-152.6 MB with a 2 MiB bound, shared estimate values and
-#: PII built on first use (174.2 MB with those but the 8 MiB bound), and
-#: 149.3-149.6 MB with rule vectors kept for one request only.  The
-#: bound is the last reading plus 9%, as for the full run.
-_FIG6_RSS_LIMIT_MB = 162
+#: PII built on first use (174.2 MB with those but the 8 MiB bound),
+#: 149.3-149.6 MB with rule vectors kept for one request only, and
+#: 142.7-142.8 MB with estimates cached per composition row.  The bound
+#: is the last reading plus 9%, as for the full run.
+_FIG6_RSS_LIMIT_MB = 155
 
 
 #: ``ru_maxrss`` of the ``results_full_run.txt`` configuration on a
@@ -356,10 +363,11 @@ _FIG6_RSS_LIMIT_MB = 162
 #: 226.3-227.2 MB with a 2 MiB rule-memo bound (8 MiB before), one int
 #: object per distinct cached estimate and PII built on first use;
 #: 205.5-205.6 MB with rule vectors kept for one request only and no
-#: composition-spec memo.  The bound is the last plus 9%, as before; the
-#: tree with the 2 MiB cross-request memo and the spec memo reads
-#: 226.3-227.1 MB and fails it.
-_FULL_RUN_RSS_LIMIT_MB = 223
+#: composition-spec memo (the tree with the 2 MiB cross-request memo and
+#: the spec memo reads 226.3-227.1 MB); 173.4 MB with estimates cached
+#: per composition row instead of per slice spec.  The bound is the last
+#: plus 9%, as before; the per-slice-spec cache reads 205.4 MB and fails it.
+_FULL_RUN_RSS_LIMIT_MB = 188
 
 #: Runs the audit CLI (arguments from ``sys.argv``) as its only child
 #: and prints that child's peak RSS.  ``RUSAGE_CHILDREN`` covers every
