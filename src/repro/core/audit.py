@@ -25,7 +25,7 @@ care to limit query load.
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -151,23 +151,19 @@ class AuditTarget:
         self._facets: (
             tuple[dict[tuple[type, int], str], dict[str, SensitiveValue]] | None
         ) = None
-        # Optional durable store mirroring the estimate cache; see
-        # :meth:`attach_checkpoint`.
-        self._checkpoint = None
 
     # -- checkpointing ------------------------------------------------------
 
     def attach_checkpoint(self, checkpoint) -> None:
-        """Mirror the estimate cache into an
-        :class:`~repro.core.checkpoint.EstimateCheckpoint`.
+        """Pre-warm the estimate cache from an
+        :class:`~repro.core.checkpoint.EstimateCheckpoint` and register
+        with it, so that saving the store writes this cache out.
 
-        Estimates already in the store pre-warm the cache (so the query
-        planner never re-issues them), and every future successful
-        estimate is recorded.  Audit records are a pure function of the
-        cached estimates, so a killed run resumed through its
-        checkpoint yields bit-identical output.
+        The query planner never re-issues a preloaded estimate.  Audit
+        records are a pure function of the cached estimates, so a
+        killed run resumed through its checkpoint yields bit-identical
+        output.
         """
-        self._checkpoint = checkpoint
         preloaded = 0
         if self.client is not self.measure_client:
             validated = self._validated
@@ -180,6 +176,7 @@ class AuditTarget:
         entries = checkpoint.shard(self.measure_client.interface_key)
         self._unplaced += entries.items()
         preloaded += len(entries)
+        checkpoint.register(self)
         if self.tracer.enabled:
             self.tracer.event(
                 "checkpoint.load", target=self.key, entries=preloaded
@@ -204,12 +201,6 @@ class AuditTarget:
                 self._side[spec] = value
             else:
                 self._put(*home, value)
-
-    def _record_estimate(
-        self, interface_key: str, spec: TargetingSpec, estimate: int
-    ) -> None:
-        if self._checkpoint is not None:
-            self._checkpoint.record(interface_key, spec, estimate)
 
     # -- catalog ------------------------------------------------------------
 
@@ -388,10 +379,9 @@ class AuditTarget:
         rows[key] = (*row[:column], estimate, *row[column + 1 :])
 
     def _estimate(self, client: ReachClient, spec: TargetingSpec) -> int:
-        """One uncached estimate, fetched by itself and recorded."""
+        """One uncached estimate, fetched by itself."""
         self.cache_misses += 1
         result = client.estimate(spec)
-        self._record_estimate(client.interface_key, spec, result)
         return self._estimates.setdefault(result, result)
 
     def _measure(
@@ -591,27 +581,19 @@ class AuditTarget:
     ) -> None:
         """Fetch a plan's estimates in batched calls, one pass per client.
 
-        Successful estimates land in the cache (and checkpoint) as each
-        item completes -- streamed through ``on_result`` so a run
-        killed mid-plan keeps everything already fetched.  Per-item
-        errors are left uncached, so :meth:`_fill` re-issues that single
-        call and raises exactly where a direct :meth:`audit` would.
+        Successful estimates land in the cache as each item completes
+        -- streamed through ``on_result`` so a run killed mid-plan keeps
+        everything already fetched.  Per-item errors are left uncached,
+        so :meth:`_fill` re-issues that single call and raises exactly
+        where a direct :meth:`audit` would.
         """
         for client, specs, place in plan:
             if not specs:
                 continue
-            interface_key = client.interface_key
 
-            def commit(
-                index: int,
-                result,
-                specs=specs,
-                place=place,
-                interface_key=interface_key,
-            ) -> None:
+            def commit(index: int, result, place=place) -> None:
                 if isinstance(result, int):
                     place(index, self._estimates.setdefault(result, result))
-                    self._record_estimate(interface_key, specs[index], result)
 
             client.estimate_many(specs, on_result=commit)
 
@@ -699,6 +681,29 @@ class AuditTarget:
                 if estimate is not None
             ),
         ]
+
+    def cached_entries(self, interface_key: str) -> Iterator[tuple[TargetingSpec, int]]:
+        """Every cached estimate of ``interface_key``, keyed by the spec
+        that was sent: what a checkpoint saves.
+
+        Each row slot is rebuilt into its slice spec; checkpoint entries
+        not yet placed are given as loaded, so this sends no request.
+        """
+        if interface_key == self.client.interface_key:
+            yield from self._validated.items()
+        if interface_key != self.measure_client.interface_key:
+            return
+        yield from self._unplaced
+        yield from self._side.items()
+        for kind, rows in self._rows.items():
+            if not rows:  # LinkedIn's facet ids may be unread: send nothing
+                continue
+            restrictions = [self._restriction([value]) for value in kind]
+            for key, row in rows.items():
+                present = [c for c, estimate in enumerate(row) if estimate is not None]
+                spec = TargetingSpec(_ROW_COUNTRY, clauses=key)
+                slices = restricted([spec], [restrictions[c] for c in present])
+                yield from zip(slices, [row[c] for c in present])
 
 
 def build_audit_targets(

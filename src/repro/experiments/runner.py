@@ -7,11 +7,12 @@ the rendered reports, and optionally writes them to a file.
 Runs survive hostile platforms: ``--chaos PROFILE`` injects a named
 fault profile (throttle storms, 5xx bursts, resets, timeouts,
 truncated batches) which the clients' resilience layer absorbs, and
-``--checkpoint PATH`` persists every completed size estimate so a
-killed run resumes without re-querying -- output stays bit-identical
-either way.  ``--trace PATH`` records what the run did as a JSONL
-trace (one span per experiment, one event per platform query, retry,
-fault and cache hit), which ``repro-trace`` summarizes.
+``--checkpoint PATH`` saves every completed size estimate when the
+run ends, also by an exception, so a killed run resumes without
+re-querying -- output stays bit-identical either way.  ``--trace
+PATH`` records what the run did as a JSONL trace (one span per
+experiment, one event per platform query, retry, fault and cache
+hit), which ``repro-trace`` summarizes.
 
 CLI usage::
 
@@ -30,7 +31,6 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Iterator
 
 from repro import build_audit_session
@@ -145,7 +145,7 @@ def run_all(
     verbose: bool = False,
     chaos: FaultProfile | str | None = None,
     chaos_seed: int = 1031,
-    checkpoint: EstimateCheckpoint | str | Path | None = None,
+    checkpoint: EstimateCheckpoint | None = None,
     tracer=None,
 ) -> RunReport:
     """Run the selected experiments over one shared context.
@@ -161,10 +161,10 @@ def run_all(
 
     ``chaos`` builds the session over a fault-injecting transport (by
     profile or name from :data:`FAULT_PROFILES`); ignored when an
-    explicit ``context`` is supplied.  ``checkpoint`` attaches an
-    estimate checkpoint (a store, or a path that is loaded if present)
-    to every audit target: completed size estimates persist even when
-    an experiment raises mid-run -- e.g. an exhausted circuit breaker
+    explicit ``context`` is supplied.  ``checkpoint`` is attached to
+    every audit target and, if it has a path, saved once, when the run
+    ends: completed size estimates persist even when an
+    experiment raises mid-run -- e.g. an exhausted circuit breaker
     during an outage -- and a re-run with the same checkpoint resumes
     without re-issuing them, producing bit-identical output.
 
@@ -182,15 +182,6 @@ def run_all(
     if context is not None and tracer is None:
         tracer = context.session.tracer
     tracer = tracer if tracer is not None else NULL_TRACER
-    # Opened before the session build, so a bad file fails in moments.
-    store: EstimateCheckpoint | None = None
-    if checkpoint is not None:
-        store = (
-            checkpoint
-            if isinstance(checkpoint, EstimateCheckpoint)
-            else EstimateCheckpoint(checkpoint)
-        )
-
     with _collect_at_boundaries(tracer) as boundary:
         started_wall = time.perf_counter()
         if context is None and (chaos is not None or tracer.enabled):
@@ -204,15 +195,15 @@ def run_all(
             context = ExperimentContext(config, session=session)
         ctx = context or ExperimentContext(config)
 
-        if store is not None:
-            for target in ctx.session.targets.values():
-                target.attach_checkpoint(store)
-            if verbose and len(store):
+        if checkpoint is not None:
+            if verbose and len(checkpoint):
                 print(
-                    f"resuming from checkpoint: {len(store):,} estimates",
+                    f"resuming from checkpoint: {len(checkpoint):,} estimates",
                     file=sys.stderr,
                     flush=True,
                 )
+            for target in ctx.session.targets.values():
+                target.attach_checkpoint(checkpoint)
 
         report = RunReport(config=ctx.config)
         try:
@@ -234,10 +225,10 @@ def run_all(
         finally:
             # Persist whatever completed, even when an experiment raised --
             # that is the whole point of the checkpoint.
-            if store is not None and store.path is not None:
-                store.save()
+            if checkpoint is not None and checkpoint.path is not None:
+                checkpoint.save()
                 if tracer.enabled:
-                    tracer.event("checkpoint.save", entries=len(store))
+                    tracer.event("checkpoint.save", entries=len(checkpoint))
         report.total_api_requests = ctx.session.total_api_requests()
         report.total_wall = time.perf_counter() - started_wall
         return report
@@ -324,8 +315,8 @@ def main(argv: list[str] | None = None) -> int:
         type=str,
         default=None,
         help=(
-            "persist completed size estimates here and resume from the "
-            "file if it already exists"
+            "save completed size estimates here when the run ends (also "
+            "when it fails) and resume from the file if it already exists"
         ),
     )
     parser.add_argument(

@@ -33,6 +33,7 @@ from repro.experiments.runner import run_all
 from repro.platforms.errors import ApiError, PlatformError
 from repro.platforms.targeting import TargetingSpec
 from repro.population.demographics import SENSITIVE_ATTRIBUTES
+from tests.checkpoints import read_checkpoint, write_checkpoint
 
 pytestmark = pytest.mark.chaos
 
@@ -227,16 +228,41 @@ class TestCheckpoint:
     def test_save_load_round_trip(self, tmp_path, session_small):
         _, clients, _ = _build_stack(session_small.suite)
         ids = [o.option_id for o in clients["facebook"].catalog()][:3]
-        path = tmp_path / "run.ckpt.json"
-        store = EstimateCheckpoint(path)
-        for index, option in enumerate(ids):
-            store.record("facebook", TargetingSpec.of(option), 1000 * (index + 1))
-        store.save()
+        entries = [
+            ("facebook", TargetingSpec.of(option), 1000 * (index + 1))
+            for index, option in enumerate(ids)
+        ]
+        path = write_checkpoint(tmp_path / "run.ckpt.json", entries)
 
         loaded = EstimateCheckpoint(path)
         assert len(loaded) == 3
-        assert loaded.shard("facebook") == store.shard("facebook")
-        assert ("facebook", TargetingSpec.of(ids[0])) in loaded
+        assert loaded.shard("facebook") == {spec: n for _, spec, n in entries}
+        assert read_checkpoint(loaded.save(tmp_path / "again.ckpt.json")) == entries
+
+    def test_failed_save_keeps_the_previous_file(
+        self, tmp_path, session_small, monkeypatch
+    ):
+        _, clients, _ = _build_stack(session_small.suite)
+        ids = [o.option_id for o in clients["facebook"].catalog()][:3]
+        path = write_checkpoint(
+            tmp_path / "run.ckpt.json",
+            [("facebook", TargetingSpec.of(option), 1000) for option in ids],
+        )
+        before = path.read_bytes()
+        store = EstimateCheckpoint(path)
+        calls = []
+
+        def failing(spec):
+            calls.append(spec)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            return spec_to_wire(spec)
+
+        monkeypatch.setattr("repro.core.checkpoint.spec_to_wire", failing)
+        with pytest.raises(OSError, match="disk full"):
+            store.save()
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ckpt.json"]
 
     def test_outage_kill_then_resume_without_duplicate_queries(
         self, session_small, fault_profile
@@ -335,13 +361,13 @@ class TestRunnerKillResume:
         path = tmp_path / "fig2.ckpt.json"
         outage = fault_profile(outage_after=6)
         with pytest.raises(PlatformError):
-            self._run(chaos=outage, checkpoint=path, budget=6)
+            self._run(chaos=outage, checkpoint=EstimateCheckpoint(path), budget=6)
         # The checkpoint survived the kill on disk.
         assert path.exists()
         killed = EstimateCheckpoint(path)
         assert len(killed) > 0
 
-        resumed_report, resumed_session = self._run(checkpoint=path)
+        resumed_report, resumed_session = self._run(checkpoint=EstimateCheckpoint(path))
         # Compare the rendered experiment output, not the report
         # wrapper: its header carries wall-clock timings and the
         # request footer legitimately differs on a resumed run.

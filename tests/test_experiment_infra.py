@@ -234,25 +234,28 @@ class TestRunnerCli:
         [
             (
                 "run.ckpt.json",
-                '{"x":1',
-                "unreadable checkpoint {path}: JSONDecodeError",
+                '{"x":1\n',
+                "unreadable checkpoint {path} line 1: JSONDecodeError",
             ),
             (
                 "run.ckpt.json",
-                '{"version": 2, "interfaces": {}}',
-                "unreadable checkpoint {path}: ValueError: "
-                "unsupported checkpoint version 2",
+                '{"version": 1, "interfaces": {"facebook": []}}',
+                "unreadable checkpoint {path} line 1: ValueError: "
+                "unsupported checkpoint version 1",
             ),
             (
                 "run.ckpt.json",
-                '{"version": 1}',
-                "unreadable checkpoint {path}: KeyError: 'interfaces'",
+                '{"version": 2}\n'
+                '["google", {"country": "US", "genders": null, "ages": null, '
+                '"clauses": [["g:a"]], "exclusions": []}, 7]\n'
+                '["google", {"country": "US"}, 7]\n',
+                "unreadable checkpoint {path} line 3: KeyError: 'genders'",
             ),
             ("", None, "{path} is a directory, not a checkpoint file"),
             ("missing/run.ckpt.json", None, "no directory {path.parent} for {path}"),
         ],
         ids=[
-            "bad-json", "wrong-version", "no-interfaces", "directory", "missing-parent"
+            "bad-json", "wrong-version", "bad-entry", "directory", "missing-parent"
         ],
     )
     def test_main_rejects_bad_checkpoint_before_building(

@@ -172,7 +172,7 @@ class TestChaosDifferential:
                 config=CONFIG,
                 only=["fig2"],
                 context=ExperimentContext(CONFIG, session=killed_session),
-                checkpoint=path,
+                checkpoint=EstimateCheckpoint(path),
             )
         killed = EstimateCheckpoint(path)
         assert len(killed) > 0
@@ -181,7 +181,9 @@ class TestChaosDifferential:
         assert killed_events["checkpoint.save"] == 1
         assert killed_events["chaos.fault"] > 0
 
-        resumed_report, resumed_session, resumed_tracer = run(checkpoint=path)
+        resumed_report, resumed_session, resumed_tracer = run(
+            checkpoint=EstimateCheckpoint(path)
+        )
         assert resumed_report.results["fig2"].render() == baseline["render"]
         # No duplicate queries across the kill/resume pair.
         assert (
