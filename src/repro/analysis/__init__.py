@@ -13,13 +13,10 @@ reproduction's guarantees rest on.  Per-module rule families:
 * ``errors/*`` -- no broad excepts, no ``print`` in library code;
 * ``obs/*`` -- instrumentation stays routed through its subsystem.
 
-Whole-program rule families run over a linked symbol table and call
-graph (:mod:`repro.analysis.graph`) with fixpoint dataflow summaries
-(:mod:`repro.analysis.dataflow`):
+One whole-program rule runs over a linked symbol table and call
+graph (:mod:`repro.analysis.graph`) with escape summaries solved to a
+fixpoint (:mod:`repro.analysis.flows`):
 
-* ``taint/restricted-flow`` -- sensitive demographic values never
-  reach restricted-interface calls outside the audited ``core.audit``
-  measurement seam;
 * ``errors/transport-escape`` -- only ``platforms.errors`` types can
   escape transport request paths, proven interprocedurally.
 
@@ -54,7 +51,6 @@ from repro.analysis.core import (
     register,
     rule,
 )
-from repro.analysis.dataflow import SummaryProblem, fixpoint
 from repro.analysis.graph import ModuleSummary, Project, extract_summary
 
 __all__ = [
@@ -65,14 +61,12 @@ __all__ = [
     "Project",
     "ProjectRule",
     "Rule",
-    "SummaryProblem",
     "all_project_rules",
     "all_rules",
     "analyze_paths",
     "analyze_project",
     "analyze_source",
     "extract_summary",
-    "fixpoint",
     "json_payload",
     "main",
     "module_name_for",

@@ -13,7 +13,7 @@ Usage::
 
     repro-lint src
     repro-lint --format json src tests
-    repro-lint src --rules determinism taint
+    repro-lint src --rules determinism errors/transport-escape
 """
 
 from __future__ import annotations
@@ -46,8 +46,9 @@ def select_rules(
     """Registered rules matching the ids/families given (all if none).
 
     Covers both the per-module and the whole-program registries, so
-    ``--rules taint`` selects the interprocedural taint family.  A
-    selector that matches no rule raises :class:`ValueError`.
+    ``--rules errors`` selects the interprocedural
+    ``errors/transport-escape`` beside the per-module ``errors`` rules.
+    A selector that matches no rule raises :class:`ValueError`.
     """
     rules: tuple[Rule | ProjectRule, ...] = tuple(
         sorted(all_rules() + all_project_rules(), key=lambda item: item.id)
@@ -88,7 +89,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-lint",
         description=(
-            "whole-program determinism, taint, and architecture analyzer "
+            "whole-program determinism, error-flow and architecture analyzer "
             "for the reproduction; see DESIGN.md for the conventions "
             "enforced."
         ),

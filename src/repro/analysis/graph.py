@@ -1,7 +1,7 @@
 """Whole-program symbol table and call graph for ``repro-lint``.
 
 The per-file rules see one module at a time; the interprocedural
-rules (:mod:`repro.analysis.flows`) need to know *who calls whom*
+rule (:mod:`repro.analysis.flows`) needs to know *who calls whom*
 across the whole ``population -> platforms -> api -> core ->
 reporting/experiments`` DAG.  This module provides that in two
 stages, the first per file and the second over the whole program:
@@ -9,10 +9,9 @@ stages, the first per file and the second over the whole program:
 1. **Extraction** (:func:`extract_summary`): one pass over a module's
    AST producing a :class:`ModuleSummary` -- imported-name aliases,
    classes with their bases and attribute types, and one
-   :class:`FunctionSummary` per function with its ordered call sites,
-   assignments, returns and raise sites (each with the ``except``
-   context active at the site).  Summaries are plain data: the
-   linker never sees an AST.
+   :class:`FunctionSummary` per function with its ordered call sites
+   and raise sites (each with the ``except`` context active at the
+   site).  Summaries are plain data: the linker never sees an AST.
 
 2. **Linking** (:class:`Project`): summaries from every file are
    joined into a global symbol table.  Aliases are followed through
@@ -25,7 +24,7 @@ stages, the first per file and the second over the whole program:
 
 Resolution is deliberately conservative: a receiver whose class
 cannot be inferred produces no edge rather than a guessed one, so the
-interprocedural rules stay false-positive-free on the clean tree.
+interprocedural rule stays false-positive-free on the clean tree.
 """
 
 from __future__ import annotations
@@ -47,12 +46,10 @@ __all__ = [
     "extract_summary",
 ]
 
-#: Value-reference kinds used in :class:`CallSite` / assignments:
-#: ``("param", i)`` a positional parameter, ``("var", name)`` a local,
-#: ``("call", i)`` the result of the i-th call site in the function,
-#: ``("source", dotted)`` a read of a configured sensitive name,
-#: ``("func", dotted_or_local)`` a function reference passed as a
-#: value, ``("const",)`` a literal, ``("opaque",)`` anything else.
+#: Value-reference kinds of a call's first positional argument:
+#: ``("var", name)`` a bare name other than a parameter,
+#: ``("func", dotted)`` a name resolved through imports, ``("opaque",)``
+#: anything else.
 ValueRef = tuple
 
 #: Callee-reference kinds: ``("dotted", name)`` resolved through
@@ -67,14 +64,9 @@ class CallSite:
     """One call expression inside a function body."""
 
     callee: CalleeRef
-    args: list[ValueRef] = field(default_factory=list)
-    keywords: dict[str, ValueRef] = field(default_factory=dict)
-    #: Value ref of an attribute call's receiver (``spec`` in
-    #: ``spec.with_clause(...)``), or ``None`` for plain calls.
-    receiver: ValueRef | None = None
-    #: Keyword names whose value is a non-None expression (for the
-    #: ``TargetingSpec(genders=...)`` taint source).
-    live_keywords: list[str] = field(default_factory=list)
+    #: Value ref of the first positional argument (the function a
+    #: ``functools.partial`` wraps), or ``None`` when there is none.
+    first_arg: ValueRef | None = None
     #: Exception-type refs caught by enclosing ``try`` bodies, outermost
     #: first; each entry is the handler-type list of one ``try``.
     caught: list[list[CalleeRef]] = field(default_factory=list)
@@ -97,7 +89,7 @@ class RaiseSite:
 
 @dataclass
 class FunctionSummary:
-    """Everything the dataflow rules need about one function."""
+    """Everything the escape rule needs about one function."""
 
     #: Qualified name local to the module (``fn``, ``Cls.m``,
     #: ``fn.<locals>.inner``).
@@ -113,9 +105,6 @@ class FunctionSummary:
     request_path: bool = False
     calls: list[CallSite] = field(default_factory=list)
     raises: list[RaiseSite] = field(default_factory=list)
-    #: Ordered assignments ``(target name, value ref, line)``.
-    assigns: list[tuple[str, ValueRef]] = field(default_factory=list)
-    returns: list[ValueRef] = field(default_factory=list)
 
 
 @dataclass
@@ -146,17 +135,6 @@ class ModuleSummary:
 
 
 # -- extraction -----------------------------------------------------------
-
-#: Names whose attribute read is a sensitive-demographic source.
-SENSITIVE_NAMES = frozenset(
-    {
-        "repro.population.demographics.Gender",
-        "repro.population.demographics.AgeRange",
-        "repro.population.demographics.GENDERS",
-        "repro.population.demographics.AGE_RANGES",
-        "repro.population.demographics.SENSITIVE_ATTRIBUTES",
-    }
-)
 
 
 def _annotation_ref(node: ast.expr | None, ctx: ModuleContext) -> CalleeRef | None:
@@ -195,40 +173,17 @@ class _FunctionExtractor(ast.NodeVisitor):
         #: Local variable -> inferred class ref (constructor calls and
         #: annotated assignments), flow-insensitive last-writer-wins.
         self._var_classes: dict[str, CalleeRef] = {}
-        self._param_index = {p: i for i, p in enumerate(summary.params)}
+        self._params = frozenset(summary.params)
 
     # -- reference classification --
 
-    def _value_ref(self, node: ast.expr | None) -> ValueRef:
-        if node is None or isinstance(node, ast.Constant):
-            return ("const",)
+    def _value_ref(self, node: ast.expr) -> ValueRef:
         if isinstance(node, ast.Name):
-            if node.id in self._param_index:
-                return ("param", self._param_index[node.id])
-            return ("var", node.id)
-        if isinstance(node, ast.Call):
-            index = self._call_index.get(id(node))
-            if index is not None:
-                return ("call", index)
-            return ("opaque",)
-        if isinstance(node, (ast.Attribute,)):
+            return ("opaque",) if node.id in self._params else ("var", node.id)
+        if isinstance(node, ast.Attribute):
             dotted = self.ctx.resolve(node)
             if dotted is not None:
-                if dotted in SENSITIVE_NAMES or any(
-                    dotted.startswith(s + ".") for s in sorted(SENSITIVE_NAMES)
-                ):
-                    return ("source", dotted)
                 return ("func", dotted)
-        if isinstance(node, ast.BoolOp) and node.values:
-            # ``a or Default()``: adopt the last operand's ref, which
-            # is the constructed default in the common idiom.
-            return self._value_ref(node.values[-1])
-        if isinstance(node, (ast.List, ast.Tuple, ast.Set)):
-            for element in node.elts:
-                ref = self._value_ref(element)
-                if ref[0] in ("source", "call", "param", "var"):
-                    return ref
-            return ("const",)
         return ("opaque",)
 
     def _receiver_hint(self, node: ast.expr) -> CalleeRef | None:
@@ -316,30 +271,11 @@ class _FunctionExtractor(ast.NodeVisitor):
         self.generic_visit(node)  # inner calls first: args before use
         site = CallSite(
             callee=self._callee_ref(node.func),
-            receiver=(
-                self._value_ref(node.func.value)
-                if isinstance(node.func, ast.Attribute)
-                else None
-            ),
-            args=[self._value_ref(a) for a in node.args],
-            keywords={
-                k.arg: self._value_ref(k.value)
-                for k in node.keywords
-                if k.arg is not None
-            },
-            live_keywords=[
-                k.arg
-                for k in node.keywords
-                if k.arg is not None
-                and not (
-                    isinstance(k.value, ast.Constant) and k.value.value is None
-                )
-            ],
+            first_arg=self._value_ref(node.args[0]) if node.args else None,
             caught=[list(layer) for layer in self._catch_stack],
             line=node.lineno,
             col=node.col_offset,
         )
-        self._call_index[id(node)] = len(self.summary.calls)
         self.summary.calls.append(site)
 
     def visit_Raise(self, node: ast.Raise) -> None:
@@ -360,18 +296,13 @@ class _FunctionExtractor(ast.NodeVisitor):
 
     def visit_Assign(self, node: ast.Assign) -> None:
         self.generic_visit(node)
-        ref = self._value_ref(node.value)
         for target in node.targets:
             if isinstance(target, ast.Name):
-                self.summary.assigns.append((target.id, ref))
                 self._note_var_class(target.id, node.value)
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
         self.generic_visit(node)
         if isinstance(node.target, ast.Name):
-            self.summary.assigns.append(
-                (node.target.id, self._value_ref(node.value))
-            )
             annotated = _annotation_ref(node.annotation, self.ctx)
             if annotated is not None:
                 self._var_classes[node.target.id] = annotated
@@ -391,12 +322,7 @@ class _FunctionExtractor(ast.NodeVisitor):
                 return
         self._var_classes.pop(name, None)
 
-    def visit_Return(self, node: ast.Return) -> None:
-        self.generic_visit(node)
-        self.summary.returns.append(self._value_ref(node.value))
-
     def run(self, body: Sequence[ast.stmt]) -> None:
-        self._call_index: dict[int, int] = {}
         for statement in body:
             self.visit(statement)
 
@@ -868,22 +794,22 @@ class Project:
             targets += self._resolve_method(node, hint, method)
         # functools.partial(f, ...) contributes an edge to f at the
         # partial's creation site.
+        arg = site.first_arg
         if (
             kind in ("dotted", "local")
             and site.callee[-1].split(".")[-1] == "partial"
-            and site.args
+            and arg is not None
         ):
-            for arg in site.args[:1]:
-                if arg[0] == "func":
-                    resolved = self.resolve_dotted(arg[1])
-                elif arg[0] == "var":
-                    # A bare name: an imported alias or module-level
-                    # function (a true local resolves to nothing).
-                    resolved = self.resolve_dotted(f"{node.module}.{arg[1]}")
-                else:
-                    resolved = None
-                if resolved in self.functions:
-                    targets.append(resolved)
+            if arg[0] == "func":
+                resolved = self.resolve_dotted(arg[1])
+            elif arg[0] == "var":
+                # A bare name: an imported alias or module-level
+                # function (a true local resolves to nothing).
+                resolved = self.resolve_dotted(f"{node.module}.{arg[1]}")
+            else:
+                resolved = None
+            if resolved in self.functions:
+                targets.append(resolved)
         seen: set[str] = set()
         ordered = tuple(t for t in targets if not (t in seen or seen.add(t)))
         return ordered
@@ -939,14 +865,6 @@ class Project:
         node = self.functions[qname]
         for index, site in enumerate(node.summary.calls):
             yield site, self.callees_at(qname, index)
-
-    def repro_functions(self) -> list[str]:
-        """Sorted qnames of the functions in ``repro`` modules."""
-        return sorted(
-            qname
-            for qname, node in self.functions.items()
-            if node.module.startswith("repro")
-        )
 
     def callers(self, nodes: Sequence[str]) -> dict[str, set[str]]:
         """Reverse call graph restricted to ``nodes``: callee -> callers."""

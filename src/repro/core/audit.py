@@ -305,14 +305,6 @@ class AuditTarget:
             raise ValueError(
                 f"{spec.describe()} already restricts the attribute of {value!r}"
             )
-        return self._build_demographic_spec(spec, value, exclude)
-
-    def _build_demographic_spec(
-        self,
-        spec: TargetingSpec,
-        value: SensitiveValue,
-        exclude: bool,
-    ) -> TargetingSpec:
         values = self._complement_values(value) if exclude else [value]
         [spec] = restricted([spec], [self._restriction(values)])
         return spec

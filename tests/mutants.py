@@ -47,6 +47,7 @@ _PER_REQUEST = (
 _ROWS = "audit estimates cached per composition row"
 _CHECKS = "checks that can fail"
 _ONE_COPY = "one copy of every estimate"
+_NO_TAINT = "a lint rule no run path can trigger, deleted"
 
 _RULES = "tests/test_analysis_rules.py"
 _BASE = "src/repro/platforms/base.py"
@@ -488,5 +489,48 @@ MUTANTS: tuple[Mutant, ...] = (
             f"{_CACHE_TESTS}::test_checkpoint_round_trip_resends_nothing[linkedin]",
         ),
         recorded=_ONE_COPY,
+    ),
+    # An audit must never send the restricted interface a gender or age
+    # slice.  No lint rule sees these two edits: the server refuses the
+    # slice, and the kill lists are the tests that notice.
+    Mutant(
+        id="restricted-target-measured-through-restricted-client",
+        path=_AUDIT,
+        old="""\
+            client=clients["facebook_restricted"],
+            measure_client=clients["facebook"],
+""",
+        new="""\
+            client=clients["facebook_restricted"],
+            measure_client=clients["facebook_restricted"],
+""",
+        kills=(f"{_SENT}[facebook_restricted]",),
+        recorded=_NO_TAINT,
+    ),
+    Mutant(
+        id="special-ad-size-from-gender-slice",
+        path="src/repro/experiments/ext_lookalike.py",
+        old="    result.special_ad_size = special.matched_count\n",
+        new="""\
+    from repro.platforms.targeting import TargetingSpec
+
+    result.special_ad_size = platform.restricted.estimate_reach(
+        TargetingSpec.of(special.audience_id).with_gender(Gender.MALE)
+    ).estimate
+""",
+        kills=(
+            "tests/test_extensions.py::test_lookalike_run_independent_of_hash_seed",
+        ),
+        recorded=_NO_TAINT,
+    ),
+    # errors/transport-escape's justification: no other tier-1 test
+    # sends the search route a body without its query.
+    Mutant(
+        id="search-without-query-raises-key-error",
+        path="src/repro/api/routes.py",
+        old="""            raise BadRequestError("missing search query 'q'")\n""",
+        new="""            raise KeyError("q")\n""",
+        kills=("tests/test_lint_clean.py::test_src_tree_is_lint_clean",),
+        recorded=_NO_TAINT,
     ),
 )

@@ -362,7 +362,7 @@ def test_request_path_and_publicity_flags():
     assert not summary.functions["_private"].request_path
 
 
-def test_module_summary_json_roundtrip_preserves_edges():
+def test_linked_self_attr_call_edge_and_raise_site():
     mod = (
         "src/pkg/svc.py",
         "pkg.svc",
