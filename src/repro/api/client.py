@@ -4,8 +4,8 @@ These are the reproduction of the paper's measurement script: Python
 clients that hit the platforms' reach-estimate endpoints, encode
 targeting specs in each platform's wire format (including Google's
 obfuscated JSON), and translate error payloads back into typed
-exceptions so the audit core can react (e.g. skip compositions Google
-cannot express).
+exceptions (:func:`~repro.platforms.errors.error_from_parts`) so the
+audit core can react (e.g. skip compositions Google cannot express).
 
 Each client carries a resilience layer, all on the virtual clock:
 
@@ -30,6 +30,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Iterable
 
 from repro.api.obfuscation import GoogleWireCodec
@@ -46,16 +47,11 @@ from repro.api.wire import (
 from repro.platforms.errors import (
     RETRYABLE_STATUSES,
     ApiError,
-    BadRequestError,
-    CampaignConfigError,
     CircuitOpenError,
     DisallowedTargetingError,
-    ExclusionNotAllowedError,
-    NoSizeEstimateError,
     PlatformError,
-    TargetingError,
     TransportError,
-    UnsupportedCompositionError,
+    error_from_parts,
 )
 from repro.platforms.google import MOST_RESTRICTIVE_CAP, FrequencyCap
 from repro.platforms.targeting import TargetingSpec
@@ -68,30 +64,6 @@ __all__ = [
     "LinkedInReachClient",
     "build_clients",
 ]
-
-#: Error ``kind`` strings (from the transport) back to exception types.
-_ERROR_KINDS: dict[str, type[PlatformError]] = {
-    "TargetingError": TargetingError,
-    "UnknownOptionError": TargetingError,
-    "DisallowedTargetingError": DisallowedTargetingError,
-    "ExclusionNotAllowedError": ExclusionNotAllowedError,
-    "UnsupportedCompositionError": UnsupportedCompositionError,
-    "CampaignConfigError": CampaignConfigError,
-}
-
-
-def _error_from_payload(
-    status: int, message: str, kind: str | None
-) -> PlatformError:
-    """Typed exception for an error payload (whole-request or per-item)."""
-    if status == 422:
-        return NoSizeEstimateError(message)
-    if kind in _ERROR_KINDS:
-        return _ERROR_KINDS[kind](message)
-    if status == 400:
-        return BadRequestError(message)
-    return ApiError(f"HTTP {status}: {message}")
-
 
 @dataclass(frozen=True)
 class CatalogOption:
@@ -277,7 +249,7 @@ class ReachClient(ABC):
                 breaker.record_success()
             if response.ok:
                 return response.body
-            raise _error_from_payload(
+            raise error_from_parts(
                 status,
                 str(response.body.get("error", "unknown error")),
                 response.body.get("kind"),
@@ -295,6 +267,11 @@ class ReachClient(ABC):
     def option_names(self) -> dict[str, str]:
         """Display names keyed by option id."""
         return {o.option_id: o.display for o in self.catalog()}
+
+    @cached_property
+    def feature_of(self) -> dict[str, str]:
+        """Feature of every catalog option, keyed by option id (built once)."""
+        return {o.option_id: o.feature for o in self.catalog()}
 
     def estimate(self, spec: TargetingSpec) -> int:
         """Rounded audience-size estimate for a targeting spec."""
@@ -351,7 +328,7 @@ class ReachClient(ABC):
                     retry.append(index)
                     continue
                 else:
-                    value = _error_from_payload(*error)
+                    value = error_from_parts(*error)
                 out[offset + index] = value
                 if on_result is not None:
                     on_result(offset + index, value)
@@ -469,17 +446,11 @@ class GoogleReachClient(ReachClient):
         self.frequency_cap = frequency_cap
         self.objective = objective
         self.codec = GoogleWireCodec()
-        self._feature_of: dict[str, str] | None = None
-
-    def _features(self) -> dict[str, str]:
-        if self._feature_of is None:
-            self._feature_of = {o.option_id: o.feature for o in self.catalog()}
-        return self._feature_of
 
     def _encode_items(self, specs: list[TargetingSpec]) -> list[dict[str, Any]]:
         return self.codec.encode_batch(
             specs,
-            feature_of=self._features(),
+            feature_of=self.feature_of,
             frequency_cap=self.frequency_cap,
             objective=self.objective,
         )

@@ -12,7 +12,10 @@ interface also answers free-form attribute search at
 Batch endpoints accept up to :data:`repro.api.wire.MAX_BATCH_SIZE`
 targeting specs per request and answer per item: each entry is either
 the single-call response body or a typed error payload, so one
-inexpressible spec never fails its batch-mates.  Every batch route
+inexpressible spec never fails its batch-mates.  An item's error payload
+holds the ``(status, message, kind)`` of
+:func:`~repro.platforms.errors.error_parts`, the same mapping the
+transport applies to a whole-request failure.  Every batch route
 speaks the one :class:`~repro.api.wire.BatchEnvelope` protocol, under
 the field map of its codec's ``envelope``.  A batch request is one
 :meth:`~repro.platforms.base.AdPlatformInterface.estimate_batch` call
@@ -46,31 +49,12 @@ from repro.api.wire import (
 from repro.platforms import PlatformSuite
 from repro.platforms.base import AdPlatformInterface
 from repro.platforms.catalog import CatalogEntry
-from repro.platforms.errors import (
-    ApiError,
-    BadRequestError,
-    NoSizeEstimateError,
-    PlatformError,
-)
+from repro.platforms.errors import BadRequestError, PlatformError, error_parts
 
 __all__ = ["BATCH_ITEM_TOKEN_COST", "mount_suite_routes"]
 
 #: Rate-limit token cost of each spec in a batch beyond the first.
 BATCH_ITEM_TOKEN_COST = 0.1
-
-
-def _error_parts(exc: PlatformError) -> tuple[int, str, str | None]:
-    """(status, message, kind) for a per-item error payload.
-
-    Mirrors the transport's exception-to-status mapping so clients can
-    reuse one payload-to-exception translation for whole-request and
-    per-item failures alike.
-    """
-    if isinstance(exc, NoSizeEstimateError):
-        return 422, str(exc), None
-    if isinstance(exc, ApiError):
-        return exc.status, str(exc), None
-    return 400, str(exc), type(exc).__name__
 
 
 def _batch_cost(envelope: BatchEnvelope) -> Callable[[HttpRequest], float]:
@@ -140,7 +124,7 @@ def _batch_handler(interface: AdPlatformInterface, codec: RouteCodec):
         )
         return envelope.encode_response(
             [
-                envelope.item_error(*_error_parts(result))
+                envelope.item_error(*error_parts(result))
                 if isinstance(result, PlatformError)
                 else envelope.item_ok(next(bodies))
                 for result in results

@@ -4,9 +4,12 @@ All "network" traffic in the simulation flows through
 :class:`FakeTransport`: clients build JSON requests, the transport
 advances a :class:`VirtualClock` by a configurable latency, applies
 per-account token-bucket rate limiting, and dispatches to registered
-route handlers.  Platform errors become HTTP-ish status codes so the
-clients exercise real error-handling paths, and nothing ever sleeps on
-the wall clock.
+route handlers.  Platform errors become HTTP-ish status codes through
+:func:`~repro.platforms.errors.error_parts`, the one exception-to-wire
+mapping (the batch routes use it per item, the clients invert it with
+:func:`~repro.platforms.errors.error_from_parts`), so the clients
+exercise real error-handling paths; nothing ever sleeps on the wall
+clock.
 """
 
 from __future__ import annotations
@@ -16,12 +19,7 @@ from typing import Any, Callable, Mapping
 
 from repro.api.ratelimit import TokenBucket
 from repro.obs import NULL_TRACER
-from repro.platforms.errors import (
-    ApiError,
-    NoSizeEstimateError,
-    PlatformError,
-    TargetingError,
-)
+from repro.platforms.errors import PlatformError, error_parts
 
 __all__ = ["VirtualClock", "HttpRequest", "HttpResponse", "FakeTransport"]
 
@@ -173,9 +171,11 @@ class FakeTransport:
     def request(self, request: HttpRequest) -> HttpResponse:
         """Dispatch one request, returning an error response on failure.
 
-        Never raises for platform-side failures: targeting errors map
-        to 400, missing size statistics to 422, rate limiting to 429
-        with a ``retry_after`` hint, unknown routes to 404.
+        Never raises for platform-side failures: a handler's
+        :class:`PlatformError` becomes the status, message and kind
+        :func:`error_parts` gives it (targeting errors 400, missing size
+        statistics 422), rate limiting 429 with a ``retry_after`` hint,
+        unknown routes 404.
         """
         response = self._dispatch(request)
         if self.tracer.enabled:
@@ -207,12 +207,10 @@ class FakeTransport:
 
         try:
             body = handler(request)
-        except NoSizeEstimateError as exc:
-            return HttpResponse(422, {"error": str(exc)})
-        except TargetingError as exc:
-            return HttpResponse(400, {"error": str(exc), "kind": type(exc).__name__})
-        except ApiError as exc:
-            return HttpResponse(exc.status, {"error": str(exc)})
         except PlatformError as exc:
-            return HttpResponse(400, {"error": str(exc), "kind": type(exc).__name__})
+            status, message, kind = error_parts(exc)
+            error = {"error": message}
+            if kind is not None:
+                error["kind"] = kind
+            return HttpResponse(status, error)
         return HttpResponse(200, dict(body))

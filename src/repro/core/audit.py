@@ -145,7 +145,6 @@ class AuditTarget:
         # The base sizes |RA_v| are shared, read-only, by every audit
         # record of an attribute.
         self._base_sizes: dict[str, MappingProxyType[SensitiveValue, int]] = {}
-        self._features: dict[str, str] | None = None
         # LinkedIn's demographic facet ids, both ways; see
         # :meth:`_linkedin_facets`.
         self._facets: (
@@ -221,10 +220,8 @@ class AuditTarget:
         return self.client.option_names()
 
     def feature_of(self, option_id: str) -> str:
-        """Feature of a catalog option (catalog loaded once, lazily)."""
-        if self._features is None:
-            self._features = {o.option_id: o.feature for o in self.client.catalog()}
-        return self._features[option_id]
+        """Feature of a catalog option (the client's map, built once)."""
+        return self.client.feature_of[option_id]
 
     # -- composition rules ---------------------------------------------------
 

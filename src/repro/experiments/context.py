@@ -19,11 +19,7 @@ from repro.core import (
 from repro.core.audit import AuditTarget
 from repro.core.results import SensitiveValue
 from repro.experiments.config import ExperimentConfig
-from repro.population.demographics import (
-    SENSITIVE_ATTRIBUTES,
-    Gender,
-    SensitiveAttribute,
-)
+from repro.population.demographics import SENSITIVE_ATTRIBUTES, attribute_of
 
 __all__ = ["ExperimentContext", "TARGET_LABELS"]
 
@@ -34,11 +30,6 @@ TARGET_LABELS: dict[str, str] = {
     "google": "Google",
     "linkedin": "LinkedIn",
 }
-
-
-def _attribute_of(value: SensitiveValue) -> SensitiveAttribute:
-    key = "gender" if isinstance(value, Gender) else "age"
-    return SENSITIVE_ATTRIBUTES[key]
 
 
 class ExperimentContext:
@@ -109,7 +100,7 @@ class ExperimentContext:
         # (MALE == 0 == AGE_18_24), so the cache key must carry the type.
         cache_key = (key, type(value).__name__, int(value), direction, arity)
         if cache_key not in self._sets:
-            attribute = _attribute_of(value)
+            attribute = attribute_of(value)
             self._sets[cache_key] = skewed_compositions(
                 self.target(key),
                 attribute,
@@ -134,7 +125,7 @@ class ExperimentContext:
         Order matches the paper's x-axes: Individual, Random 2-way,
         Top 2-way, Bottom 2-way (and optionally Top/Bottom 3-way).
         """
-        attribute = _attribute_of(value)
+        attribute = attribute_of(value)
         sets = [
             self.individuals(key, attribute.name),
             self.random_set(key, attribute.name),

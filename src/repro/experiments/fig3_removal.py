@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from repro.core import removal_sweep
 from repro.core.removal import RemovalCurve
 from repro.experiments.context import ExperimentContext
-from repro.population.demographics import Gender, SENSITIVE_ATTRIBUTES
+from repro.population.demographics import Gender, attribute_of
 from repro.reporting import Table, format_ratio
 
 __all__ = ["Fig3Result", "run", "run_for_value"]
@@ -57,9 +57,7 @@ def run_for_value(
     ctx: ExperimentContext, value, keys: tuple[str, ...] | None = None
 ) -> Fig3Result:
     """Removal sweeps toward one sensitive value on the given interfaces."""
-    attribute = SENSITIVE_ATTRIBUTES[
-        "gender" if isinstance(value, Gender) else "age"
-    ]
+    attribute = attribute_of(value)
     result = Fig3Result()
     for key in keys or tuple(ctx.target_keys):
         individual = ctx.individuals(key, attribute.name)

@@ -20,8 +20,8 @@ from repro.core.results import CompositionSet, SensitiveValue
 from repro.population.demographics import (
     AgeRange,
     Gender,
-    SENSITIVE_ATTRIBUTES,
     SensitiveAttribute,
+    attribute_of,
 )
 
 __all__ = ["FavoredPopulation", "TABLE1_POPULATIONS", "FIG5_POPULATIONS"]
@@ -42,8 +42,7 @@ class FavoredPopulation:
     @property
     def attribute(self) -> SensitiveAttribute:
         """The sensitive attribute the value belongs to."""
-        key = "gender" if isinstance(self.value, Gender) else "age"
-        return SENSITIVE_ATTRIBUTES[key]
+        return attribute_of(self.value)
 
     @property
     def label(self) -> str:

@@ -184,16 +184,16 @@ def run_all(
     tracer = tracer if tracer is not None else NULL_TRACER
     with _collect_at_boundaries(tracer) as boundary:
         started_wall = time.perf_counter()
-        if context is None and (chaos is not None or tracer.enabled):
-            session = build_audit_session(
+        ctx = context or ExperimentContext(
+            config,
+            session=build_audit_session(
                 n_records=config.n_records,
                 seed=config.seed,
                 chaos=chaos,
                 chaos_seed=chaos_seed,
                 tracer=tracer,
-            )
-            context = ExperimentContext(config, session=session)
-        ctx = context or ExperimentContext(config)
+            ),
+        )
 
         if checkpoint is not None:
             if verbose and len(checkpoint):

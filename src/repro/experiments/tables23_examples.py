@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from repro.core import CompositionSet
 from repro.core.results import SensitiveValue
 from repro.experiments.context import ExperimentContext
-from repro.population.demographics import AgeRange, Gender
+from repro.population.demographics import AgeRange, Gender, attribute_of
 from repro.reporting import Table, format_ratio
 
 __all__ = [
@@ -156,7 +156,7 @@ def run(
     for key in keys or tuple(ctx.target_keys):
         names = ctx.target(key).option_names()
         for value, value_label, _ in _FAVOURED:
-            attribute = "gender" if isinstance(value, Gender) else "age"
+            attribute = attribute_of(value).name
             individual = ctx.individuals(key, attribute).filtered(
                 ctx.config.min_reach
             )

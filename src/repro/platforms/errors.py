@@ -6,6 +6,11 @@ refusing size statistics for boolean combinations of user attributes,
 LinkedIn refusing tiny audiences -- and those restrictions surface as
 typed errors so callers can distinguish "you asked for something this
 interface does not offer" from bugs.
+
+The wire carries each error as ``(status, message, kind)``:
+:func:`error_parts` is the one mapping from an exception to those parts,
+for whole-request and per-item failures alike, and
+:func:`error_from_parts` is its inverse on the client side.
 """
 
 from __future__ import annotations
@@ -26,6 +31,8 @@ __all__ = [
     "RequestTimeoutError",
     "CircuitOpenError",
     "RETRYABLE_STATUSES",
+    "error_parts",
+    "error_from_parts",
 ]
 
 #: HTTP statuses a client may retry without changing the request: the
@@ -128,3 +135,40 @@ class CircuitOpenError(ApiError):
     """
 
     status = 503
+
+
+def error_parts(exc: PlatformError) -> tuple[int, str, str | None]:
+    """``(status, message, kind)`` of the wire error for ``exc``.
+
+    Missing size statistics are a 422 and API-layer errors carry their
+    own status, both without a kind; every other platform error is a
+    400 whose kind names its type, so :func:`error_from_parts` can
+    restore it.
+    """
+    if isinstance(exc, NoSizeEstimateError):
+        return 422, str(exc), None
+    if isinstance(exc, ApiError):
+        return exc.status, str(exc), None
+    return 400, str(exc), type(exc).__name__
+
+
+#: Error ``kind`` strings back to exception types.
+_ERROR_KINDS: dict[str, type[PlatformError]] = {
+    "TargetingError": TargetingError,
+    "UnknownOptionError": TargetingError,
+    "DisallowedTargetingError": DisallowedTargetingError,
+    "ExclusionNotAllowedError": ExclusionNotAllowedError,
+    "UnsupportedCompositionError": UnsupportedCompositionError,
+    "CampaignConfigError": CampaignConfigError,
+}
+
+
+def error_from_parts(status: int, message: str, kind: str | None) -> PlatformError:
+    """Typed exception for a wire error (whole-request or per-item)."""
+    if status == 422:
+        return NoSizeEstimateError(message)
+    if kind in _ERROR_KINDS:
+        return _ERROR_KINDS[kind](message)
+    if status == 400:
+        return BadRequestError(message)
+    return ApiError(f"HTTP {status}: {message}")

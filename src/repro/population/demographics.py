@@ -20,6 +20,7 @@ __all__ = [
     "AGE_RANGES",
     "SensitiveAttribute",
     "SENSITIVE_ATTRIBUTES",
+    "attribute_of",
     "DemographicMarginals",
     "US_MARGINALS",
 ]
@@ -112,6 +113,11 @@ SENSITIVE_ATTRIBUTES: dict[str, SensitiveAttribute] = {
     "gender": SensitiveAttribute("gender", GENDERS),
     "age": SensitiveAttribute("age", AGE_RANGES),
 }
+
+
+def attribute_of(value: Gender | AgeRange) -> SensitiveAttribute:
+    """The sensitive attribute a value belongs to."""
+    return SENSITIVE_ATTRIBUTES["gender" if isinstance(value, Gender) else "age"]
 
 
 def _normalised(weights: Mapping, keys: Sequence) -> tuple[float, ...]:

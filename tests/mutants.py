@@ -48,6 +48,7 @@ _ROWS = "audit estimates cached per composition row"
 _CHECKS = "checks that can fail"
 _ONE_COPY = "one copy of every estimate"
 _NO_TAINT = "a lint rule no run path can trigger, deleted"
+_ONE_MAPPING = "one owner for the wire error contract"
 
 _RULES = "tests/test_analysis_rules.py"
 _BASE = "src/repro/platforms/base.py"
@@ -60,6 +61,9 @@ _PARITY = "tests/test_batch_api.py::TestPerItemErrorParity"
 _MIXED_ENVELOPE = (
     "tests/test_batch_api.py::TestEnvelopeCodecs"
     "::test_mixed_envelope_decodes_like_one_item_decodes"
+)
+_MALFORMED = (
+    "tests/test_wire_codecs.py::test_malformed_body_is_a_400_that_spares_its_batch"
 )
 _PER_REQUEST_TESTS = "tests/test_memory.py::TestPerRequestRuleMemo"
 _ORACLE = "tests/test_generator.py::TestBitIdentityOracle"
@@ -532,5 +536,36 @@ MUTANTS: tuple[Mutant, ...] = (
         new="""            raise KeyError("q")\n""",
         kills=("tests/test_lint_clean.py::test_src_tree_is_lint_clean",),
         recorded=_NO_TAINT,
+    ),
+    # errors/transport-escape sees explicit raises only; the malformed
+    # bodies whose code lists hold a wrong type catch this one.
+    Mutant(
+        id="value-set-lets-type-error-escape",
+        path=_WIRE,
+        old="""\
+            values = memo[raw_key] = frozenset(map(decode, raw_key))
+    except (KeyError, TypeError, ValueError):
+""",
+        new="""\
+            values = memo[raw_key] = frozenset(map(decode, raw_key))
+    except (KeyError, ValueError):
+""",
+        kills=(
+            f"{_MALFORMED}[facebook-body12]",
+            f"{_MALFORMED}[google-body13]",
+        ),
+        recorded=_ONE_MAPPING,
+    ),
+    # The one exception-to-wire table: a status change there reaches
+    # the transport and the batch routes alike.
+    Mutant(
+        id="no-size-estimate-answered-400",
+        path="src/repro/platforms/errors.py",
+        old="        return 422, str(exc), None\n",
+        new="        return 400, str(exc), None\n",
+        kills=(
+            "tests/test_transport.py::TestFakeTransport::test_no_size_maps_to_422",
+        ),
+        recorded=_ONE_MAPPING,
     ),
 )

@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 
 from repro.api import FakeTransport, build_clients, mount_suite_routes
 from repro.api.client import FacebookReachClient, GoogleReachClient
-from repro.api.routes import _error_parts
 from repro.api.transport import HttpRequest
 from repro.api.obfuscation import GoogleWireCodec, criterion_id
 from repro.api.wire import (
@@ -39,6 +38,7 @@ from repro.platforms.errors import (
     DisallowedTargetingError,
     PlatformError,
     UnsupportedCompositionError,
+    error_parts,
 )
 from repro.platforms.google import FrequencyCap
 from repro.platforms.linkedin import LinkedInInterface
@@ -424,7 +424,7 @@ class TestPerItemErrorParity:
         assert interface.query_count - before == single_queries == 2
         assert [batch[0], batch[2]] == singles
         assert isinstance(batch[1], PlatformError)
-        assert _error_parts(batch[1]) == _error_parts(alone.value)
+        assert error_parts(batch[1]) == error_parts(alone.value)
         if objective is not None:
             assert isinstance(batch[1], CampaignConfigError)
 

@@ -219,6 +219,9 @@ _MALFORMED_BODIES = [
     ("google", {"1": 840, "4": [[criterion_id(OPTIONS[0])]]}),
     ("google", {"1": 840, "4": {"abc": [[criterion_id(OPTIONS[0])]]}}),
     ("google", {"1": 840, "4": {"201": 5}}),
+    # Decoding these raises TypeError inside ``_value_set``.
+    ("facebook", {"targeting_spec": {**_FB_GEO, "age_ranges": [18]}}),
+    ("google", {"1": 840, "2": [None]}),
 ]
 
 @pytest.mark.parametrize("platform, body", _MALFORMED_BODIES)
