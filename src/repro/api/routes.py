@@ -136,7 +136,7 @@ def _batch_handler(interface: AdPlatformInterface, codec: RouteCodec):
 
 def _facebook_search_handler(interface):
     def handler(request: HttpRequest) -> Mapping[str, Any]:
-        if not request.body or "q" not in request.body:
+        if not isinstance(request.body, Mapping) or "q" not in request.body:
             raise BadRequestError("missing search query 'q'")
         matches = interface.search(str(request.body["q"]))
         return {"options": [_entry_json(e) for e in matches]}

@@ -214,7 +214,9 @@ class BatchEnvelope:
     def encode_request(self, items: list[dict[str, Any]]) -> dict[str, Any]:
         return {self.request_key: list(items)}
 
-    def decode_request(self, body: Mapping[str, Any]) -> list[Mapping[str, Any]]:
+    def decode_request(self, body: Any) -> list[Mapping[str, Any]]:
+        if not isinstance(body, Mapping):
+            raise BadRequestError("batch request body must be an object")
         items = body.get(self.request_key)
         if not isinstance(items, list) or not items:
             raise BadRequestError(f"missing or empty {self.request_key!r} list")
@@ -224,10 +226,10 @@ class BatchEnvelope:
             )
         return items
 
-    def size(self, body: Mapping[str, Any] | None) -> int:
+    def size(self, body: Any) -> int:
         """Items in a batch request body (1 for any other body), the
         rate limiter's price of the request."""
-        items = body.get(self.request_key) if body else None
+        items = body.get(self.request_key) if isinstance(body, Mapping) else None
         return len(items) if isinstance(items, list) else 1
 
     def item_ok(self, result: dict[str, Any]) -> dict[str, Any]:

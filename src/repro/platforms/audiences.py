@@ -48,6 +48,12 @@ __all__ = [
 #: real interfaces enforce similar floors for privacy reasons).
 MIN_MATCHED_USERS = 100
 
+#: Rows per block when scoring similarity.  A multiple of 8: OpenBLAS's
+#: ``dgemv`` unrolls over rows, so blocks that start on a multiple of 8
+#: give every row the bits of one product over the whole matrix, while
+#: 33,333-row blocks do not.
+_SCORE_BLOCK_ROWS = 16_384
+
 
 @dataclass(frozen=True)
 class CustomAudience:
@@ -82,8 +88,10 @@ class TrackingPixel:
 
     def visit_probabilities(self, population: Population) -> np.ndarray:
         logits = np.full(population.n_records, self.base_logit)
-        for factor, weight in self.direction.items():
-            logits += weight * population.latents[:, factor]
+        if self.direction:
+            latents = population.draw_latents()
+            for factor, weight in self.direction.items():
+                logits += weight * latents[:, factor]
         for attr_id, boost in self.attribute_boosts.items():
             members = population.index.attribute(attr_id).to_bool()
             logits += boost * members
@@ -207,19 +215,51 @@ class AudienceService:
 
     # -- lookalike / special ad audiences ----------------------------------
 
-    def _feature_matrix(self, demographics: bool) -> np.ndarray:
-        """User feature matrix for similarity scoring."""
-        parts = [self.population.latents]
+    def _similarity(self, seed_mask: np.ndarray, demographics: bool) -> np.ndarray:
+        """Every record's score: its features dotted with the seed's
+        centroid.
+
+        A record's features are its latents, then, with
+        ``demographics``, one 0/1 column per gender and per age range.
+        The whole feature matrix is never built: the centroid comes
+        from the seed rows, and the scores from blocks of
+        :data:`_SCORE_BLOCK_ROWS` rows, each filled into one reused
+        buffer and scored with the same ``block @ centroid`` product.
+        """
+        population = self.population
+        n = population.n_records
+        latents = population.draw_latents()
+        k = latents.shape[1]
+        indicators = []
         if demographics:
-            for gender in GENDERS:
-                parts.append(
-                    self.population.index.gender(gender).to_bool()[:, None] * 1.0
-                )
-            for age in AGE_RANGES:
-                parts.append(
-                    self.population.index.age(age).to_bool()[:, None] * 1.0
-                )
-        return np.hstack(parts)
+            index = population.index
+            indicators = [index.gender(g).to_bool() for g in GENDERS] + [
+                index.age(a).to_bool() for a in AGE_RANGES
+            ]
+
+        def features(rows, out: np.ndarray) -> np.ndarray:
+            out[:, :k] = latents[rows]
+            for j, column in enumerate(indicators, k):
+                out[:, j] = column[rows]
+            return out
+
+        width = k + len(indicators)
+        seed_rows = np.empty((int(np.count_nonzero(seed_mask)), width))
+        centroid = features(seed_mask, seed_rows).mean(axis=0)
+        del seed_rows
+        block = np.empty((min(n, _SCORE_BLOCK_ROWS + 1), width))
+        scores = np.empty(n)
+        start = 0
+        while start < n:
+            # The last block takes a lone final row: numpy scores a
+            # one-row block with a dot product, not ``dgemv``.
+            stop = start + _SCORE_BLOCK_ROWS
+            if stop + 1 >= n:
+                stop = n
+            rows = slice(start, stop)
+            scores[rows] = features(rows, block[: stop - start]) @ centroid
+            start = stop
+        return scores
 
     def _expand(
         self,
@@ -227,14 +267,14 @@ class AudienceService:
         target_fraction: float,
         demographics: bool,
     ) -> BitVector:
+        """The ``target_fraction`` of records outside the seed that
+        score highest in :meth:`_similarity`."""
         if not 0.0 < target_fraction <= 0.2:
             raise ValueError("target_fraction must be in (0, 0.2]")
-        features = self._feature_matrix(demographics)
         seed_mask = seed_audience.members.to_bool()
         if not seed_mask.any():
             raise TargetingError("seed audience is empty")
-        centroid = features[seed_mask].mean(axis=0)
-        scores = features @ centroid
+        scores = self._similarity(seed_mask, demographics)
         scores[seed_mask] = -np.inf  # lookalikes exclude the seed
         n_target = max(1, int(self.population.n_records * target_fraction))
         top = np.argpartition(-scores, n_target - 1)[:n_target]

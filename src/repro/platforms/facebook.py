@@ -81,17 +81,18 @@ class FacebookNormalInterface(AdPlatformInterface):
         """Search default *and* free-form attributes.
 
         Free-form matches are realised in the population on discovery,
-        after which they validate and estimate like any other option.
+        in one call per search, after which they validate and estimate
+        like any other option.
         """
-        matches = list(self.catalog.search(query))
         q = query.lower()
-        for attr_id, entry in self._searchable_entries.items():
-            if q in entry.display.lower():
-                if attr_id not in self._discovered:
-                    self.population.realise_attribute(self._searchable_specs[attr_id])
-                    self._discovered[attr_id] = entry
-                matches.append(entry)
-        return matches
+        found = {
+            attr_id: entry
+            for attr_id, entry in self._searchable_entries.items()
+            if q in entry.display.lower()
+        }
+        self.population.realise_attribute(*[self._searchable_specs[a] for a in found])
+        self._discovered.update(found)
+        return list(self.catalog.search(query)) + list(found.values())
 
     def option_entry(self, option_id: str) -> CatalogEntry:
         try:

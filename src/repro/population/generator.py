@@ -1,11 +1,15 @@
 """Population sampling: demographics, latent interests, and attributes.
 
 A :class:`Population` is the concrete substrate one simulated platform
-runs on: demographic code arrays, the latent interest matrix, and an
+runs on: demographic code arrays and an
 :class:`~repro.population.bitsets.AudienceIndex` of realised attribute
-memberships.  Each record represents ``scale`` real users so the
-platforms report audience sizes in the (hundreds-of-millions) ranges the
-paper works with while simulation stays laptop-sized.
+memberships.  It keeps no latent interest matrix: the audit reads only
+audience sizes, so :meth:`Population.draw_latents` re-draws the matrix
+from the population's seed for the two readers that need it, attribute
+realisation and derived-audience similarity.  Each record represents
+``scale`` real users so the platforms report audience sizes in the
+(hundreds-of-millions) ranges the paper works with while simulation
+stays laptop-sized.
 
 Attribute realisation is per-attribute: for each
 :class:`~repro.population.model.AttributeSpec` we evaluate the logistic
@@ -17,7 +21,8 @@ demographic cell codes, one row of latents per factor, and two float and
 one bool scratch array of ``n_records`` entries, reused by every
 attribute it evaluates.  Apart from packing its bit vector, realising an
 attribute allocates nothing of record length.  Kernels live for one
-realisation call, so a population keeps no scratch between calls.
+realisation call, so a population keeps no scratch, factor rows or
+latents between calls.
 
 :meth:`Population.realise_attribute` realises any number of specs in one
 call, and :meth:`PopulationGenerator.generate` passes it the whole
@@ -54,6 +59,15 @@ __all__ = ["Population", "PopulationGenerator"]
 POOL_MIN_RECORDS = 32_768
 
 
+#: Child streams of a population's root seed, ``SeedSequence(seed).spawn(2)``.
+_DEMOGRAPHICS_STREAM, _LATENTS_STREAM = 0, 1
+
+
+def _stream(seed: int, child: int) -> np.random.Generator:
+    """Generator over child ``child`` of ``seed``'s two root streams."""
+    return np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[child])
+
+
 def _usable_cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -70,8 +84,6 @@ class Population:
     gender_codes / age_codes:
         Per-record demographic codes (:class:`Gender` /
         :class:`AgeRange` integer values).
-    latents:
-        ``(n_records, K)`` latent interest matrix.
     scale:
         Real users represented by each record; all audience sizes
         reported by the platform are record counts times ``scale``.
@@ -79,15 +91,16 @@ class Population:
         Bitset index of realised attribute memberships plus the
         demographic base vectors.
     model:
-        The generative model used (needed to realise more attributes
-        later, e.g. searchable free-form options).
+        The generative model used.  With ``seed`` it defines the latent
+        interest matrix, which :meth:`draw_latents` re-draws for
+        realising attributes (also later ones, e.g. searchable
+        free-form options) and for derived-audience similarity.
     seed:
-        Seed the population was generated from, for provenance.
+        Seed the population was generated from.
     """
 
     gender_codes: np.ndarray
     age_codes: np.ndarray
-    latents: np.ndarray
     scale: float
     index: AudienceIndex
     model: LatentFactorModel
@@ -106,6 +119,17 @@ class Population:
     def users(self, vector: BitVector) -> float:
         """Real-user size of an audience bit vector."""
         return vector.count() * self.scale
+
+    def draw_latents(self) -> np.ndarray:
+        """The ``(n_records, K)`` latent interest matrix, drawn afresh.
+
+        Every call draws the same matrix from the seed's latent stream
+        and allocates it anew (6.4 MB and about 15 ms at 100k records
+        and K = 8); the population keeps no copy.
+        """
+        return self.model.sample_latents(
+            self.gender_codes, self.age_codes, _stream(self.seed, _LATENTS_STREAM)
+        )
 
     def _sample(
         self, kernel: MembershipKernel, specs: Sequence[AttributeSpec]
@@ -132,8 +156,8 @@ class Population:
         :data:`POOL_MIN_RECORDS` records on, the specs are dealt
         round-robin to up to two worker threads, each with a kernel of
         its own; the calling thread registers the vectors in spec order.
-        The kernels live for this call only.  Memberships are the same
-        whatever the thread count.
+        The kernels, and the latents they are built from, live for this
+        call only.  Memberships are the same whatever the thread count.
         """
         pending: dict[str, AttributeSpec] = {}
         for spec in specs:
@@ -146,7 +170,7 @@ class Population:
         if self.n_records >= POOL_MIN_RECORDS:
             workers = min(2, _usable_cpus(), len(todo))
         kernel = MembershipKernel(
-            self.model, self.gender_codes, self.age_codes, self.latents
+            self.model, self.gender_codes, self.age_codes, self.draw_latents()
         )
         if workers == 1:
             parts = [self._sample(kernel, todo)]
@@ -219,20 +243,14 @@ class PopulationGenerator:
 
     def generate(self, specs: Sequence[AttributeSpec] = ()) -> Population:
         """Generate a population and realise the given attributes."""
-        root = np.random.SeedSequence(self.seed)
-        demo_seed, latent_seed = root.spawn(2)
-        demo_rng = np.random.default_rng(demo_seed)
-        latent_rng = np.random.default_rng(latent_seed)
-
-        gender_codes, age_codes = self._sample_demographics(demo_rng)
-        latents = self.model.sample_latents(gender_codes, age_codes, latent_rng)
-        index = AudienceIndex(gender_codes, age_codes)
+        gender_codes, age_codes = self._sample_demographics(
+            _stream(self.seed, _DEMOGRAPHICS_STREAM)
+        )
         population = Population(
             gender_codes=gender_codes,
             age_codes=age_codes,
-            latents=latents,
             scale=self.scale,
-            index=index,
+            index=AudienceIndex(gender_codes, age_codes),
             model=self.model,
             seed=self.seed,
         )

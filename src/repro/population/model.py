@@ -269,27 +269,35 @@ class LatentFactorModel:
 
     # -- sampling ---------------------------------------------------------
 
-    def factor_means(
-        self, gender_codes: np.ndarray, age_codes: np.ndarray
-    ) -> np.ndarray:
-        """Per-user factor means, shape ``(n_users, K)``."""
-        g = np.where(np.asarray(gender_codes) == int(Gender.MALE), 0.5, -0.5)
-        shift = np.asarray(self.factor_gender_shift)  # (K,)
-        age_shift = np.asarray(self.factor_age_shift)  # (K, 4)
-        means = g[:, None] * shift[None, :]
-        means += age_shift.T[np.asarray(age_codes, dtype=np.intp)]
-        return means
-
     def sample_latents(
         self,
         gender_codes: np.ndarray,
         age_codes: np.ndarray,
         rng: np.random.Generator,
     ) -> np.ndarray:
-        """Draw the latent matrix ``Z`` with shape ``(n_users, K)``."""
-        means = self.factor_means(gender_codes, age_codes)
-        noise = rng.standard_normal(means.shape) * self.noise_scale
-        return means + noise
+        """Draw the latent matrix ``Z`` with shape ``(n_users, K)``.
+
+        ``Z = means + noise * noise_scale``, where a user's mean for
+        factor ``k`` is ``g * factor_gender_shift[k]`` (``g`` = +1/2 for
+        males, -1/2 otherwise) plus ``factor_age_shift[k][age]``.  The
+        noise is drawn into the result and scaled in place; each
+        factor's mean column is then gathered from an 8-entry per-cell
+        table (the same two float64 operations as per user) and added
+        in place.  The cell codes and one column are the only
+        temporaries, and, as addition commutes, the bits equal those of
+        the whole-matrix formula.
+        """
+        cells = demographic_cells(gender_codes, age_codes)
+        shift = np.asarray(self.factor_gender_shift)  # (K,)
+        age_shift = np.asarray(self.factor_age_shift)  # (K, 4)
+        cell_means = _CELL_GENDER[:, None] * shift[None, :]
+        cell_means += age_shift.T[_CELL_AGE]
+        latents = rng.standard_normal((cells.shape[0], self.n_factors))
+        latents *= self.noise_scale
+        column = np.empty(cells.shape[0])
+        for k in range(self.n_factors):
+            latents[:, k] += np.take(cell_means[:, k], cells, out=column, mode="clip")
+        return latents
 
     # -- evaluation --------------------------------------------------------
 

@@ -49,6 +49,7 @@ _CHECKS = "checks that can fail"
 _ONE_COPY = "one copy of every estimate"
 _NO_TAINT = "a lint rule no run path can trigger, deleted"
 _ONE_MAPPING = "one owner for the wire error contract"
+_NO_LATENTS = "no latent matrix kept after the build"
 
 _RULES = "tests/test_analysis_rules.py"
 _BASE = "src/repro/platforms/base.py"
@@ -66,6 +67,9 @@ _MALFORMED = (
     "tests/test_wire_codecs.py::test_malformed_body_is_a_400_that_spares_its_batch"
 )
 _PER_REQUEST_TESTS = "tests/test_memory.py::TestPerRequestRuleMemo"
+_EVERY_ROUTE = "tests/test_wire_codecs.py::test_every_route_answers_malformed_bodies"
+_BLOCKED = "tests/test_audiences.py::TestBlockedScoring"
+_AUDIENCES = "src/repro/platforms/audiences.py"
 _ORACLE = "tests/test_generator.py::TestBitIdentityOracle"
 _AUDIT = "src/repro/core/audit.py"
 _CACHE_TESTS = "tests/test_audit_cache.py"
@@ -346,7 +350,10 @@ MUTANTS: tuple[Mutant, ...] = (
             raise KeyError("empty batch")
         clause_cache = self._clause_cache
 """,
-        kills=("tests/test_lint_clean.py::test_src_tree_is_lint_clean",),
+        kills=(
+            "tests/test_lint_clean.py::test_src_tree_is_lint_clean",
+            "tests/test_wire_codecs.py::test_empty_batch_decodes_to_nothing[google]",
+        ),
         recorded=_CLIENT,
     ),
     Mutant(
@@ -534,7 +541,10 @@ MUTANTS: tuple[Mutant, ...] = (
         path="src/repro/api/routes.py",
         old="""            raise BadRequestError("missing search query 'q'")\n""",
         new="""            raise KeyError("q")\n""",
-        kills=("tests/test_lint_clean.py::test_src_tree_is_lint_clean",),
+        kills=(
+            "tests/test_lint_clean.py::test_src_tree_is_lint_clean",
+            _EVERY_ROUTE,
+        ),
         recorded=_NO_TAINT,
     ),
     # errors/transport-escape sees explicit raises only; the malformed
@@ -567,5 +577,57 @@ MUTANTS: tuple[Mutant, ...] = (
             "tests/test_transport.py::TestFakeTransport::test_no_size_maps_to_422",
         ),
         recorded=_ONE_MAPPING,
+    ),
+    # A batch body that is a JSON array or string reaches ``body.get``.
+    Mutant(
+        id="batch-body-mapping-unchecked",
+        path=_WIRE,
+        old="""\
+        if not isinstance(body, Mapping):
+            raise BadRequestError("batch request body must be an object")
+""",
+        new="",
+        kills=(_EVERY_ROUTE,),
+        recorded=_NO_LATENTS,
+    ),
+    # Same memberships, but each population holds its 6.4 MB of latents
+    # for the rest of the run once realisation has drawn them.
+    Mutant(
+        id="population-keeps-latents",
+        path="src/repro/population/generator.py",
+        old="""\
+        return self.model.sample_latents(
+            self.gender_codes, self.age_codes, _stream(self.seed, _LATENTS_STREAM)
+        )
+""",
+        new="""\
+        if "_latents" not in self.__dict__:
+            self.__dict__["_latents"] = self.model.sample_latents(
+                self.gender_codes, self.age_codes, _stream(self.seed, _LATENTS_STREAM)
+            )
+        return self.__dict__["_latents"]
+""",
+        kills=(
+            "tests/test_generator.py::TestGeneration"
+            "::test_population_keeps_no_latent_matrix",
+            "tests/test_memory.py::test_full_run_peak_rss",
+        ),
+        recorded=_NO_LATENTS,
+    ),
+    Mutant(
+        id="lookalike-scores-whole-matrix",
+        path=_AUDIENCES,
+        old="_SCORE_BLOCK_ROWS = 16_384\n",
+        new="_SCORE_BLOCK_ROWS = 1 << 30\n",
+        kills=(f"{_BLOCKED}::test_lookalike_never_holds_the_feature_matrix",),
+        recorded=_NO_LATENTS,
+    ),
+    Mutant(
+        id="lookalike-lone-row-scored-alone",
+        path=_AUDIENCES,
+        old="            if stop + 1 >= n:\n",
+        new="            if stop >= n:\n",
+        kills=(f"{_BLOCKED}::test_members_and_scores_equal_whole_matrix[16385]",),
+        recorded=_NO_LATENTS,
     ),
 )

@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.platforms.audiences import (
     MIN_MATCHED_USERS,
+    AudienceService,
     TrackingPixel,
 )
 from repro.platforms.errors import TargetingError, UnknownOptionError
 from repro.platforms.targeting import TargetingSpec
-from repro.population.demographics import Gender
+from repro.population.bitsets import BitVector
+from repro.population.demographics import AGE_RANGES, GENDERS, US_MARGINALS, Gender
+from repro.population.generator import PopulationGenerator
+from repro.population.model import default_model
 
 
 @pytest.fixture()
@@ -185,6 +191,79 @@ class TestLookalikes:
         seed = self._seed_audience(fb, service)
         with pytest.raises(ValueError):
             service.create_lookalike("big", seed, target_fraction=0.5)
+
+
+def _bare_service(n_records):
+    """An audience service over a population with no attributes, and a
+    male-leaning pixel seed audience, as ``ext_lookalike`` builds it."""
+    population = PopulationGenerator(
+        US_MARGINALS, default_model(), n_records, seed=42
+    ).generate()
+    service = AudienceService("t", population, [])
+    pixel = TrackingPixel("site", base_logit=-3.2, direction={0: 1.2})
+    return service, service.create_pixel_audience("seed", pixel, seed=11)
+
+
+def _feature_matrix(population, demographics):
+    """Every record's similarity features, built whole: latents, then a
+    0/1 column per gender and per age range with ``demographics``."""
+    parts = [population.draw_latents()]
+    if demographics:
+        for gender in GENDERS:
+            parts.append(population.index.gender(gender).to_bool()[:, None] * 1.0)
+        for age in AGE_RANGES:
+            parts.append(population.index.age(age).to_bool()[:, None] * 1.0)
+    return np.hstack(parts)
+
+
+def _whole_matrix_expansion(population, seed_audience, demographics):
+    """Scores and members of a 1% expansion from one product over the
+    whole feature matrix."""
+    features = _feature_matrix(population, demographics)
+    seed_mask = seed_audience.members.to_bool()
+    scores = features @ features[seed_mask].mean(axis=0)
+    scores[seed_mask] = -np.inf
+    n_target = int(population.n_records * 0.01)
+    top = np.argpartition(-scores, n_target - 1)[:n_target]
+    return scores, BitVector.from_indices(top.tolist(), population.n_records)
+
+
+class TestBlockedScoring:
+    # 16,385 records leave one row past a full 16,384-row block; scored
+    # alone, that row's bits would differ.
+    @pytest.mark.parametrize("n_records", [16_384, 16_385, 40_001, 100_000])
+    def test_members_and_scores_equal_whole_matrix(self, n_records, monkeypatch):
+        service, seed = _bare_service(n_records)
+        population = service.population
+        argpartition = np.argpartition
+        scored = []
+
+        def spy(negated, kth):
+            scored.append(-negated)
+            return argpartition(negated, kth)
+
+        for create, demographics in (
+            (service.create_lookalike, True),
+            (service.create_special_ad_audience, False),
+        ):
+            with monkeypatch.context() as patch:
+                patch.setattr(np, "argpartition", spy)
+                audience = create("derived", seed)
+            scores, members = _whole_matrix_expansion(population, seed, demographics)
+            assert np.array_equal(scored.pop().view(np.uint64), scores.view(np.uint64))
+            assert audience.members == members
+
+    def test_lookalike_never_holds_the_feature_matrix(self):
+        service, seed = _bare_service(100_000)
+        population = service.population
+        width = population.model.n_factors + len(GENDERS) + len(AGE_RANGES)
+        tracemalloc.start()
+        try:
+            service.create_lookalike("lal", seed)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < population.n_records * width * 8
 
 
 class TestAudienceRegistration:

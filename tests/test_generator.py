@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 import zlib
 from pathlib import Path
 from platform import machine
@@ -63,8 +64,20 @@ class TestGeneration:
     def test_population_shape(self):
         pop = make_generator().generate()
         assert pop.n_records == 4000
-        assert pop.latents.shape == (4000, 4)
+        assert pop.draw_latents().shape == (4000, 4)
         assert pop.total_users == pytest.approx(400_000)
+
+    def test_population_keeps_no_latent_matrix(self):
+        """Realisation draws the latents and drops them: a built
+        population holds a fraction of its latent matrix's size."""
+        generator = make_generator(n=20_000)
+        tracemalloc.start()
+        try:
+            population = generator.generate([make_spec()])
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < population.draw_latents().nbytes / 4
 
     def test_marginals_approximated(self):
         pop = make_generator(n=20_000).generate()
@@ -225,16 +238,14 @@ def reference_logits(model, spec, *args):
     return ascending_logits(model, spec, *args)
 
 
-def oracle_members(population, spec):
-    probs = oracle_sigmoid(
-        oracle_logits(
-            population.model,
-            spec,
-            population.gender_codes,
-            population.age_codes,
-            population.latents,
-        )
-    )
+def model_args(population):
+    """Demographic codes and freshly drawn latents: the kernel's inputs."""
+    return population.gender_codes, population.age_codes, population.draw_latents()
+
+
+def oracle_members(population, spec, args):
+    """Per-record oracle memberships of ``spec``, given ``model_args``."""
+    probs = oracle_sigmoid(oracle_logits(population.model, spec, *args))
     rng = np.random.default_rng(
         np.random.SeedSequence([population.seed, zlib.crc32(spec.attr_id.encode())])
     )
@@ -308,25 +319,15 @@ class TestBitIdentityOracle:
         assert len(specs) >= 200
         assert any(s.loadings for s in specs)
         assert any(not s.loadings for s in specs)
+        args = model_args(population)
         zero_logits = [
-            s
-            for s in specs
-            if np.any(
-                oracle_logits(
-                    population.model,
-                    s,
-                    population.gender_codes,
-                    population.age_codes,
-                    population.latents,
-                )
-                == 0.0
-            )
+            s for s in specs if np.any(oracle_logits(population.model, s, *args) == 0.0)
         ]
         assert len(zero_logits) >= 4
 
     def test_logits_and_probabilities_bitwise_equal(self, oracle_population):
         population, specs = oracle_population
-        args = (population.gender_codes, population.age_codes, population.latents)
+        args = model_args(population)
         model = population.model
         kernel = MembershipKernel(model, *args)
         assert sum(n_loaded(s) > 1 for s in specs) == 65
@@ -341,8 +342,9 @@ class TestBitIdentityOracle:
 
     def test_memberships_bitwise_equal(self, oracle_population):
         population, specs = oracle_population
+        args = model_args(population)
         for spec in specs:
-            expected = BitVector.from_bool(oracle_members(population, spec))
+            expected = BitVector.from_bool(oracle_members(population, spec, args))
             assert population.index.attribute(spec.attr_id) == expected, spec.attr_id
 
     def test_lazy_searchable_matches_generate(self):
@@ -372,7 +374,7 @@ def test_blocked_logits_equal_one_call(n_records):
     # whole columns; it must still equal one call over every record.
     generator = PopulationGenerator(US_MARGINALS, default_model(), n_records, seed=5)
     population = generator.generate()
-    args = (population.gender_codes, population.age_codes, population.latents)
+    args = model_args(population)
     kernel = MembershipKernel(population.model, *args)
     loaded = [s for s in oracle_specs(population.model.n_factors) if s.loadings]
     for spec in loaded[:20]:
@@ -385,7 +387,7 @@ def test_one_loading_logits_equal_gemv():
     # ``latents @ lam`` and not a multiple of 4.
     generator = PopulationGenerator(US_MARGINALS, default_model(), 100_003, seed=5)
     population = generator.generate()
-    args = (population.gender_codes, population.age_codes, population.latents)
+    args = model_args(population)
     kernel = MembershipKernel(population.model, *args)
     single = [s for s in oracle_specs(population.model.n_factors) if n_loaded(s) == 1]
     assert len(single) >= 20
@@ -428,8 +430,9 @@ class TestPooledRealisation:
         assert pool_sizes == [2]
         assert threading.active_count() == threads
         assert list(population.index) == [s.attr_id for s in specs]
+        args = model_args(population)
         for spec in specs:
-            expected = BitVector.from_bool(oracle_members(population, spec))
+            expected = BitVector.from_bool(oracle_members(population, spec, args))
             assert population.index.attribute(spec.attr_id) == expected, spec.attr_id
 
     def test_small_population_stays_on_calling_thread(self, pool_sizes):
@@ -437,7 +440,9 @@ class TestPooledRealisation:
         population = make_generator(seed=7).generate([spec, make_spec("t:f:b"), spec])
         assert pool_sizes == []
         assert list(population.index) == ["t:f:a", "t:f:b"]
-        expected = BitVector.from_bool(oracle_members(population, spec))
+        expected = BitVector.from_bool(
+            oracle_members(population, spec, model_args(population))
+        )
         assert population.index.attribute("t:f:a") == expected
 
 
@@ -467,7 +472,7 @@ for n_factors, n_records in ((8, 70_001), (16, 47_001)):
     generator = PopulationGenerator(US_MARGINALS, model, n_records, seed=3)
     population = generator.generate(specs)
     kernel = MembershipKernel(model, population.gender_codes,
-                              population.age_codes, population.latents)
+                              population.age_codes, population.draw_latents())
     for spec in specs:
         logits.update(kernel.logits(spec).tobytes())
         members.update(population.index.attribute(spec.attr_id).words.tobytes())

@@ -8,9 +8,10 @@ its criteria.  One-option clauses are interned, so the specs of an
 audit share them instead of each holding its own.  Specs and clauses
 are plain tuples and frozensets without a per-instance dict, and every
 audit record of a target shares one read-only map of base sizes.  Equal
-cached estimates share one int object, and a platform builds its PII
-directory only when a custom audience needs it.  None of this may
-change a single estimate.
+cached estimates share one int object, a platform builds its PII
+directory only when a custom audience needs it, and a population keeps
+no latent matrix after its build.  None of this may change a single
+estimate.
 """
 
 from __future__ import annotations
@@ -346,10 +347,11 @@ class TestLazyPii:
 #: about 220 MB with an 8 MiB word bound, 185.4 MB as later changes left
 #: it, 152.4-152.6 MB with a 2 MiB bound, shared estimate values and
 #: PII built on first use (174.2 MB with those but the 8 MiB bound),
-#: 149.3-149.6 MB with rule vectors kept for one request only, and
-#: 142.7-142.8 MB with estimates cached per composition row.  The bound
-#: is the last reading plus 9%, as for the full run.
-_FIG6_RSS_LIMIT_MB = 155
+#: 149.3-149.6 MB with rule vectors kept for one request only,
+#: 142.7-142.8 MB with estimates cached per composition row, and
+#: 115.9 MB with no latent matrix kept after the build (the tree before
+#: reads 142.8 MB).  The bound is the last reading plus 9%.
+_FIG6_RSS_LIMIT_MB = 126
 
 
 #: ``ru_maxrss`` of the ``results_full_run.txt`` configuration on a
@@ -364,19 +366,24 @@ _FIG6_RSS_LIMIT_MB = 155
 #: 205.5-205.6 MB with rule vectors kept for one request only and no
 #: composition-spec memo (the tree with the 2 MiB cross-request memo and
 #: the spec memo reads 226.3-227.1 MB); 173.4 MB with estimates cached
-#: per composition row instead of per slice spec.  The bound is the last
-#: plus 9%, as before; the per-slice-spec cache reads 205.4 MB and fails it.
-_FULL_RUN_RSS_LIMIT_MB = 188
+#: per composition row instead of per slice spec (the per-slice-spec
+#: cache reads 205.4 MB); 144.1-144.2 MB with no latent matrix kept after
+#: the build and lookalikes scored in row blocks (the tree before reads
+#: 173.2-173.4 MB).  The bound is the last reading plus 7%, not the 9%
+#: of the other gates: populations that keep their latents once drawn
+#: read 156.5-156.7 MB, under a 9% bound of 157 MB.
+_FULL_RUN_RSS_LIMIT_MB = 154
 
 #: ``ru_maxrss`` of the same configuration with ``--checkpoint``, as
 #: ``test_checkpointed_full_run_and_resume_peak_rss`` measures it, on a
 #: 2-CPU Linux container: 549.4 MB for a fresh run and 771.8 MB for its
 #: resume while the store mirrored every estimate and built the whole
 #: file in memory; 173.1 MB and 246.5 MB with the store writing the
-#: audit caches out one line at a time.  Each bound is its last reading
-#: plus 9%, as for the run without a checkpoint.
-_CHECKPOINT_RUN_RSS_LIMIT_MB = 189
-_RESUMED_RUN_RSS_LIMIT_MB = 269
+#: audit caches out one line at a time; 152.4 MB and 220.4 MB with no
+#: latent matrix kept after the build (the tree before reads 173.2 MB
+#: and 238.1 MB).  Each bound is its last reading plus 9%.
+_CHECKPOINT_RUN_RSS_LIMIT_MB = 166
+_RESUMED_RUN_RSS_LIMIT_MB = 240
 
 #: Runs the audit CLI (arguments from ``sys.argv``) as its only child
 #: and prints that child's peak RSS.  ``RUSAGE_CHILDREN`` covers every

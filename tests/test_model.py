@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.population.demographics import AGE_RANGES, Gender
+from repro.population.demographics import AGE_RANGES, US_MARGINALS, Gender
+from repro.population.generator import PopulationGenerator
 from repro.population.model import (
     AttributeSpec,
     LatentFactorModel,
@@ -79,14 +82,28 @@ class TestLatentFactorModelValidation:
             )
 
 
+def factor_means(model, gender_codes, age_codes):
+    """Per-user factor means, ``(n_users, K)``, built as one matrix: the
+    formula :meth:`LatentFactorModel.sample_latents` once evaluated whole."""
+    g = np.where(np.asarray(gender_codes) == int(Gender.MALE), 0.5, -0.5)
+    shift = np.asarray(model.factor_gender_shift)  # (K,)
+    age_shift = np.asarray(model.factor_age_shift)  # (K, 4)
+    means = g[:, None] * shift[None, :]
+    means += age_shift.T[np.asarray(age_codes, dtype=np.intp)]
+    return means
+
+
 class TestFactorMeans:
     def test_gender_shift_is_symmetric(self):
         model = simple_model()
         genders = np.array([int(Gender.MALE), int(Gender.FEMALE)])
         ages = np.array([0, 0])
-        means = model.factor_means(genders, ages)
+        means = factor_means(model, genders, ages)
         assert means[0, 0] == pytest.approx(0.5 + 0.5)  # +g/2 + age shift
         assert means[1, 0] == pytest.approx(-0.5 + 0.5)
+        noise = np.random.default_rng(0).standard_normal(means.shape)
+        latents = model.sample_latents(genders, ages, np.random.default_rng(0))
+        assert latents - noise == pytest.approx(means)
 
     def test_sampled_latents_follow_means(self):
         model = simple_model()
@@ -97,6 +114,24 @@ class TestFactorMeans:
         male_mean = latents[:4000, 0].mean()
         female_mean = latents[4000:, 0].mean()
         assert male_mean - female_mean == pytest.approx(1.0, abs=0.1)
+
+    # A scale of 1.0 alone would not show the order of the multiply.
+    @pytest.mark.parametrize("noise_scale", [1.0, 0.7])
+    def test_draw_latents_equal_whole_matrix_formula(self, noise_scale):
+        """A population's latents, drawn into one array, are bit for bit
+        ``means + noise * noise_scale`` from the seed's latent stream;
+        non-male gender codes count as female in both."""
+        model = dataclasses.replace(default_model(), noise_scale=noise_scale)
+        population = PopulationGenerator(US_MARGINALS, model, 5_003, seed=9).generate()
+        genders = population.gender_codes.copy()
+        genders[::7] = 2
+        population.gender_codes = genders
+        rng = np.random.default_rng(np.random.SeedSequence(9).spawn(2)[1])
+        means = factor_means(model, genders, population.age_codes)
+        expected = means + rng.standard_normal(means.shape) * noise_scale
+        drawn = population.draw_latents()
+        assert drawn.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+        assert np.array_equal(population.draw_latents(), drawn)
 
 
 class TestMembership:

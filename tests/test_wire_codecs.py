@@ -7,9 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api.obfuscation import GoogleWireCodec, criterion_id
-from repro.api.transport import HttpRequest
-from repro.api.wire import FacebookWireCodec, LinkedInWireCodec
-from repro.platforms.errors import BadRequestError
+from repro.api.routes import mount_suite_routes
+from repro.api.transport import FakeTransport, HttpRequest, HttpResponse
+from repro.api.wire import (
+    ROUTE_PATHS,
+    SEARCH_PATH,
+    FacebookWireCodec,
+    LinkedInWireCodec,
+)
+from repro.platforms.errors import BadRequestError, error_from_parts, error_parts
 from repro.platforms.google import FrequencyCap
 from repro.platforms.targeting import TargetingSpec
 from repro.population.demographics import AGE_RANGES, AgeRange, Gender
@@ -271,3 +277,89 @@ def test_non_mapping_batch_entry_is_a_bad_request(session_small, platform, body)
     envelope = session_small.clients[platform].codec.envelope
     with pytest.raises(BadRequestError, match="malformed .*batch entry"):
         envelope.decode_response(body, 1, allow_truncated=True)
+
+
+@pytest.mark.parametrize(
+    "codec",
+    [FacebookWireCodec, LinkedInWireCodec, GoogleWireCodec(OPTIONS)],
+    ids=["facebook", "linkedin", "google"],
+)
+def test_empty_batch_decodes_to_nothing(codec):
+    """No route sends a codec an empty batch (the envelope refuses one
+    first), so only this call shows a decoder that cannot take one."""
+    assert codec.decode_batch([]) == []
+
+
+#: Bodies every route is sent: none, an empty object, and JSON values
+#: that are not objects.
+_ANY_ROUTE_BODIES = [None, {}, [], "x", ["q"], 5]
+
+#: Single-estimate bodies whose fields have the wrong JSON type, per
+#: platform; batch routes get each as an item and as the item list.
+_WRONG_TYPE_FIELDS = {
+    "facebook": [
+        {"targeting_spec": 5},
+        {"targeting_spec": {**_FB_GEO, "genders": "1"}},
+        {"targeting_spec": _FB_GEO, "optimization_goal": ["Reach"]},
+    ],
+    "linkedin": [
+        {"locations": "US"},
+        {"locations": ["US"], "include": []},
+        {"locations": ["US"], "include": {"and": [{"or": 5}]}},
+    ],
+    "google": [
+        {"1": "x"},
+        {"1": 840, "3": {"a": 1}},
+        {"1": 840, "5": "x"},
+        {"1": 840, "6": ["x"]},
+    ],
+}
+
+
+def _check_error(status, message, kind):
+    """A 4xx whose parts survive the client's mapping: the kind is set
+    exactly where the restored error has one."""
+    assert 400 <= status < 500 and isinstance(message, str)
+    restored_status, _, restored_kind = error_parts(
+        error_from_parts(status, message, kind)
+    )
+    assert restored_status == status
+    assert (kind is None) == (restored_kind is None)
+
+
+def test_every_route_answers_malformed_bodies(session_small):
+    """No body makes a mounted route raise out of the transport: each
+    answers a response, and every error in it is a 4xx."""
+    transport = FakeTransport(rate=1e6, burst=10**6)  # prices every batch
+    mount_suite_routes(transport, session_small.suite)
+    routes = [("GET", SEARCH_PATH, None, False)]
+    for key, paths in ROUTE_PATHS.items():
+        platform = key.partition("_")[0]
+        routes += [
+            ("POST", paths.estimate, platform, False),
+            ("POST", paths.batch, platform, True),
+            ("GET", paths.catalog, platform, False),
+        ]
+    assert len(routes) == len(transport._routes) == 13
+    for method, path, platform, batch in routes:
+        bodies = list(_ANY_ROUTE_BODIES)
+        envelope = None
+        if platform is not None:
+            fields = _WRONG_TYPE_FIELDS[platform]
+            envelope = session_small.clients[platform].codec.envelope
+            bodies += fields
+        if batch:
+            bodies += [envelope.encode_request(fields)] + [
+                {envelope.request_key: bad} for bad in ("x", 5, [5], [[]])
+            ]
+        for body in bodies:
+            response = transport.request(HttpRequest(method, path, body=body))
+            assert isinstance(response, HttpResponse), (path, body)
+            if response.status != 200:
+                error = response.body
+                _check_error(response.status, error["error"], error.get("kind"))
+            elif envelope is not None and envelope.response_key in response.body:
+                n_items = len(response.body[envelope.response_key])
+                for _, parts in envelope.decode_response(response.body, n_items):
+                    if parts is not None:
+                        _check_error(*parts)
